@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import random
 import sys
 from typing import Sequence
@@ -26,13 +25,11 @@ from .coloring import (
 )
 from .counting import (
     CensusClass,
-    CountEngine,
     PhiError,
     PhiKind,
     census,
     count_polynomial,
-    phi_vertex_kinds,
-    resolve_phi,
+    resolve_tree_phi,
 )
 from .families import family_tree
 from .fqoracle import (
@@ -264,16 +261,12 @@ def _run_normalize(args) -> int:
 
 
 def _poly_payload(t: Tree, phi_spec, seed: int | None) -> tuple[Poly, int, dict]:
-    c = canonical_coloring(t)
-    part = red_green_components(t, c)
-    assignment = resolve_phi(part, phi_spec)
-    rng = random.Random(seed) if seed is not None else None
-    engine = CountEngine(memo={} if rng is not None else None, rng=rng)
-    kinds = phi_vertex_kinds(c, part, assignment)
-    poly = engine.tree_poly(t, kinds)
+    _, part, assignment, _ = resolve_tree_phi(t, phi_spec)
     rank = rank_profile(
         part, [k is PhiKind.GENERIC for k in assignment.kinds]
     ).rank
+    rng = random.Random(seed) if seed is not None else None
+    poly = count_polynomial(t, phi_spec, rng=rng)
     return poly, rank, {
         "coeffs": list(poly.coeffs),
         "degree": poly.degree,
@@ -363,9 +356,7 @@ def _run_verify(args) -> int:
 
 
 def _run_census(args) -> int:
-    klass = CensusClass(args.census_class)
-    threads = int(os.environ.get("TREECOUNT_THREADS", "1"))
-    rep = census(args.n, klass, threads=max(1, threads))
+    rep = census(args.n, CensusClass(args.census_class))
     lines = [
         f"n={rep.n} class={rep.census_class.value}: "
         f"{rep.tree_count} trees, {rep.distinct_polynomial_count} distinct polynomials"

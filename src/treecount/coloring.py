@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import Forest, Tree, remove_vertices
+from .trees import Edge, Tree, normalize_edge, remove_vertices
 
 
 class Color(enum.Enum):
@@ -32,22 +32,12 @@ class SizeGuardError(ValueError):
 
 ORACLE_MAX_VERTICES = 20
 
-Edge = tuple[int, int]
-
-
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Coloring:
     """Per-vertex colors plus the forced orange dominoes."""
 
     colors: tuple[Color, ...]
     dominoes: frozenset[Edge]
-
-    def vertices_of(self, color: Color) -> list[int]:
-        return [v for v, c in enumerate(self.colors) if c is color]
 
     @property
     def red_count(self) -> int:
@@ -84,7 +74,7 @@ def canonical_coloring(t: Tree, rng: random.Random | None = None) -> Coloring:
         w = next(x for x in t.neighbors[v] if colors[x] is Color.RED)
         colors[w] = Color.GREEN
         if colors[v] is Color.GREEN:
-            dominoes.add(_norm(v, w))
+            dominoes.add(normalize_edge(v, w))
         for x in t.neighbors[w]:
             red_nbrs[x] -= 1
             if not in_queue[x]:
@@ -304,10 +294,6 @@ def dimension(t: Tree) -> int:
     """The invariant r(T) - g(T) of the canonical coloring."""
     c = canonical_coloring(t)
     return c.red_count - c.green_count
-
-
-def forest_dimension(f: Forest) -> int:
-    return sum(dimension(comp) for comp in f.components)
 
 
 def adjacency_nullity(t: Tree) -> int:

@@ -7,16 +7,16 @@ forest.  Alongside it: closed forms for the linear, D- and E-shaped
 families (checked by exact division), the independent-set formula for the
 all-versal count, Euler characteristics, the divisibility/reciprocity
 report, the orange/unimodal two-step chain that never touches the general
-recursion, and the coincidence census.
+recursion, and the coincidence census.  A memo lives for one top-level call:
+one :func:`count_polynomial`, or one :func:`census` across its trees.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence, TypeAlias
 
 from .coloring import (
     Color,
@@ -27,11 +27,7 @@ from .coloring import (
     dimension,
     red_green_components,
 )
-from .matchings import (
-    INDEPENDENT_SET_MAX_VERTICES,
-    count_maximum_independent_sets,
-    independent_set_size_counts,
-)
+from .matchings import count_maximum_independent_sets, independent_set_size_counts
 from .polynomials import ONE, Poly, Q
 from .trees import Forest, Tree, canonical_key, emit_graph6, enumerate_free_trees, remove_vertices
 
@@ -57,10 +53,20 @@ class PhiAssignment:
         return len(self.kinds)
 
 
-def resolve_phi(
-    partition: RedGreenPartition,
-    spec: str | PhiKind | Mapping[int, str | PhiKind] | PhiAssignment | None,
-) -> PhiAssignment:
+# A string, so that no typing cache keeps this module alive after a reload.
+PhiSpec: TypeAlias = "str | PhiKind | Mapping[int, str | PhiKind] | PhiAssignment | None"
+
+
+def _kind(value: str | PhiKind) -> PhiKind:
+    if isinstance(value, PhiKind):
+        return value
+    try:
+        return PhiKind(value)
+    except ValueError:
+        raise PhiError(f"phi must be generic or versal, got {value!r}") from None
+
+
+def resolve_phi(partition: RedGreenPartition, spec: PhiSpec) -> PhiAssignment:
     """Resolve a user-facing choice spec against the actual components.
 
     Accepts a uniform kind (string or :class:`PhiKind`), a mapping keyed by
@@ -76,16 +82,14 @@ def resolve_phi(
             raise PhiError("tree has red-green components, a phi choice is required")
         return PhiAssignment(())
     if isinstance(spec, (str, PhiKind)):
-        kind = PhiKind(spec) if isinstance(spec, str) else spec
+        kind = _kind(spec)
         return PhiAssignment(tuple(kind for _ in partition))
     by_min = {comp.min_vertex: i for i, comp in enumerate(partition)}
     kinds: list[PhiKind | None] = [None] * len(partition)
     for key, val in spec.items():
         if key not in by_min:
             raise PhiError(f"no red-green component is indexed by vertex {key}")
-        kinds[by_min[key]] = PhiKind(val) if isinstance(val, str) else val
-    if not len(partition) and spec:
-        raise PhiError("orange tree admits only the empty phi specification")
+        kinds[by_min[key]] = _kind(val)
     missing = [comp.min_vertex for comp, k in zip(partition, kinds) if k is None]
     if missing:
         raise PhiError(f"phi missing for components indexed by {missing}")
@@ -103,6 +107,26 @@ def phi_vertex_kinds(
         for v in comp.vertices:
             out[v] = kind
     return tuple(out)
+
+
+class ResolvedPhi(NamedTuple):
+    """A choice spec resolved against one tree."""
+
+    coloring: Coloring
+    partition: RedGreenPartition
+    assignment: PhiAssignment
+    kinds: tuple[PhiKind | None, ...]
+
+
+def resolve_tree_phi(t: Tree, spec: PhiSpec) -> ResolvedPhi:
+    """Color ``t``, split it into red-green components and resolve ``spec``
+    to one choice per component and per vertex."""
+    coloring = canonical_coloring(t)
+    partition = red_green_components(t, coloring)
+    assignment = resolve_phi(partition, spec)
+    return ResolvedPhi(
+        coloring, partition, assignment, phi_vertex_kinds(coloring, partition, assignment)
+    )
 
 
 def all_phi_assignments(partition: RedGreenPartition) -> list[PhiAssignment]:
@@ -131,12 +155,6 @@ _SINGLE = {
 
 VertexKinds = tuple  # tuple[PhiKind | None, ...]
 
-_global_memo: dict[bytes, Poly] = {}
-
-
-def clear_memo() -> None:
-    _global_memo.clear()
-
 
 def _induced_kinds(
     child: Tree, orig: Sequence[int], parent_kinds: VertexKinds
@@ -163,19 +181,23 @@ def _induced_kinds(
 class CountEngine:
     """Memoized evaluator of the point-count recursion.
 
-    A shared memo table is safe under concurrent use (values for a key are
-    always identical); passing a private dict gives share-nothing workers.
-    ``rng`` randomizes the red-leaf and domino choices, which must not
-    change any result.
+    The memo lives as long as the engine.  ``rng`` randomizes the red-leaf
+    and domino choices, which must not change any result.
     """
 
-    def __init__(
-        self,
-        memo: dict[bytes, Poly] | None = None,
-        rng: random.Random | None = None,
-    ) -> None:
-        self.memo = _global_memo if memo is None else memo
+    def __init__(self, rng: random.Random | None = None) -> None:
+        self.memo: dict[bytes, Poly] = {}
         self.rng = rng
+
+    def count(self, obj: Tree | Forest, phi: PhiSpec) -> Poly:
+        if isinstance(obj, Forest):
+            if not (phi is None or isinstance(phi, (str, PhiKind))):
+                raise PhiError("forests take a uniform phi specification")
+            out = ONE
+            for comp, _ in obj:
+                out = out * self.count(comp, phi)
+            return out
+        return self.tree_poly(obj, resolve_tree_phi(obj, phi).kinds)
 
     def tree_poly(self, t: Tree, kinds: VertexKinds) -> Poly:
         key = canonical_key(t, [_KIND_LABEL[k] for k in kinds])
@@ -307,10 +329,7 @@ class CountEngine:
 
 
 def count_polynomial(
-    obj: Tree | Forest,
-    phi: str | PhiKind | Mapping[int, str | PhiKind] | PhiAssignment | None = None,
-    memo: dict[bytes, Poly] | None = None,
-    rng: random.Random | None = None,
+    obj: Tree | Forest, phi: PhiSpec = None, rng: random.Random | None = None
 ) -> Poly:
     """Exact number of points N as a polynomial in the field size.
 
@@ -319,21 +338,7 @@ def count_polynomial(
     Orange inputs need no choice.  Forests take uniform specs and multiply
     over components.
     """
-    engine = CountEngine(memo=memo, rng=rng)
-    if isinstance(obj, Forest):
-        if not (phi is None or isinstance(phi, (str, PhiKind))):
-            raise PhiError("forests take a uniform phi specification")
-        out = ONE
-        for comp, _ in obj:
-            out = out * count_polynomial(comp, phi, memo=engine.memo, rng=rng)
-        return out
-    coloring = canonical_coloring(obj)
-    partition = red_green_components(obj, coloring)
-    if isinstance(phi, (str, PhiKind)) and len(partition) == 0:
-        phi = None
-    assignment = resolve_phi(partition, phi)
-    kinds = phi_vertex_kinds(coloring, partition, assignment)
-    return engine.tree_poly(obj, kinds)
+    return CountEngine(rng).count(obj, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +424,6 @@ def closed_form_e(n: int, mode: Mode) -> Poly:
 def versal_by_independent_sets(t: Tree) -> Poly:
     """All-versal count as a sum over independent sets S:
     (q-1)**(n + dim - 2|S|) * q**|S|."""
-    if t.n > INDEPENDENT_SET_MAX_VERTICES:
-        raise SizeGuardError(
-            f"independent-set formula guarded at n <= {INDEPENDENT_SET_MAX_VERTICES}"
-        )
     d = dimension(t)
     out = Poly()
     for size, count in enumerate(independent_set_size_counts(t)):
@@ -488,8 +489,8 @@ class ChainEngine:
     is never consulted.
     """
 
-    def __init__(self, memo: dict[bytes, Poly] | None = None) -> None:
-        self.memo = {} if memo is None else memo
+    def __init__(self) -> None:
+        self.memo: dict[bytes, Poly] = {}
 
     def orange(self, t: Tree) -> Poly:
         key = b"N" + canonical_key(t)
@@ -537,11 +538,11 @@ class ChainEngine:
         return result
 
 
-def orange_unimodal_chain(t: Tree, memo: dict[bytes, Poly] | None = None) -> Poly:
+def orange_unimodal_chain(t: Tree) -> Poly:
     """N for an orange tree, or the all-versal N for a unimodal tree,
     computed purely by the chain scheme."""
     d = dimension(t)
-    engine = ChainEngine(memo)
+    engine = ChainEngine()
     if d == 0:
         return engine.orange(t)
     if d == 1:
@@ -569,18 +570,13 @@ class CensusReport:
     polynomials: tuple[Poly, ...]
 
 
-def census(
-    n: int,
-    census_class: CensusClass,
-    memo: dict[bytes, Poly] | None = None,
-    threads: int = 1,
-) -> CensusReport:
+def census(n: int, census_class: CensusClass) -> CensusReport:
     """Bucket the n-vertex trees of a class by their polynomial.
 
     Orange means dimension 0 (the polynomial needs no choice); unimodal
     means dimension 1 with the stated uniform choice on the single
     component.  Collisions list the graph6 strings of trees sharing one
-    polynomial.
+    polynomial.  One memo serves every tree of the census.
     """
     if n > CENSUS_MAX_VERTICES:
         raise SizeGuardError(f"census guarded at n <= {CENSUS_MAX_VERTICES}")
@@ -592,26 +588,20 @@ def census(
         if census_class is CensusClass.UNIMODAL_VERSAL
         else PhiKind.GENERIC
     )
-    selected = [t for t in enumerate_free_trees(n) if dimension(t) == target]
-    engine_memo = _global_memo if memo is None else memo
-
-    def job(t: Tree) -> tuple[str, Poly]:
-        return emit_graph6(t), count_polynomial(t, phi, memo=engine_memo)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, selected))
-    else:
-        results = [job(t) for t in selected]
+    engine = CountEngine()
+    tree_count = 0
     buckets: dict[Poly, list[str]] = {}
-    for g6, poly in results:
-        buckets.setdefault(poly, []).append(g6)
+    for t in enumerate_free_trees(n):
+        if dimension(t) != target:
+            continue
+        tree_count += 1
+        buckets.setdefault(engine.count(t, phi), []).append(emit_graph6(t))
     ordered = sorted(buckets.items(), key=lambda kv: kv[0].coeffs)
     collisions = tuple(tuple(g6s) for _, g6s in ordered if len(g6s) > 1)
     return CensusReport(
         n=n,
         census_class=census_class,
-        tree_count=len(selected),
+        tree_count=tree_count,
         distinct_polynomial_count=len(buckets),
         collisions=collisions,
         polynomials=tuple(p for p, _ in ordered),

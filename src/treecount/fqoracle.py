@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coloring import Color, canonical_coloring, red_green_components
-from .counting import PhiAssignment, PhiKind, count_polynomial, phi_vertex_kinds, resolve_phi
+from .coloring import Color
+from .counting import PhiKind, PhiSpec, count_polynomial, resolve_tree_phi
 from .groupoid import genericity_check
 from .matchings import maximum_matching, uncovered_vertices
 from .trees import Tree
@@ -77,14 +77,6 @@ class FqContext:
     def __post_init__(self) -> None:
         if not _is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
-
-
-@dataclass(frozen=True)
-class ParameterAssignment:
-    """Values on the red vertices a fixed maximum matching leaves uncovered."""
-
-    matching: frozenset[tuple[int, int]]
-    alpha: tuple[tuple[int, int], ...]
 
 
 def _grid_digit(offset: int, count: int, stride: int, q: int) -> np.ndarray:
@@ -182,7 +174,7 @@ def jump_alpha(
 
 def count_points(
     t: Tree,
-    phi: PhiAssignment | str | PhiKind | Mapping[int, str | PhiKind] | None,
+    phi: PhiSpec,
     ctx: FqContext,
     force: bool = False,
 ) -> int | NoGenericParameters:
@@ -194,12 +186,7 @@ def count_points(
     tuple.  Returns :data:`NO_GENERIC_PARAMETERS` when no tuple passes.
     """
     q = ctx.q
-    coloring = canonical_coloring(t)
-    partition = red_green_components(t, coloring)
-    if isinstance(phi, (str, PhiKind)) and len(partition) == 0:
-        phi = None
-    assignment = resolve_phi(partition, phi)
-    kinds = phi_vertex_kinds(coloring, partition, assignment)
+    coloring, partition, assignment, kinds = resolve_tree_phi(t, phi)
     m = maximum_matching(t)
     free = [
         v for v in uncovered_vertices(t, m) if coloring.colors[v] is Color.RED
@@ -283,7 +270,7 @@ class VerifyReport:
 
 def verify_polynomial(
     t: Tree,
-    phi: PhiAssignment | str | PhiKind | Mapping[int, str | PhiKind] | None,
+    phi: PhiSpec,
     primes: Sequence[int],
     force: bool = False,
 ) -> VerifyReport:

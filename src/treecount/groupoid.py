@@ -28,9 +28,8 @@ from .matchings import (
     shared_green_blocks,
     uncovered_vertices,
 )
-from .trees import Tree
+from .trees import Edge, Tree, normalize_edge
 
-Edge = tuple[int, int]
 ExponentVector = dict[int, int]
 
 
@@ -81,8 +80,7 @@ def _allowed_jump(t: Tree, c: Coloring, u: int, v: int) -> bool:
     if cu is Color.GREEN and cv is Color.RED:
         return True
     if cu is Color.ORANGE and cv is Color.ORANGE:
-        e = (u, v) if u < v else (v, u)
-        return e in c.dominoes
+        return normalize_edge(u, v) in c.dominoes
     return False
 
 

@@ -20,15 +20,9 @@ from .coloring import (
     SizeGuardError,
     canonical_coloring,
 )
-from .trees import Forest, Tree, remove_vertices
-
-Edge = tuple[int, int]
+from .trees import Edge, Forest, Tree, normalize_edge, remove_vertices
 
 INDEPENDENT_SET_MAX_VERTICES = 24
-
-
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 def _postorder(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
@@ -56,7 +50,7 @@ def maximum_matching(t: Tree | Forest) -> frozenset[Edge]:
         out: set[Edge] = set()
         for comp, orig in t:
             for u, v in maximum_matching(comp):
-                out.add(_norm(orig[u], orig[v]))
+                out.add(normalize_edge(orig[u], orig[v]))
         return frozenset(out)
     order, parent = _postorder(t)
     matched = [False] * t.n
@@ -65,7 +59,7 @@ def maximum_matching(t: Tree | Forest) -> frozenset[Edge]:
         p = parent[v]
         if p >= 0 and not matched[v] and not matched[p]:
             matched[v] = matched[p] = True
-            chosen.add(_norm(v, p))
+            chosen.add(normalize_edge(v, p))
     return frozenset(chosen)
 
 
@@ -102,7 +96,7 @@ def maximum_matching_containing(
     if {c.colors[u], c.colors[v]} != {Color.RED, Color.GREEN}:
         raise ValueError(f"edge {e} is not red-green")
     rest = set(maximum_matching(remove_vertices(t, {u, v})))
-    rest.add(_norm(u, v))
+    rest.add(normalize_edge(u, v))
     if len(rest) != maximum_matching_size(t):
         raise AssertionError("completed matching through a red-green edge not maximum")
     return frozenset(rest)

@@ -27,7 +27,11 @@ class NotATreeError(ValueError):
     """Input graph is not connected and acyclic."""
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
+Edge = tuple[int, int]
+
+
+def normalize_edge(u: int, v: int) -> Edge:
+    """The edge u-v with its smaller end first."""
     return (u, v) if u < v else (v, u)
 
 
@@ -36,11 +40,11 @@ class Tree:
     """Immutable tree on vertices ``0..n-1``.
 
     Construction validates connectivity and acyclicity; adjacency lists are
-    precomputed and safe to share across threads.
+    precomputed.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[Edge, ...]
     neighbors: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -48,7 +52,7 @@ class Tree:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("a tree has at least one vertex")
-        edges = tuple(sorted(_normalize_edge(u, v) for u, v in self.edges))
+        edges = tuple(sorted(normalize_edge(u, v) for u, v in self.edges))
         if len(edges) != self.n - 1:
             raise NotATreeError(f"{len(edges)} edges for {self.n} vertices")
         if len(set(edges)) != len(edges):

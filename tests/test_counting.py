@@ -53,6 +53,12 @@ def test_phi_resolution():
         resolve_phi(part, {5: "generic"})
     with pytest.raises(PhiError):
         resolve_phi(part, {})
+    with pytest.raises(PhiError):
+        resolve_phi(part, "bogus")
+    with pytest.raises(PhiError):
+        resolve_phi(part, {0: "bogus"})
+    with pytest.raises(PhiError):
+        count_polynomial(linear_tree(4), "bogus")
     twostars = Tree(8, ((0, 3), (1, 3), (2, 3), (3, 7), (4, 7), (5, 7), (6, 7)))
     c2, part2 = colored(twostars)
     mixed = resolve_phi(part2, {0: "generic", 4: "versal"})
@@ -138,7 +144,7 @@ def test_choice_independence():
             base = count_polynomial(t, phi)
             for seed in range(5):
                 rng = random.Random(seed)
-                assert count_polynomial(t, phi, memo={}, rng=rng) == base
+                assert count_polynomial(t, phi, rng=rng) == base
 
 
 def test_versal_by_independent_sets_examples(figure_tree):
@@ -153,6 +159,10 @@ def test_versal_by_independent_sets_examples(figure_tree):
 def test_versal_by_independent_sets_everywhere():
     for t in trees_up_to(10):
         assert versal_by_independent_sets(t) == count_polynomial(t, "versal")
+
+
+def test_versal_by_independent_sets_long_path():
+    assert versal_by_independent_sets(linear_tree(201)) == closed_form_a(201, Mode.VERSAL)
 
 
 def test_euler_characteristic_examples(figure_tree):
@@ -226,12 +236,6 @@ def test_census_spot_checks():
     assert rep.tree_count == 20 and rep.distinct_polynomial_count == 19
     rep = census(7, CensusClass.UNIMODAL_GENERIC)
     assert rep.tree_count == 6 and rep.distinct_polynomial_count == 5
-
-
-def test_census_threads_agree():
-    seq = census(8, CensusClass.ORANGE, memo={})
-    par = census(8, CensusClass.ORANGE, memo={}, threads=4)
-    assert seq == par
 
 
 def test_census_guard():
