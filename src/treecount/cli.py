@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import random
 import sys
 from typing import Sequence
 
@@ -260,13 +259,12 @@ def _run_normalize(args) -> int:
     return EXIT_OK
 
 
-def _poly_payload(t: Tree, phi_spec, seed: int | None) -> tuple[Poly, int, dict]:
+def _poly_payload(t: Tree, phi_spec) -> tuple[Poly, int, dict]:
     _, part, assignment, _ = resolve_tree_phi(t, phi_spec)
     rank = rank_profile(
         part, [k is PhiKind.GENERIC for k in assignment.kinds]
     ).rank
-    rng = random.Random(seed) if seed is not None else None
-    poly = count_polynomial(t, phi_spec, rng=rng)
+    poly = count_polynomial(t, phi_spec)
     return poly, rank, {
         "coeffs": list(poly.coeffs),
         "degree": poly.degree,
@@ -277,7 +275,7 @@ def _poly_payload(t: Tree, phi_spec, seed: int | None) -> tuple[Poly, int, dict]
 def _run_count(args) -> int:
     t, off = _load_tree(args)
     spec = _shift_phi(phi_spec_parse(args.phi), off)
-    poly, rank, payload = _poly_payload(t, spec, args.seed)
+    poly, rank, payload = _poly_payload(t, spec)
     if args.format == "json" or args.json:
         _emit(args, payload, json.dumps(payload, sort_keys=True))
         return EXIT_OK
@@ -384,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, help="seed for randomized recursion choices")
     common.add_argument("--force", action="store_true", help="override work-budget guards")
     sub = parser.add_subparsers(dest="command", required=True)
 

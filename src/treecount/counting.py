@@ -1,14 +1,16 @@
 """Exact point-count polynomials of the tree varieties.
 
-The central recursion peels a red leaf (generic or versal case, depending
-on the choice attached to its red-green component) or splits an orange
-tree along a domino, memoized on the canonical key of the choice-decorated
-forest.  Alongside it: closed forms for the linear, D- and E-shaped
-families (checked by exact division), the independent-set formula for the
-all-versal count, Euler characteristics, the divisibility/reciprocity
-report, the orange/unimodal two-step chain that never touches the general
-recursion, and the coincidence census.  A memo lives for one top-level call:
-one :func:`count_polynomial`, or one :func:`census` across its trees.
+The production path, :func:`count_polynomial`, counts by size the
+independent sets that contain no admissible set of a generic component, in
+one bottom-up pass, and weighs each size by a power of (q-1) times a power of
+q.  Its checks live here too: the leaf/domino recursion of
+:class:`CountEngine`, which peels a red leaf (generic or versal case) or
+splits an orange tree along a domino, memoized on the canonical key of the
+choice-decorated forest; the orange/unimodal two-step chain of
+:class:`ChainEngine`; closed forms for the linear, D- and E-shaped families
+(checked by exact division); and the all-versal independent-set formula.
+Also: Euler characteristics, the divisibility/reciprocity report and the
+coincidence census.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .coloring import (
     dimension,
     red_green_components,
 )
-from .matchings import count_maximum_independent_sets, independent_set_size_counts
+from .matchings import _postorder, count_maximum_independent_sets, independent_set_size_counts
 from .polynomials import ONE, Poly, Q
 from .trees import Forest, Tree, canonical_key, emit_graph6, enumerate_free_trees, remove_vertices
 
@@ -142,7 +144,7 @@ def all_phi_assignments(partition: RedGreenPartition) -> list[PhiAssignment]:
 
 
 # ---------------------------------------------------------------------------
-# The general recursion
+# The leaf/domino recursion (a reference oracle for count_polynomial)
 # ---------------------------------------------------------------------------
 
 _KIND_LABEL = {None: 0, PhiKind.GENERIC: 1, PhiKind.VERSAL: 2}
@@ -328,17 +330,138 @@ class CountEngine:
             )
 
 
-def count_polynomial(
-    obj: Tree | Forest, phi: PhiSpec = None, rng: random.Random | None = None
-) -> Poly:
+# ---------------------------------------------------------------------------
+# The independent-set count (the production path)
+# ---------------------------------------------------------------------------
+
+def _plus(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _count_sets_by_size(t: Tree, resolved: ResolvedPhi) -> list[int]:
+    """``c[k]``: independent sets S with |S| = k that contain no admissible
+    set of a generic component.
+
+    One pass up the tree rooted at 0.  Each vertex keeps four size-polynomials
+    (lists indexed by |S|), empty where a state cannot occur:
+
+    * ``o0``: v not in S, and for a generic green no child in state ``i1``;
+    * ``o1``: a generic green not in S with exactly one child in ``i1``
+      (two such children would form an admissible set, so that state is
+      dropped);
+    * ``i0``: v in S and not in ``i1``;
+    * ``i1``: a generic red in S each of whose green children has exactly one
+      red child in ``i1``, so that pruning S from below keeps it.
+
+    Reds have only green neighbours, all of their own component, so a red is
+    never the top of its component unless it is the root, where ``i1`` is
+    dropped: pruning from above cannot remove it either.
+    """
+    order, parent = _postorder(t)
+    colors = resolved.coloring.colors
+    kinds = resolved.kinds
+    states: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
+    for v in order:
+        below = [states.pop(w) for w in t.neighbors[v] if w != parent[v]]
+        inn = [1]  # v in S: every child outside S
+        for o0, o1, _, _ in below:
+            inn = _times(inn, _plus(o0, o1))
+        inn = [0] + inn
+        if kinds[v] is PhiKind.GENERIC and colors[v] is Color.GREEN:
+            a0, a1 = [1], []
+            for o0, o1, i0, i1 in below:
+                keep = _plus(_plus(o0, o1), i0)
+                a0, a1 = _times(a0, keep), _plus(_times(a1, keep), _times(a0, i1))
+            states[v] = (a0, a1, inn, [])
+            continue
+        out = [1]
+        for o0, o1, i0, i1 in below:
+            out = _times(out, _plus(_plus(o0, o1), _plus(i0, i1)))
+        if kinds[v] is PhiKind.GENERIC:
+            down = [1]
+            for _, o1, _, _ in below:
+                down = _times(down, o1)
+            i1 = [0] + down if down else []
+            states[v] = (out, [], _plus(inn, [-c for c in i1]), i1)
+        else:
+            states[v] = (out, [], inn, [])
+    o0, o1, i0, _ = states[order[-1]]
+    counts = _plus(_plus(o0, o1), i0)
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+def _weigh_by_size(counts: list[int], exponent: int) -> Poly:
+    """sum_k counts[k] * (q-1)**(exponent - 2k) * q**k, by Horner in (q-1)**2."""
+    top = len(counts) - 1
+    if exponent < 2 * top:
+        raise AssertionError(
+            f"{counts[top]} sets of size {top} would need (q-1)^{exponent - 2 * top}"
+        )
+    acc: list[int] = []
+    for k, c in enumerate(counts):
+        # acc <- acc * (q^2 - 2q + 1) + c q^k
+        acc = [
+            z - 2 * y + x
+            for x, y, z in zip(acc + [0, 0], [0] + acc + [0], [0, 0] + acc)
+        ]
+        acc[k] += c
+    for _ in range(exponent - 2 * top):
+        acc = [y - x for x, y in zip(acc + [0], [0] + acc)]
+    return Poly(tuple(acc))
+
+
+def count_polynomial(obj: Tree | Forest, phi: PhiSpec = None) -> Poly:
     """Exact number of points N as a polynomial in the field size.
 
     ``phi`` picks generic or versal per red-green component (uniform string,
     mapping keyed by smallest component vertex, or a resolved assignment).
     Orange inputs need no choice.  Forests take uniform specs and multiply
     over components.
+
+    N = sum_S (q-1)**(n + vr - 2|S|) * q**|S| over the independent sets S that
+    contain no admissible set of a generic component, vr being the summed
+    dimension of the versal components.  The sets are counted by size in one
+    bottom-up pass; :class:`CountEngine`, :class:`ChainEngine`, the closed
+    forms, :func:`versal_by_independent_sets` and the F_q oracle check it.
     """
-    return CountEngine(rng).count(obj, phi)
+    if isinstance(obj, Forest):
+        if not (phi is None or isinstance(phi, (str, PhiKind))):
+            raise PhiError("forests take a uniform phi specification")
+        out = ONE
+        for comp, _ in obj:
+            out = out * count_polynomial(comp, phi)
+        return out
+    resolved = resolve_tree_phi(obj, phi)
+    versal_rank = sum(
+        comp.dimension
+        for comp, kind in zip(resolved.partition, resolved.assignment.kinds)
+        if kind is PhiKind.VERSAL
+    )
+    result = _weigh_by_size(_count_sets_by_size(obj, resolved), obj.n + versal_rank)
+    if not result.is_monic or result.degree != obj.n + versal_rank:
+        raise AssertionError(
+            f"count polynomial has wrong shape: {result} for n={obj.n}, "
+            f"versal rank {versal_rank}"
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +699,7 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     Orange means dimension 0 (the polynomial needs no choice); unimodal
     means dimension 1 with the stated uniform choice on the single
     component.  Collisions list the graph6 strings of trees sharing one
-    polynomial.  One memo serves every tree of the census.
+    polynomial.
     """
     if n > CENSUS_MAX_VERTICES:
         raise SizeGuardError(f"census guarded at n <= {CENSUS_MAX_VERTICES}")
@@ -588,14 +711,13 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
         if census_class is CensusClass.UNIMODAL_VERSAL
         else PhiKind.GENERIC
     )
-    engine = CountEngine()
     tree_count = 0
     buckets: dict[Poly, list[str]] = {}
     for t in enumerate_free_trees(n):
         if dimension(t) != target:
             continue
         tree_count += 1
-        buckets.setdefault(engine.count(t, phi), []).append(emit_graph6(t))
+        buckets.setdefault(count_polynomial(t, phi), []).append(emit_graph6(t))
     ordered = sorted(buckets.items(), key=lambda kv: kv[0].coeffs)
     collisions = tuple(tuple(g6s) for _, g6s in ordered if len(g6s) > 1)
     return CensusReport(

@@ -73,7 +73,7 @@ class CoefficientState:
         return not self.coeff[v]
 
 
-def _allowed_jump(t: Tree, c: Coloring, u: int, v: int) -> bool:
+def _allowed_jump(c: Coloring, u: int, v: int) -> bool:
     cu, cv = c.colors[u], c.colors[v]
     if cu is Color.RED and cv is Color.GREEN:
         return True
@@ -93,7 +93,7 @@ def jump(s: CoefficientState, t: Tree, c: Coloring, u: int, v: int) -> Coefficie
     """
     if not t.has_edge(u, v):
         raise JumpError(f"{u}-{v} is not an edge")
-    if not _allowed_jump(t, c, u, v):
+    if not _allowed_jump(c, u, v):
         raise JumpError(
             f"jump {u} over {v} is not red/green, green/red or a matched orange pair"
         )

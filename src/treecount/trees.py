@@ -2,9 +2,9 @@
 
 Everything downstream works on the :class:`Tree` type defined here: a
 connected acyclic graph on vertices ``0..n-1``.  The module also provides
-the short-form graph6 codec (n <= 62), an AHU-style canonical key for
-labelled trees (used both for isomorphism tests and as a memoization key),
-vertex removal into :class:`Forest`, and a generator of free trees up to
+the graph6 codec (short and long form, n <= 258047), an AHU-style canonical
+key for labelled trees (used both for isomorphism tests and as a memoization
+key), vertex removal into :class:`Forest`, and a generator of free trees up to
 isomorphism at desk scale.
 """
 
@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-MAX_GRAPH6_VERTICES = 62
+MAX_GRAPH6_VERTICES = 258047
 MAX_ENUMERATION_VERTICES = 16
 
 
@@ -164,23 +164,33 @@ def relabel(t: Tree, perm: Sequence[int]) -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (short form, n <= 62)
+# graph6 codec (McKay's formats.txt: n <= 62 in one byte, else "~" + 18 bits)
 # ---------------------------------------------------------------------------
 
+def _graph6_size(s: str) -> tuple[int, str]:
+    """Vertex count from a graph6 header, plus the payload that follows."""
+    if s[0] != "~":
+        return ord(s[0]) - 63, s[1:]
+    if s[1:2] == "~":
+        raise Graph6Error(f"graph6 supports n <= {MAX_GRAPH6_VERTICES}")
+    if len(s) < 4:
+        raise Graph6Error("truncated long-form graph6 header")
+    n = 0
+    for ch in s[1:4]:
+        n = (n << 6) | (ord(ch) - 63)
+    return n, s[4:]
+
+
 def read_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Decode a short-form graph6 record into ``(n, edges)`` for any graph."""
+    """Decode a graph6 record into ``(n, edges)`` for any graph."""
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 string")
     if not all(63 <= ord(ch) <= 126 for ch in s):
         raise Graph6Error("graph6 character out of range")
-    head = ord(s[0]) - 63
-    if head == 63:
-        raise Graph6Error("long-form graph6 headers (n > 62) are not supported")
-    n = head
+    n, body = _graph6_size(s)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = s[1:]
     if len(body) != nbytes:
         raise Graph6Error(
             f"expected {nbytes} payload characters for n={n}, got {len(body)}"
@@ -211,9 +221,10 @@ def parse_graph6(text: str) -> Tree:
 
 
 def emit_graph6(t: Tree) -> str:
-    """Standard short-form graph6 encoding (bit-exact, upper triangle by columns)."""
+    """Standard graph6 encoding (bit-exact, upper triangle by columns), with
+    the long-form size header above 62 vertices."""
     if t.n > MAX_GRAPH6_VERTICES:
-        raise Graph6Error("graph6 short form only supports n <= 62")
+        raise Graph6Error(f"graph6 supports n <= {MAX_GRAPH6_VERTICES}")
     adj = set(t.edges)
     bits = []
     for v in range(1, t.n):
@@ -221,7 +232,10 @@ def emit_graph6(t: Tree) -> str:
             bits.append(1 if (u, v) in adj else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(t.n + 63)]
+    if t.n <= 62:
+        out = [chr(t.n + 63)]
+    else:
+        out = ["~"] + [chr((t.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     for i in range(0, len(bits), 6):
         val = 0
         for b in bits[i : i + 6]:
@@ -329,18 +343,27 @@ def canonical_key(t: Tree, labels: Mapping[int, int] | Sequence[int] | None = No
 
 
 def _rooted_aut(t: Tree, root: int, banned: int) -> tuple[bytes, int]:
-    """Signature and automorphism-group order of a rooted subtree."""
-    children = [w for w in t.neighbors[root] if w != banned]
-    sigs = sorted(_rooted_aut(t, w, root) for w in children)
-    aut = 1
-    for _, grp in itertools.groupby(sigs, key=lambda p: p[0]):
-        block = list(grp)
-        m = len(block)
-        for _, sub in block:
-            aut *= sub
-        aut *= _factorial(m)
-    key = b"(" + b"".join(s for s, _ in sigs) + b")"
-    return key, aut
+    """Signature and automorphism-group order of the subtree at ``root`` when
+    the edge to ``banned`` is cut."""
+    order: list[tuple[int, int]] = []
+    stack = [(root, banned)]
+    while stack:
+        v, parent = stack.pop()
+        order.append((v, parent))
+        for w in t.neighbors[v]:
+            if w != parent:
+                stack.append((w, v))
+    done: dict[int, tuple[bytes, int]] = {}
+    for v, parent in reversed(order):
+        sigs = sorted(done.pop(w) for w in t.neighbors[v] if w != parent)
+        aut = 1
+        for _, grp in itertools.groupby(sigs, key=lambda p: p[0]):
+            block = list(grp)
+            for _, sub in block:
+                aut *= sub
+            aut *= _factorial(len(block))
+        done[v] = (b"(" + b"".join(s for s, _ in sigs) + b")", aut)
+    return done[root]
 
 
 def _factorial(m: int) -> int:

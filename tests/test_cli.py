@@ -59,16 +59,6 @@ def test_count_factored_and_json(capsys):
     assert payload == {"coeffs": [-1, 0, 0, 1], "degree": 3, "rank": 1}
 
 
-def test_count_seed_reproducible(capsys):
-    _, out1, _ = run(
-        capsys, "count", "--family", "E", "--n", "8", "--seed", "3"
-    )
-    _, out2, _ = run(
-        capsys, "count", "--family", "E", "--n", "8", "--seed", "4"
-    )
-    assert out1 == out2  # choices never change the polynomial
-
-
 def test_json_reports_reproduce_up_to_timestamp(capsys):
     argv = ["census", "--n", "8", "--class", "orange", "--json"]
     _, out1, _ = run(capsys, *argv)

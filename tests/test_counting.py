@@ -1,4 +1,4 @@
-"""The counting recursion against closed forms, formulas and itself."""
+"""The independent-set count against the recursion, closed forms and formulas."""
 
 from __future__ import annotations
 
@@ -6,10 +6,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecount.coloring import dimension
 from treecount.counting import (
     CensusClass,
+    CountEngine,
     InconsistentModeError,
     Mode,
     PhiError,
@@ -31,7 +34,7 @@ from treecount.families import d_tree, e_tree, linear_tree, star_tree
 from treecount.groupoid import rank_profile
 from treecount.matchings import count_maximum_independent_sets
 from treecount.polynomials import Poly, Q
-from treecount.trees import Tree, parse_graph6
+from treecount.trees import Tree, parse_graph6, prufer_decode
 from conftest import colored, trees_up_to
 
 
@@ -104,23 +107,25 @@ def test_a7_e7_coincidence():
 
 
 def test_recursion_matches_closed_forms():
+    """The leaf/domino recursion; criterion 1 checks count_polynomial."""
+    count = CountEngine().count
     for n in range(1, 13):
         t = linear_tree(n)
         if n % 2 == 0:
-            assert count_polynomial(t) == closed_form_a(n, Mode.ORANGE)
+            assert count(t, None) == closed_form_a(n, Mode.ORANGE)
         else:
-            assert count_polynomial(t, "generic") == closed_form_a(n, Mode.GENERIC)
-            assert count_polynomial(t, "versal") == closed_form_a(n, Mode.VERSAL)
+            assert count(t, "generic") == closed_form_a(n, Mode.GENERIC)
+            assert count(t, "versal") == closed_form_a(n, Mode.VERSAL)
     for n in range(4, 13):
-        assert count_polynomial(d_tree(n), "generic") == closed_form_d(n, Mode.GENERIC)
-        assert count_polynomial(d_tree(n), "versal") == closed_form_d(n, Mode.VERSAL)
+        assert count(d_tree(n), "generic") == closed_form_d(n, Mode.GENERIC)
+        assert count(d_tree(n), "versal") == closed_form_d(n, Mode.VERSAL)
     for n in range(5, 13):
         t = e_tree(n)
         if n % 2 == 0:
-            assert count_polynomial(t) == closed_form_e(n, Mode.ORANGE)
+            assert count(t, None) == closed_form_e(n, Mode.ORANGE)
         else:
-            assert count_polynomial(t, "generic") == closed_form_e(n, Mode.GENERIC)
-            assert count_polynomial(t, "versal") == closed_form_e(n, Mode.VERSAL)
+            assert count(t, "generic") == closed_form_e(n, Mode.GENERIC)
+            assert count(t, "versal") == closed_form_e(n, Mode.VERSAL)
 
 
 def test_monic_degree_law():
@@ -137,14 +142,50 @@ def test_monic_degree_law():
 
 
 def test_choice_independence():
-    """Randomizing the peeled leaf and split domino never changes results."""
+    """Randomizing the recursion's peeled leaf and split domino never changes
+    results."""
     for t in trees_up_to(8):
         _, part = colored(t)
         for phi in all_phi_assignments(part):
-            base = count_polynomial(t, phi)
+            base = CountEngine().count(t, phi)
             for seed in range(5):
-                rng = random.Random(seed)
-                assert count_polynomial(t, phi, rng=rng) == base
+                assert CountEngine(random.Random(seed)).count(t, phi) == base
+
+
+def test_count_matches_recursion_everywhere():
+    """The independent-set count equals the leaf/domino recursion on every
+    (tree, phi) pair with n <= 10."""
+    engine = CountEngine()
+    pairs = 0
+    for t in trees_up_to(10):
+        _, part = colored(t)
+        for phi in all_phi_assignments(part):
+            assert count_polynomial(t, phi) == engine.count(t, phi)
+            pairs += 1
+    assert pairs == 504
+
+
+@st.composite
+def tree_with_phi(draw, max_n=40):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    size = max(n - 2, 0)
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    t = prufer_decode(seq, n)
+    _, part = colored(t)
+    kind = st.sampled_from(["generic", "versal"])
+    kinds = draw(st.lists(kind, min_size=len(part), max_size=len(part)))
+    return t, {comp.min_vertex: k for comp, k in zip(part, kinds)} or None
+
+
+@given(tree_with_phi())
+@settings(max_examples=100, deadline=None)
+def test_count_matches_recursion_random(pair):
+    t, phi = pair
+    assert count_polynomial(t, phi) == CountEngine().count(t, phi)
+
+
+def test_count_long_path():
+    assert count_polynomial(linear_tree(1201), "versal") == closed_form_a(1201, Mode.VERSAL)
 
 
 def test_versal_by_independent_sets_examples(figure_tree):

@@ -68,7 +68,9 @@ def test_parse_rejects_malformed():
     with pytest.raises(Graph6Error):
         parse_graph6("H")  # truncated payload
     with pytest.raises(Graph6Error):
-        parse_graph6("~??")  # long form header
+        parse_graph6("~??")  # truncated long-form header
+    with pytest.raises(Graph6Error):
+        parse_graph6("~~??????")  # n > 258047 needs the 36-bit header
     with pytest.raises(NotATreeError):
         parse_graph6("B_")  # 3 vertices, 1 edge: disconnected
     # a triangle parses as a graph but is not a tree
@@ -90,6 +92,24 @@ def test_roundtrip_random(t):
     s = emit_graph6(t)
     assert parse_graph6(s).edges == t.edges
     assert emit_graph6(parse_graph6(s)) == s
+
+
+@pytest.mark.parametrize("n", [63, 200])
+def test_long_form_roundtrip(n):
+    t = prufer_decode([random.Random(n).randrange(n) for _ in range(n - 2)], n)
+    s = emit_graph6(t)
+    assert s[0] == "~" and read_graph6(s)[0] == n
+    assert parse_graph6(s).edges == t.edges
+    assert emit_graph6(parse_graph6(s)) == s
+
+
+def test_long_form_header():
+    path = Tree(63, tuple((i, i + 1) for i in range(62)))
+    assert emit_graph6(path)[:4] == "~??~"  # 63 = 0b000000_000000_111111
+    with pytest.raises(Graph6Error):
+        parse_graph6(emit_graph6(path)[:-1])  # truncated payload
+    with pytest.raises(Graph6Error):
+        emit_graph6(Tree(258048, tuple((0, i) for i in range(1, 258048))))
 
 
 # -- edge lists ---------------------------------------------------------------
@@ -142,6 +162,16 @@ def test_enumeration_counts_by_orbit_identity():
         )
         assert total == n ** (n - 2)
         assert len(trees_of_size(n)) == EXPECTED_COUNTS[n - 1]
+
+
+def test_automorphism_count_long_and_wide():
+    assert automorphism_count(Tree(1201, tuple((i, i + 1) for i in range(1200)))) == 2
+    assert automorphism_count(Tree(1200, tuple((i, i + 1) for i in range(1199)))) == 2
+    star = Tree(1201, tuple((0, i) for i in range(1, 1201)))
+    assert automorphism_count(star) == math.factorial(1200)
+    # two stars K_{1,3} joined at their centres: swap the halves too
+    double = Tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 6), (4, 7)))
+    assert automorphism_count(double) == 2 * 6 * 6
 
 
 def test_enumeration_guard():
