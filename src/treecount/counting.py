@@ -31,9 +31,15 @@ from .coloring import (
 )
 from .matchings import _postorder, count_maximum_independent_sets, independent_set_size_counts
 from .polynomials import ONE, Poly, Q
-from .trees import Forest, Tree, canonical_key, emit_graph6, enumerate_free_trees, remove_vertices
-
-CENSUS_MAX_VERTICES = 14
+from .trees import (
+    MAX_ENUMERATION_VERTICES,
+    Forest,
+    Tree,
+    canonical_key,
+    emit_graph6,
+    enumerate_free_trees,
+    remove_vertices,
+)
 
 
 class PhiKind(enum.Enum):
@@ -701,8 +707,8 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     component.  Collisions list the graph6 strings of trees sharing one
     polynomial.
     """
-    if n > CENSUS_MAX_VERTICES:
-        raise SizeGuardError(f"census guarded at n <= {CENSUS_MAX_VERTICES}")
+    if n > MAX_ENUMERATION_VERTICES:
+        raise SizeGuardError(f"census guarded at n <= {MAX_ENUMERATION_VERTICES}")
     target = 0 if census_class is CensusClass.ORANGE else 1
     phi = (
         None

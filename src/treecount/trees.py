@@ -3,9 +3,10 @@
 Everything downstream works on the :class:`Tree` type defined here: a
 connected acyclic graph on vertices ``0..n-1``.  The module also provides
 the graph6 codec (short and long form, n <= 258047), an AHU-style canonical
-key for labelled trees (used both for isomorphism tests and as a memoization
-key), vertex removal into :class:`Forest`, and a generator of free trees up to
-isomorphism at desk scale.
+key for labelled trees (used for isomorphism tests and as a memoization key),
+vertex removal into :class:`Forest`, and the Wright-Richmond-Odlyzko-McKay
+generator of free trees up to isomorphism (n <= 16), which yields one level
+sequence per class and needs no key.
 """
 
 from __future__ import annotations
@@ -391,21 +392,27 @@ def automorphism_count(t: Tree) -> int:
 # Exhaustive generation of free trees
 # ---------------------------------------------------------------------------
 
-def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
-    """All canonical level sequences of rooted trees on n vertices.
+def _next_rooted(levels: list[int], p: int) -> list[int] | None:
+    """Beyer-Hedetniemi successor of a canonical level sequence (root at
+    level 0), taken at position ``p``: keep the prefix before ``p`` and
+    replay, from ``p`` on, the block that starts at the parent of ``p``."""
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = levels[:p]
+    for i in range(p, len(levels)):
+        out.append(out[i - p + q])
+    return out
 
-    Beyer-Hedetniemi successor rule: start from the path, and at each step
-    find the last entry above 2 and replay the prefix that precedes its
-    parent level.
-    """
-    levels = list(range(1, n + 1))
-    while True:
-        yield levels
-        p = max((i for i in range(n) if levels[i] > 2), default=-1)
-        if p < 0:
-            return
-        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
-        levels = levels[:p] + [levels[i - (p - q)] for i in range(p, n)]
+
+def _second_child(levels: list[int]) -> int:
+    """Position of the root's second child, or the length if it has one."""
+    try:
+        return levels.index(1, 2)
+    except ValueError:
+        return len(levels)
 
 
 def _tree_from_levels(levels: Sequence[int]) -> Tree:
@@ -419,7 +426,16 @@ def _tree_from_levels(levels: Sequence[int]) -> Tree:
 
 
 def enumerate_free_trees(n: int) -> Iterator[Tree]:
-    """Yield one representative per isomorphism class of trees on n vertices."""
+    """Yield one representative per isomorphism class of trees on n vertices.
+
+    Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15 (1986) 540-548:
+    walk the level sequences of trees rooted at a centre in Beyer-Hedetniemi
+    order, starting from the path.  A sequence stands for its free tree when
+    the first subtree of the root (``left``) is no higher than the rest of
+    the tree, no larger when the heights tie, and not lexicographically
+    greater when the sizes tie too.  An invalid sequence jumps past every
+    rooted tree that keeps the same invalid ``left``.
+    """
     if not 1 <= n <= MAX_ENUMERATION_VERTICES:
         raise ValueError(
             f"free-tree enumeration supports 1 <= n <= {MAX_ENUMERATION_VERTICES}"
@@ -427,13 +443,28 @@ def enumerate_free_trees(n: int) -> Iterator[Tree]:
     if n == 1:
         yield single_vertex()
         return
-    seen: set[bytes] = set()
-    for levels in _rooted_level_sequences(n):
-        t = _tree_from_levels(levels)
-        key = canonical_key(t)
-        if key not in seen:
-            seen.add(key)
-            yield t
+    levels: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        m = _second_child(levels)
+        left = (max(levels[1:m]) - 1, m - 1)  # height and size
+        rest = (max(levels[m:], default=0), n - m + 1)
+        valid = left < rest or (
+            left == rest and [x - 1 for x in levels[1:m]] <= [0] + levels[m:]
+        )
+        if valid:
+            yield _tree_from_levels(levels)
+            p = n - 1
+            while levels[p] == 1:
+                p -= 1
+            levels = _next_rooted(levels, p)
+        else:
+            p = m - 1  # the last vertex of ``left``
+            nxt = _next_rooted(levels, p)
+            if levels[p] > 2:
+                # end with a path from the root as deep as the new ``left``
+                height = max(nxt[1 : _second_child(nxt)])
+                nxt[n - height :] = range(1, height + 1)
+            levels = nxt
 
 
 def prufer_decode(seq: Sequence[int], n: int) -> Tree:

@@ -283,7 +283,14 @@ def test_census_guard():
     from treecount.coloring import SizeGuardError
 
     with pytest.raises(SizeGuardError):
-        census(15, CensusClass.ORANGE)
+        census(17, CensusClass.ORANGE)
+
+
+def test_census_at_the_enumeration_bound():
+    orange = census(16, CensusClass.ORANGE)
+    assert (orange.tree_count, orange.distinct_polynomial_count) == (701, 472)
+    versal = census(15, CensusClass.UNIMODAL_VERSAL)
+    assert (versal.tree_count, versal.distinct_polynomial_count) == (1361, 945)
 
 
 def test_quoted_collision_pairs_have_equal_polynomials():

@@ -24,6 +24,7 @@ from treecount.trees import (
     read_graph6,
     relabel,
     remove_vertices,
+    _tree_from_levels,
 )
 from conftest import trees_of_size, trees_up_to
 
@@ -126,7 +127,43 @@ def test_edge_list_autodetect():
 
 # -- enumeration vs the labelled-tree oracle ----------------------------------
 
-EXPECTED_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+# OEIS A000055, n = 1..16
+EXPECTED_COUNTS = [
+    1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
+]
+
+
+def rooted_dedup_free_trees(n):
+    """Reference generator: every rooted level sequence (Beyer-Hedetniemi,
+    1-based levels, from the path down), one tree per new canonical key."""
+    levels = list(range(1, n + 1))
+    seen = set()
+    while True:
+        t = _tree_from_levels(levels)
+        key = canonical_key(t)
+        if key not in seen:
+            seen.add(key)
+            yield t
+        p = max((i for i in range(n) if levels[i] > 2), default=-1)
+        if p < 0:
+            return
+        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+        levels = levels[:p] + [levels[i - (p - q)] for i in range(p, n)]
+
+
+def test_enumeration_matches_rooted_dedup_oracle():
+    for n in range(1, 13):
+        direct = [canonical_key(t) for t in enumerate_free_trees(n)]
+        oracle = {canonical_key(t) for t in rooted_dedup_free_trees(n)}
+        assert set(direct) == oracle, n
+        assert len(direct) == len(oracle)
+
+
+def test_enumeration_counts_and_distinct_keys():
+    for n in range(1, 17):
+        keys = [canonical_key(t) for t in enumerate_free_trees(n)]
+        assert len(keys) == EXPECTED_COUNTS[n - 1], n
+        assert len(set(keys)) == len(keys), n
 
 
 def test_free_tree_counts_vs_prufer_oracle_small():
