@@ -412,13 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.set_defaults(run=_run_count)
 
-    p_oracle = add_parser("oracle", help="brute-force count over one prime field")
+    p_oracle = add_parser("oracle", help="exact point count over one prime field")
     _add_input_args(p_oracle)
     p_oracle.add_argument("--q", type=int, required=True)
     p_oracle.add_argument("--phi")
     p_oracle.set_defaults(run=_run_oracle)
 
-    p_verify = add_parser("verify", help="polynomial vs brute-force oracle")
+    p_verify = add_parser("verify", help="polynomial vs the F_q point-count oracle")
     src = p_verify.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph6")
     src.add_argument("--edges")

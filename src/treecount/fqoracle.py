@@ -1,4 +1,4 @@
-"""Brute-force point counting over prime fields: the verification backbone.
+"""Exact point counting over prime fields: the verification backbone.
 
 A point of the scheme is a pair (x, x') satisfying one exchange relation
 x_i x'_i = 1 + alpha_i * prod of the neighbor x_j per vertex.  For a fixed
@@ -8,13 +8,13 @@ x, each vertex contributes an independent factor of choices for x'_i::
     x_i == 0, RHS == 0 -> q free choices
     x_i == 0, RHS != 0 -> none
 
-so the count is a sum over the q**n grid of products of factors.  The grid
-sweep is vectorized and, crucially, done once per (tree, matching, q): for
-every grid point the factor depends on a free parameter alpha_i only
-through the single value that makes the relation degenerate, so one pass
-tallies the count for every parameter tuple simultaneously.  Versal
-components are then summed over their parameters; generic components are
-swept over every tuple passing the genericity condition, with the count
+so the count is a sum over x in F_q**n of a product of per-vertex factors,
+each depending on x_i and the product of its neighbors' values.  That sum
+factors along the tree and is computed exactly by a transfer sum in
+O(n * q**3), never by visiting the q**n points.  Summing the factor of a
+versal vertex over its parameter gives a closed form, so versal components
+cost nothing extra; generic components are swept over every tuple passing
+the genericity condition, one transfer sum per tuple, with the count
 asserted identical across them.
 """
 
@@ -22,18 +22,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .coloring import Color
 from .counting import PhiKind, PhiSpec, count_polynomial, resolve_tree_phi
-from .groupoid import genericity_check
-from .matchings import maximum_matching, uncovered_vertices
+from .groupoid import genericity_patterns, is_generic
+from .matchings import _postorder, maximum_matching, uncovered_vertices
 from .trees import Tree
 
 WORK_BUDGET = 10**9
-_CHUNK = 1 << 18
 
 
 class GuardError(ValueError):
@@ -79,65 +76,56 @@ class FqContext:
             raise ValueError(f"{self.q} is not prime")
 
 
-def _grid_digit(offset: int, count: int, stride: int, q: int) -> np.ndarray:
-    return (np.arange(offset, offset + count, dtype=np.int64) // stride) % q
+def _fixed_factor(q: int, a: int) -> list[list[int]]:
+    """Choices of x'_v as a table [x_v][P] for the fixed coefficient ``a``,
+    P the product of the neighbor values."""
+    degenerate = [q if (1 + a * p) % q == 0 else 0 for p in range(q)]
+    return [degenerate] + [[1] * q for _ in range(1, q)]
 
 
-def _alpha_table(
-    t: Tree,
-    q: int,
-    free: Sequence[int],
-    fixed: Mapping[int, int],
-    check_cover: bool = False,
-) -> np.ndarray:
-    """Point counts as an array over the free parameters.
+def _versal_factor(q: int) -> list[list[int]]:
+    """:func:`_fixed_factor` summed over every invertible coefficient."""
+    return [[0] + [q] * (q - 1)] + [[q - 1] * q for _ in range(1, q)]
 
-    Sweeps the q**n grid of x once.  Entry [a_0-1, ..., a_{k-1}-1] of the
-    result is the count with free vertex ``free[i]`` given the invertible
-    value ``a_i`` and every other vertex the value from ``fixed``.
+
+def _tree_sum(t: Tree, q: int, factor: Sequence[Sequence[Sequence[int]]]) -> int:
+    """Sum over x in F_q**n of prod_v factor[v][x_v][prod of the neighbor x_w].
+
+    The sum factors along the tree.  In post-order, each vertex v gets a
+    table up[v][x_parent][x_v] summing its subtree given both values; its
+    children merge by multiplicative convolution over F_q, which costs
+    O(q**3) per edge.  The root sees a parent fixed at 1, the empty product.
     """
-    n = t.n
-    k = len(free)
-    total = q**n
-    neg_inv = np.array([0] + [(q - pow(v, q - 2, q)) % q for v in range(1, q)], dtype=np.int64)
-    strides = [q**v for v in range(n)]
-    acc = np.zeros(q**k if k else 1, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        count = min(_CHUNK, total - start)
-        digits = [_grid_digit(start, count, strides[v], q) for v in range(n)]
-        prods = []
-        for v in range(n):
-            p = np.ones(count, dtype=np.int64)
-            for w in t.neighbors[v]:
-                p = p * digits[w] % q
-            prods.append(p)
-        weight = np.ones(count, dtype=np.int64)
-        for v in range(n):
-            if v in fixed:
-                rhs = (1 + fixed[v] * prods[v]) % q
-                weight *= np.where(digits[v] != 0, 1, np.where(rhs == 0, q, 0))
-        code = np.zeros(count, dtype=np.int64)
-        for i, v in enumerate(free):
-            zero = digits[v] == 0
-            dead = zero & (prods[v] == 0)
-            constrained = zero & ~dead
-            weight = np.where(dead, 0, weight * np.where(constrained, q, 1))
-            code += np.where(constrained, neg_inv[prods[v]], 0) * q**i
-        if check_cover:
-            for a, b in t.edges:
-                if np.any((digits[a] == 0) & (digits[b] == 0) & (weight > 0)):
-                    raise AssertionError(
-                        f"point with x_{a} = x_{b} = 0 on the edge {a}-{b}"
-                    )
-        np.add.at(acc, code, weight)
-    if not k:
-        return acc
-    table = acc.reshape((q,) * k, order="F")
-    # digit 0 means "no constraint": fold it into every nonzero value
-    for axis in range(k):
-        free_slice = table.take(indices=[0], axis=axis)
-        table = table.take(indices=range(1, q), axis=axis) + free_slice
-    return table
+    mul = [[a * b % q for b in range(q)] for a in range(q)]
+    order, parent = _postorder(t)
+    up: list[list[list[int]]] = [[] for _ in range(t.n)]
+    for v in order:
+        children = [up[c] for c in t.neighbors[v] if c != parent[v]]
+        # by_product[x][p]: children of v weighted, with value product p, at x_v = x
+        by_product = []
+        for x in range(q):
+            dist = [0] * q
+            dist[1] = 1
+            for table in children:
+                column = table[x]
+                merged = [0] * q
+                for p, weight in enumerate(dist):
+                    if weight:
+                        row = mul[p]
+                        for y, c in enumerate(column):
+                            if c:
+                                merged[row[y]] += weight * c
+                dist = merged
+            by_product.append(dist)
+        f = factor[v]
+        up[v] = [
+            [
+                sum(weight * f[x][mul[p][xp]] for p, weight in enumerate(dist))
+                for x, dist in enumerate(by_product)
+            ]
+            for xp in range(q)
+        ]
+    return sum(up[order[-1]][1])
 
 
 def count_fixed(t: Tree, ctx: FqContext, alpha: Sequence[int], force: bool = False) -> int:
@@ -147,15 +135,19 @@ def count_fixed(t: Tree, ctx: FqContext, alpha: Sequence[int], force: bool = Fal
     q = ctx.q
     if q**t.n > WORK_BUDGET and not force:
         raise GuardError(f"q**n = {q**t.n} exceeds the work budget")
-    table = _alpha_table(t, q, [], {v: alpha[v] % q for v in range(t.n)})
-    return int(table[0])
+    return _tree_sum(t, q, [_fixed_factor(q, a % q) for a in alpha])
 
 
 def assert_edge_cover(t: Tree, ctx: FqContext, alpha: Sequence[int]) -> None:
     """Check that no counted solution has both ends of an edge at zero."""
-    _alpha_table(
-        t, ctx.q, [], {v: alpha[v] % ctx.q for v in range(t.n)}, check_cover=True
-    )
+    q = ctx.q
+    factor = [_fixed_factor(q, a % q) for a in alpha]
+    for a, b in t.edges:
+        forced = list(factor)
+        for v in (a, b):
+            forced[v] = [factor[v][0]] + [[0] * q for _ in range(1, q)]
+        if _tree_sum(t, q, forced):
+            raise AssertionError(f"point with x_{a} = x_{b} = 0 on the edge {a}-{b}")
 
 
 def jump_alpha(
@@ -178,12 +170,13 @@ def count_points(
     ctx: FqContext,
     force: bool = False,
 ) -> int | NoGenericParameters:
-    """Brute-force point count for one generic/versal choice.
+    """Exact point count for one generic/versal choice.
 
     Fixes a maximum matching, sums over all invertible values of the versal
-    parameters, and sweeps the generic parameters over every tuple passing
-    the genericity condition, asserting the count does not depend on the
-    tuple.  Returns :data:`NO_GENERIC_PARAMETERS` when no tuple passes.
+    parameters in closed form, and sweeps the generic parameters over every
+    tuple passing the genericity condition, asserting the count does not
+    depend on the tuple.  Returns :data:`NO_GENERIC_PARAMETERS` when no
+    tuple passes.
     """
     q = ctx.q
     coloring, partition, assignment, kinds = resolve_tree_phi(t, phi)
@@ -199,47 +192,35 @@ def count_points(
             f"q**(n + versal parameters) = {q ** (t.n + versal_count)} "
             "exceeds the work budget"
         )
-    table = _alpha_table(t, q, free, {v: 1 for v in range(t.n) if v not in free})
-    if not free:
-        return int(table[0])
-    axis_of = {v: i for i, v in enumerate(free)}
-    # sum out the versal axes
-    versal_axes = sorted(
-        (axis_of[v] for v in free if kinds[v] is PhiKind.VERSAL), reverse=True
-    )
-    reduced = table
-    for axis in versal_axes:
-        reduced = reduced.sum(axis=axis)
-    generic_axes = [axis_of[v] for v in free if kinds[v] is PhiKind.GENERIC]
-    remaining = {old: new for new, old in enumerate(sorted(generic_axes))}
-    if not generic_axes:
-        return int(reduced if reduced.ndim == 0 else reduced[()])
-    # passing tuples per generic component, in the reduced array's axes
-    comp_axes: list[list[int]] = []
-    comp_choices: list[list[tuple[int, ...]]] = []
+    tables = [_fixed_factor(q, a) for a in range(q)]
+    versal = _versal_factor(q)
+    factor = [
+        tables[1] if v not in free else versal if kinds[v] is PhiKind.VERSAL else None
+        for v in range(t.n)
+    ]
+    # passing tuples per generic component, over its free vertices
+    generic: list[tuple[list[int], list[tuple[int, ...]]]] = []
     for comp, kind in zip(partition, assignment.kinds):
         if kind is not PhiKind.GENERIC:
             continue
         vertices = [v for v in free if v in comp.vertices]
         if not vertices:
             continue
-        axes = [remaining[axis_of[v]] for v in vertices]
-        passing = []
-        for values in itertools.product(range(1, q), repeat=len(vertices)):
-            alpha = dict(zip(vertices, values))
-            if genericity_check(comp, alpha, q):
-                passing.append(values)
+        patterns = genericity_patterns(comp)
+        passing = [
+            values
+            for values in itertools.product(range(1, q), repeat=len(vertices))
+            if is_generic(patterns, dict(zip(vertices, values)), q)
+        ]
         if not passing:
             return NO_GENERIC_PARAMETERS
-        comp_axes.append(axes)
-        comp_choices.append(passing)
+        generic.append((vertices, passing))
     counts = set()
-    for combo in itertools.product(*comp_choices):
-        index = [0] * reduced.ndim
-        for axes, values in zip(comp_axes, combo):
-            for axis, value in zip(axes, values):
-                index[axis] = value - 1
-        counts.add(int(reduced[tuple(index)]))
+    for combo in itertools.product(*(passing for _, passing in generic)):
+        for (vertices, _), values in zip(generic, combo):
+            for v, a in zip(vertices, values):
+                factor[v] = tables[a]
+        counts.add(_tree_sum(t, q, factor))
     if len(counts) != 1:
         raise ConstancyError(
             f"generic point count depends on the parameters: {sorted(counts)}"
@@ -274,7 +255,7 @@ def verify_polynomial(
     primes: Sequence[int],
     force: bool = False,
 ) -> VerifyReport:
-    """Compare the counting polynomial against the brute-force oracle."""
+    """Compare the counting polynomial against the F_q point-count oracle."""
     poly = count_polynomial(t, phi)
     checks = []
     for q in primes:

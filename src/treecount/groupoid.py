@@ -249,6 +249,35 @@ def _sign_patterns(component: RedGreenComponent, vertices: tuple[int, ...], sign
         yield out
 
 
+GenericityPattern = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def genericity_patterns(component: RedGreenComponent) -> list[GenericityPattern]:
+    """The (|S| mod 2, signed members) pair of every admissible set S under
+    every valid sign assignment; they depend on the component only."""
+    return [
+        (len(adm) % 2, tuple(signed.items()))
+        for adm in admissible_sets(component)
+        for signed in _sign_patterns(component, adm.vertices, adm.signs)
+    ]
+
+
+def is_generic(
+    patterns: Sequence[GenericityPattern], values: Mapping[int, int], q: int
+) -> bool:
+    """Whether nonzero values avoid every pattern over F_q: the alternating
+    product over each must differ from (-1)**|S|.  Members missing from
+    ``values`` carry the trivial value 1."""
+    for parity, signed in patterns:
+        prod = 1
+        for v, sg in signed:
+            val = values.get(v, 1)
+            prod = prod * (val if sg > 0 else pow(val, q - 2, q)) % q
+        if prod == (q - 1 if parity else 1) % q:
+            return False
+    return True
+
+
 def genericity_check(
     component: RedGreenComponent,
     alpha: Mapping[int, int],
@@ -263,17 +292,7 @@ def genericity_check(
     values = {v: alpha.get(v, 1) % q for v in component.reds}
     if any(val == 0 for val in values.values()):
         raise ValueError("alpha values must be nonzero in F_q")
-    for adm in admissible_sets(component):
-        target = (q - 1) if len(adm) % 2 else 1
-        target %= q
-        for signed in _sign_patterns(component, adm.vertices, adm.signs):
-            prod = 1
-            for v, sg in signed.items():
-                val = values[v]
-                prod = prod * (val if sg > 0 else pow(val, q - 2, q)) % q
-            if prod == target:
-                return False
-    return True
+    return is_generic(genericity_patterns(component), values, q)
 
 
 def formal_genericity(component: RedGreenComponent, covered: set[int]) -> bool:

@@ -1,4 +1,4 @@
-"""The brute-force point counter and its agreement with the polynomials."""
+"""The exact F_q point counter and its agreement with the polynomials."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from treecount.fqoracle import (
     jump_alpha,
     verify_polynomial,
 )
+from treecount.groupoid import genericity_check
 from treecount.matchings import maximum_matching, uncovered_vertices
 from treecount.trees import Tree
 from conftest import colored, trees_up_to
@@ -41,10 +42,10 @@ def test_count_fixed_examples():
 
 
 def test_count_fixed_matches_naive_enumeration():
-    """Cross-check the vectorized sweep against a dead-simple double loop."""
+    """Cross-check the transfer sum against a dead-simple double loop."""
     rng = random.Random(1)
-    for t in list(trees_up_to(4)):
-        for q in (2, 3, 5):
+    for t in list(trees_up_to(5)):
+        for q in (2, 3, 5) if t.n <= 4 else (2, 3):
             alpha = [rng.randrange(1, q) for _ in range(t.n)]
             naive = 0
             for xs in itertools.product(range(q), repeat=t.n):
@@ -121,11 +122,11 @@ def test_verify_examples():
 
 
 def test_verify_all_small_trees():
-    """Acceptance pushes this to n <= 7; keep the default suite at n <= 5."""
-    for t in trees_up_to(5):
+    """Every (tree, phi) pair with n <= 7 at q in {2, 3, 5, 7}."""
+    for t in trees_up_to(7):
         _, part = colored(t)
         for phi in all_phi_assignments(part):
-            rep = verify_polynomial(t, phi, [2, 3, 5], force=True)
+            rep = verify_polynomial(t, phi, [2, 3, 5, 7], force=True)
             assert rep.passed, (t.edges, phi, rep)
             assert any(c.status == "ok" for c in rep.checks)
 
@@ -150,19 +151,29 @@ def test_guard_and_force():
     ) == count_polynomial(star_tree(6), "versal")(3)
 
 
-def test_batched_table_matches_per_alpha_counts():
-    """The one-pass parameter table equals vertexwise count_fixed calls."""
+def test_count_points_matches_count_fixed_per_tuple():
+    """Versal counts sum count_fixed over every free-parameter tuple, and
+    generic counts equal count_fixed at every tuple passing genericity."""
     for t in [linear_tree(3), linear_tree(5), d_tree(4), star_tree(3)]:
-        q = 3
-        c = canonical_coloring(t)
-        m = maximum_matching(t)
-        free = uncovered_vertices(t, m)
-        from treecount.fqoracle import _alpha_table
-
-        table = _alpha_table(t, q, free, {v: 1 for v in range(t.n) if v not in free})
-        for values in itertools.product(range(1, q), repeat=len(free)):
-            alpha = [1] * t.n
-            for v, a in zip(free, values):
-                alpha[v] = a
-            idx = tuple(a - 1 for a in values)
-            assert int(table[idx]) == count_fixed(t, FqContext(q), alpha)
+        _, part = colored(t)
+        free = uncovered_vertices(t, maximum_matching(t))
+        for q in (3, 5):
+            ctx = FqContext(q)
+            per_tuple = {}
+            for values in itertools.product(range(1, q), repeat=len(free)):
+                alpha = [1] * t.n
+                for v, a in zip(free, values):
+                    alpha[v] = a
+                per_tuple[values] = count_fixed(t, ctx, alpha)
+            assert count_points(t, "versal", ctx) == sum(per_tuple.values())
+            passing = [
+                values
+                for values in per_tuple
+                if all(
+                    genericity_check(comp, dict(zip(free, values)), q) for comp in part
+                )
+            ]
+            got = count_points(t, "generic", ctx)
+            if not passing:
+                assert got is NO_GENERIC_PARAMETERS
+            assert all(per_tuple[values] == got for values in passing)
