@@ -321,8 +321,9 @@ def _run_verify(args) -> int:
         raise PhiError("--primes needs at least one prime")
     if args.max_n is not None:
         from .counting import all_phi_assignments
-        from .trees import emit_graph6, enumerate_free_trees
+        from .trees import check_enumeration_size, emit_graph6, enumerate_free_trees
 
+        check_enumeration_size(args.max_n)
         failures = 0
         rows = []
         for n in range(1, args.max_n + 1):

@@ -17,17 +17,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import Edge, Tree, normalize_edge, remove_vertices
+from .trees import Edge, SizeGuardError, Tree, normalize_edge, remove_vertices
 
 
 class Color(enum.Enum):
     RED = "red"
     ORANGE = "orange"
     GREEN = "green"
-
-
-class SizeGuardError(ValueError):
-    """An exponential oracle was asked for more than it is guarded to do."""
 
 
 ORACLE_MAX_VERTICES = 20

@@ -24,20 +24,24 @@ from .coloring import (
     Color,
     Coloring,
     RedGreenPartition,
-    SizeGuardError,
     canonical_coloring,
     dimension,
     red_green_components,
 )
-from .matchings import _postorder, count_maximum_independent_sets, independent_set_size_counts
+from .matchings import (
+    _matching_deficiency,
+    _postorder,
+    count_maximum_independent_sets,
+    independent_set_size_counts,
+)
 from .polynomials import ONE, Poly, Q
 from .trees import (
-    MAX_ENUMERATION_VERTICES,
     Forest,
     Tree,
+    _free_tree_parents,
+    _tree_from_parents,
     canonical_key,
     emit_graph6,
-    enumerate_free_trees,
     remove_vertices,
 )
 
@@ -706,9 +710,12 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     means dimension 1 with the stated uniform choice on the single
     component.  Collisions list the graph6 strings of trees sharing one
     polynomial.
+
+    The free-tree walk hands out parent arrays, and the dimension of each
+    tree is read off its array in O(n) as the matching deficiency n - 2*nu.
+    Only trees of the class become a :class:`Tree` to be counted: the same
+    representatives, in the same order, as :func:`enumerate_free_trees`.
     """
-    if n > MAX_ENUMERATION_VERTICES:
-        raise SizeGuardError(f"census guarded at n <= {MAX_ENUMERATION_VERTICES}")
     target = 0 if census_class is CensusClass.ORANGE else 1
     phi = (
         None
@@ -719,9 +726,10 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     )
     tree_count = 0
     buckets: dict[Poly, list[str]] = {}
-    for t in enumerate_free_trees(n):
-        if dimension(t) != target:
+    for parent in _free_tree_parents(n):
+        if _matching_deficiency(parent) != target:
             continue
+        t = _tree_from_parents(parent)
         tree_count += 1
         buckets.setdefault(count_polynomial(t, phi), []).append(emit_graph6(t))
     ordered = sorted(buckets.items(), key=lambda kv: kv[0].coeffs)

@@ -11,7 +11,7 @@ canonical sign assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .coloring import (
     Color,
@@ -61,6 +61,22 @@ def maximum_matching(t: Tree | Forest) -> frozenset[Edge]:
             matched[v] = matched[p] = True
             chosen.add(normalize_edge(v, p))
     return frozenset(chosen)
+
+
+def _matching_deficiency(parent: Sequence[int]) -> int:
+    """n - 2*nu(T) for the tree with edges ``parent[v]-v``, where
+    ``parent[v] < v`` for v >= 1: the greedy leaf-up matching of
+    :func:`maximum_matching` on vertices n-1..1, a post-order of that tree.
+    It equals :func:`coloring.dimension`."""
+    matched = [False] * len(parent)
+    deficiency = len(parent)
+    for v in range(len(parent) - 1, 0, -1):
+        if not matched[v]:
+            p = parent[v]
+            if not matched[p]:
+                matched[p] = True  # v itself is not looked at again
+                deficiency -= 2
+    return deficiency
 
 
 def maximum_matching_size(t: Tree | Forest) -> int:

@@ -5,8 +5,9 @@ connected acyclic graph on vertices ``0..n-1``.  The module also provides
 the graph6 codec (short and long form, n <= 258047), an AHU-style canonical
 key for labelled trees (used for isomorphism tests and as a memoization key),
 vertex removal into :class:`Forest`, and the Wright-Richmond-Odlyzko-McKay
-generator of free trees up to isomorphism (n <= 16), which yields one level
-sequence per class and needs no key.
+generator of free trees up to isomorphism (n <= 20).  The generator walks
+one level sequence per class and needs no key; its parent arrays can be
+filtered, as the census does, before any :class:`Tree` is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 MAX_GRAPH6_VERTICES = 258047
-MAX_ENUMERATION_VERTICES = 16
+MAX_ENUMERATION_VERTICES = 20
 
 
 class Graph6Error(ValueError):
@@ -26,6 +27,10 @@ class Graph6Error(ValueError):
 
 class NotATreeError(ValueError):
     """Input graph is not connected and acyclic."""
+
+
+class SizeGuardError(ValueError):
+    """An exhaustive search was asked for more than it is guarded to do."""
 
 
 Edge = tuple[int, int]
@@ -41,7 +46,8 @@ class Tree:
     """Immutable tree on vertices ``0..n-1``.
 
     Construction validates connectivity and acyclicity; adjacency lists are
-    precomputed.
+    precomputed.  Only the free-tree enumeration skips the validation, for
+    trees it builds from parent arrays (:func:`_tree_from_parents`).
     """
 
     n: int
@@ -392,19 +398,25 @@ def automorphism_count(t: Tree) -> int:
 # Exhaustive generation of free trees
 # ---------------------------------------------------------------------------
 
-def _next_rooted(levels: list[int], p: int) -> list[int] | None:
+def _next_rooted(
+    levels: list[int], parent: list[int], p: int
+) -> tuple[list[int], list[int]] | None:
     """Beyer-Hedetniemi successor of a canonical level sequence (root at
-    level 0), taken at position ``p``: keep the prefix before ``p`` and
-    replay, from ``p`` on, the block that starts at the parent of ``p``."""
+    level 0) and its parent array, taken at position ``p``: keep the prefix
+    before ``p`` and replay, from ``p`` on, the block that starts at the
+    parent ``q`` of ``p``.  Each copy of the block hangs from the parent of
+    ``q``; its other parents move with it."""
     if p == 0:
         return None
-    q = p - 1
-    while levels[q] != levels[p] - 1:
-        q -= 1
+    q = parent[p]
+    d = p - q
     out = levels[:p]
-    for i in range(p, len(levels)):
-        out.append(out[i - p + q])
-    return out
+    par = parent[:p]
+    for j in range(q, q + len(levels) - p):
+        out.append(out[j])
+        x = par[j]
+        par.append(x + d if x >= q else x)
+    return out, par
 
 
 def _second_child(levels: list[int]) -> int:
@@ -415,18 +427,17 @@ def _second_child(levels: list[int]) -> int:
         return len(levels)
 
 
-def _tree_from_levels(levels: Sequence[int]) -> Tree:
-    parent_at_level = {levels[0]: 0}
-    edges = []
-    for v in range(1, len(levels)):
-        lv = levels[v]
-        edges.append((parent_at_level[lv - 1], v))
-        parent_at_level[lv] = v
-    return Tree(len(levels), tuple(edges))
+def check_enumeration_size(n: int) -> None:
+    """Raise :class:`SizeGuardError` when n is above the enumeration bound."""
+    if n > MAX_ENUMERATION_VERTICES:
+        raise SizeGuardError(
+            f"free-tree enumeration guarded at n <= {MAX_ENUMERATION_VERTICES}, "
+            f"got n = {n}"
+        )
 
 
-def enumerate_free_trees(n: int) -> Iterator[Tree]:
-    """Yield one representative per isomorphism class of trees on n vertices.
+def _free_tree_parents(n: int) -> Iterator[list[int]]:
+    """Parent array of one rooted representative per free tree on n vertices.
 
     Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15 (1986) 540-548:
     walk the level sequences of trees rooted at a centre in Beyer-Hedetniemi
@@ -434,17 +445,22 @@ def enumerate_free_trees(n: int) -> Iterator[Tree]:
     the first subtree of the root (``left``) is no higher than the rest of
     the tree, no larger when the heights tie, and not lexicographically
     greater when the sizes tie too.  An invalid sequence jumps past every
-    rooted tree that keeps the same invalid ``left``.
+    rooted tree that keeps the same invalid ``left``.  Vertices are numbered
+    in pre-order, so ``parent[0] == -1`` and ``parent[v] < v`` otherwise.
     """
-    if not 1 <= n <= MAX_ENUMERATION_VERTICES:
-        raise ValueError(
-            f"free-tree enumeration supports 1 <= n <= {MAX_ENUMERATION_VERTICES}"
-        )
+    if n < 1:
+        raise ValueError("a tree has at least one vertex")
+    check_enumeration_size(n)
     if n == 1:
-        yield single_vertex()
+        yield [-1]
         return
-    levels: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while levels is not None:
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    parent = list(range(-1, n - 1))
+    if n > 2:
+        parent[n // 2 + 1] = 0  # the second arm of the path hangs from the root
+    state: tuple[list[int], list[int]] | None = (levels, parent)
+    while state is not None:
+        levels, parent = state
         m = _second_child(levels)
         left = (max(levels[1:m]) - 1, m - 1)  # height and size
         rest = (max(levels[m:], default=0), n - m + 1)
@@ -452,19 +468,48 @@ def enumerate_free_trees(n: int) -> Iterator[Tree]:
             left == rest and [x - 1 for x in levels[1:m]] <= [0] + levels[m:]
         )
         if valid:
-            yield _tree_from_levels(levels)
+            yield parent
             p = n - 1
             while levels[p] == 1:
                 p -= 1
-            levels = _next_rooted(levels, p)
+            state = _next_rooted(levels, parent, p)
         else:
             p = m - 1  # the last vertex of ``left``
-            nxt = _next_rooted(levels, p)
+            state = _next_rooted(levels, parent, p)
             if levels[p] > 2:
                 # end with a path from the root as deep as the new ``left``
+                nxt, par = state
                 height = max(nxt[1 : _second_child(nxt)])
                 nxt[n - height :] = range(1, height + 1)
-            levels = nxt
+                par[n - height :] = [0, *range(n - height, n - 1)]
+
+
+def _tree_from_parents(parent: Sequence[int]) -> Tree:
+    """The tree with edges ``parent[v]-v``, built without validation.
+
+    Only for parent arrays with ``parent[v] < v`` for v >= 1, which are trees
+    by construction.  Filling the adjacency in index order lists each
+    vertex's parent before its children, in increasing order, so no list
+    needs sorting.
+    """
+    n = len(parent)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        u = parent[v]
+        adj[u].append(v)
+        adj[v].append(u)
+    t = object.__new__(Tree)
+    object.__setattr__(t, "n", n)
+    object.__setattr__(t, "edges", tuple(sorted(zip(parent[1:], range(1, n)))))
+    object.__setattr__(t, "neighbors", tuple(map(tuple, adj)))
+    return t
+
+
+def enumerate_free_trees(n: int) -> Iterator[Tree]:
+    """One representative per isomorphism class of trees on n vertices, in
+    the order of the Wright-Richmond-Odlyzko-McKay walk
+    (:func:`_free_tree_parents`)."""
+    return map(_tree_from_parents, _free_tree_parents(n))
 
 
 def prufer_decode(seq: Sequence[int], n: int) -> Tree:

@@ -131,13 +131,25 @@ def test_exit_code_parse_error(capsys):
 
 
 def test_exit_code_guard(capsys):
-    code, _, err = run(capsys, "census", "--n", "20", "--class", "orange")
+    code, _, err = run(capsys, "census", "--n", "21", "--class", "orange")
     assert code == 3 and "guard" in err
     code, _, err = run(
         capsys, "oracle", "--family", "A", "--n", "12", "--q", "7",
         "--phi", "versal",
     )
     assert code == 3
+
+
+def test_verify_max_n_guard_fails_fast(capsys, monkeypatch):
+    """Above the enumeration bound, verify --max-n stops before any sweep."""
+    import treecount.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("verified a tree before checking --max-n")
+
+    monkeypatch.setattr(cli, "_verify_one", no_sweep)
+    code, _, err = run(capsys, "verify", "--max-n", "21", "--primes", "2")
+    assert code == 3 and "guard" in err
 
 
 def test_exit_code_mismatch(capsys, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from treecount.coloring import dimension
 from treecount.counting import (
     CensusClass,
+    CensusReport,
     CountEngine,
     InconsistentModeError,
     Mode,
@@ -34,7 +35,7 @@ from treecount.families import d_tree, e_tree, linear_tree, star_tree
 from treecount.groupoid import rank_profile
 from treecount.matchings import count_maximum_independent_sets
 from treecount.polynomials import Poly, Q
-from treecount.trees import Tree, parse_graph6, prufer_decode
+from treecount.trees import Tree, emit_graph6, enumerate_free_trees, parse_graph6, prufer_decode
 from conftest import colored, trees_up_to
 
 
@@ -283,7 +284,37 @@ def test_census_guard():
     from treecount.coloring import SizeGuardError
 
     with pytest.raises(SizeGuardError):
-        census(17, CensusClass.ORANGE)
+        census(21, CensusClass.ORANGE)
+
+
+def reference_census(n, census_class):
+    """The census built the slow way: a Tree per free tree, colored to find
+    its dimension."""
+    target = 0 if census_class is CensusClass.ORANGE else 1
+    phi = {
+        CensusClass.ORANGE: None,
+        CensusClass.UNIMODAL_VERSAL: PhiKind.VERSAL,
+        CensusClass.UNIMODAL_GENERIC: PhiKind.GENERIC,
+    }[census_class]
+    buckets = {}
+    for t in enumerate_free_trees(n):
+        if dimension(t) == target:
+            buckets.setdefault(count_polynomial(t, phi), []).append(emit_graph6(t))
+    ordered = sorted(buckets.items(), key=lambda kv: kv[0].coeffs)
+    return CensusReport(
+        n=n,
+        census_class=census_class,
+        tree_count=sum(len(g6s) for g6s in buckets.values()),
+        distinct_polynomial_count=len(buckets),
+        collisions=tuple(tuple(g6s) for _, g6s in ordered if len(g6s) > 1),
+        polynomials=tuple(p for p, _ in ordered),
+    )
+
+
+@pytest.mark.parametrize("census_class", list(CensusClass))
+def test_census_matches_reference(census_class):
+    for n in range(1, 14):
+        assert census(n, census_class) == reference_census(n, census_class), n
 
 
 def test_census_at_the_enumeration_bound():
@@ -291,6 +322,13 @@ def test_census_at_the_enumeration_bound():
     assert (orange.tree_count, orange.distinct_polynomial_count) == (701, 472)
     versal = census(15, CensusClass.UNIMODAL_VERSAL)
     assert (versal.tree_count, versal.distinct_polynomial_count) == (1361, 945)
+
+
+def test_census_past_sixteen():
+    """census(18, orange), cross-checked against building, coloring and
+    counting every one of the 123,867 trees."""
+    orange = census(18, CensusClass.ORANGE)
+    assert (orange.tree_count, orange.distinct_polynomial_count) == (2891, 1852)
 
 
 def test_quoted_collision_pairs_have_equal_polynomials():

@@ -13,6 +13,7 @@ from treecount.coloring import (
     dimension,
 )
 from treecount.matchings import (
+    _matching_deficiency,
     admissible_sets,
     count_maximum_independent_sets,
     grow_admissible,
@@ -26,7 +27,7 @@ from treecount.matchings import (
     shared_green_blocks,
     uncovered_vertices,
 )
-from treecount.trees import Tree
+from treecount.trees import Tree, _free_tree_parents, enumerate_free_trees
 from conftest import colored, trees_up_to
 from test_trees import random_tree
 
@@ -44,6 +45,13 @@ def test_maximum_matching_examples(figure_tree):
 def test_matching_size_law():
     for t in trees_up_to(12):
         assert 2 * maximum_matching_size(t) == t.n - dimension(t)
+
+
+def test_parent_array_deficiency_is_the_dimension():
+    for n in range(1, 17):
+        walk = zip(_free_tree_parents(n), enumerate_free_trees(n), strict=True)
+        for parent, t in walk:
+            assert _matching_deficiency(parent) == dimension(t)
 
 
 def test_avoiding_examples(figure_tree):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from treecount.trees import (
     Graph6Error,
     NotATreeError,
+    SizeGuardError,
     Tree,
     automorphism_count,
     canonical_key,
@@ -24,7 +25,8 @@ from treecount.trees import (
     read_graph6,
     relabel,
     remove_vertices,
-    _tree_from_levels,
+    _free_tree_parents,
+    _tree_from_parents,
 )
 from conftest import trees_of_size, trees_up_to
 
@@ -127,10 +129,22 @@ def test_edge_list_autodetect():
 
 # -- enumeration vs the labelled-tree oracle ----------------------------------
 
-# OEIS A000055, n = 1..16
+# OEIS A000055, n = 1..18
 EXPECTED_COUNTS = [
     1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
+    48629, 123867,
 ]
+
+
+def _tree_from_levels(levels):
+    """Validated tree of a level sequence: each vertex hangs from the last
+    vertex one level up."""
+    last = {levels[0]: 0}
+    edges = []
+    for v in range(1, len(levels)):
+        edges.append((last[levels[v] - 1], v))
+        last[levels[v]] = v
+    return Tree(len(levels), tuple(edges))
 
 
 def rooted_dedup_free_trees(n):
@@ -164,6 +178,22 @@ def test_enumeration_counts_and_distinct_keys():
         keys = [canonical_key(t) for t in enumerate_free_trees(n)]
         assert len(keys) == EXPECTED_COUNTS[n - 1], n
         assert len(set(keys)) == len(keys), n
+
+
+def test_walk_counts_past_the_tree_builds():
+    """The walk alone, with no Tree built, still gives A000055 at n = 17, 18."""
+    for n in (17, 18):
+        assert sum(1 for _ in _free_tree_parents(n)) == EXPECTED_COUNTS[n - 1]
+
+
+def test_trusted_trees_equal_validated_trees():
+    for n in range(1, 13):
+        for parent in _free_tree_parents(n):
+            fast = _tree_from_parents(parent)
+            slow = Tree(n, tuple((parent[v], v) for v in range(1, n)))
+            assert (fast.n, fast.edges, fast.neighbors) == (
+                slow.n, slow.edges, slow.neighbors
+            )
 
 
 def test_free_tree_counts_vs_prufer_oracle_small():
@@ -212,8 +242,8 @@ def test_automorphism_count_long_and_wide():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ValueError):
-        list(enumerate_free_trees(17))
+    with pytest.raises(SizeGuardError):
+        list(enumerate_free_trees(21))
     with pytest.raises(ValueError):
         list(enumerate_free_trees(0))
 
