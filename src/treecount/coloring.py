@@ -28,6 +28,9 @@ class Color(enum.Enum):
 
 ORACLE_MAX_VERTICES = 20
 
+_RED_GREEN = ((Color.RED, Color.GREEN), (Color.GREEN, Color.RED))
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Per-vertex colors plus the forced orange dominoes."""
@@ -242,11 +245,8 @@ def red_green_components(t: Tree, c: Coloring) -> RedGreenPartition:
     all-red component.  Each component is checked to be bipartite with only
     red leaves.
     """
-    rg_edges = [
-        e
-        for e in t.edges
-        if {c.colors[e[0]], c.colors[e[1]]} == {Color.RED, Color.GREEN}
-    ]
+    colors = c.colors
+    rg_edges = [e for e in t.edges if (colors[e[0]], colors[e[1]]) in _RED_GREEN]
     adj: dict[int, list[int]] = {}
     for u, v in rg_edges:
         adj.setdefault(u, []).append(v)

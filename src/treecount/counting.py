@@ -3,14 +3,21 @@
 The production path, :func:`count_polynomial`, counts by size the
 independent sets that contain no admissible set of a generic component, in
 one bottom-up pass, and weighs each size by a power of (q-1) times a power of
-q.  Its checks live here too: the leaf/domino recursion of
-:class:`CountEngine`, which peels a red leaf (generic or versal case) or
-splits an orange tree along a domino, memoized on the canonical key of the
-choice-decorated forest; the orange/unimodal two-step chain of
+q.  The pass packs each polynomial in the set size into one Python integer,
+one fixed-width slot per size (Kronecker substitution), so that a product of
+polynomials is a single big-integer product.  Every slot counts independent
+sets of the tree, so a slot one bit wider than the total number i(T) of
+independent sets needs can never carry into the next; i(T) comes from a
+scalar pass first.
+
+The checks of :func:`count_polynomial` live here too: the leaf/domino
+recursion of :class:`CountEngine`, which peels a red leaf (generic or versal
+case) or splits an orange tree along a domino, memoized on the canonical key
+of the choice-decorated forest; the orange/unimodal two-step chain of
 :class:`ChainEngine`; closed forms for the linear, D- and E-shaped families
 (checked by exact division); and the all-versal independent-set formula.
 Also: Euler characteristics, the divisibility/reciprocity report and the
-coincidence census.
+coincidence census, which buckets trees on their size vector.
 """
 
 from __future__ import annotations
@@ -344,32 +351,12 @@ class CountEngine:
 # The independent-set count (the production path)
 # ---------------------------------------------------------------------------
 
-def _plus(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, y in enumerate(b):
-        out[i] += y
-    return out
-
-
-def _times(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _count_sets_by_size(t: Tree, resolved: ResolvedPhi) -> list[int]:
     """``c[k]``: independent sets S with |S| = k that contain no admissible
     set of a generic component.
 
-    One pass up the tree rooted at 0.  Each vertex keeps four size-polynomials
-    (lists indexed by |S|), empty where a state cannot occur:
+    One pass up the tree rooted at 0.  Each vertex keeps four size-polynomials,
+    zero where a state cannot occur:
 
     * ``o0``: v not in S, and for a generic green no child in state ``i1``;
     * ``o1``: a generic green not in S with exactly one child in ``i1``
@@ -382,44 +369,74 @@ def _count_sets_by_size(t: Tree, resolved: ResolvedPhi) -> list[int]:
     Reds have only green neighbours, all of their own component, so a red is
     never the top of its component unless it is the root, where ``i1`` is
     dropped: pruning from above cannot remove it either.
+
+    Each size-polynomial is packed into one integer, the count of sets of
+    size k in bits [k*B, (k+1)*B) (Kronecker substitution), so a product of
+    two polynomials is one integer product, a sum one integer sum and a
+    factor x a left shift by B.  Every coefficient of every state, and of
+    every product formed on the way, counts distinct independent sets of a
+    subforest of T, so it is at most i(T), the number of independent sets
+    of T.  A slot of B bits with 2**B > i(T) therefore never carries into
+    the next, and ``inn - i1`` never borrows, the sets of ``i1`` being among
+    those of ``inn``.  A scalar pass finds i(T) first; B is
+    bit_length(i(T)) + 1, a spare bit, rounded up to whole bytes so that the
+    root unpacks by byte slices.  The slot sums are checked against i(T):
+    equal when no vertex is generic, at most i(T) otherwise.
     """
     order, parent = _postorder(t)
     colors = resolved.coloring.colors
     kinds = resolved.kinds
-    states: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
+    # i(T): per vertex, the independent sets below it without / with it
+    without, with_ = [1] * t.n, [1] * t.n
+    for v in order[:-1]:
+        p = parent[v]
+        without[p] *= without[v] + with_[v]
+        with_[p] *= without[v]
+    root = order[-1]
+    total = without[root] + with_[root]
+    width = (total.bit_length() + 8) // 8  # bytes per slot
+    shift = 8 * width
+    states: dict[int, tuple[int, int, int, int]] = {}
     for v in order:
         below = [states.pop(w) for w in t.neighbors[v] if w != parent[v]]
-        inn = [1]  # v in S: every child outside S
+        inn = 1  # v in S: every child outside S
         for o0, o1, _, _ in below:
-            inn = _times(inn, _plus(o0, o1))
-        inn = [0] + inn
+            inn *= o0 + o1
+        inn <<= shift
         if kinds[v] is PhiKind.GENERIC and colors[v] is Color.GREEN:
-            a0, a1 = [1], []
+            a0, a1 = 1, 0
             for o0, o1, i0, i1 in below:
-                keep = _plus(_plus(o0, o1), i0)
-                a0, a1 = _times(a0, keep), _plus(_times(a1, keep), _times(a0, i1))
-            states[v] = (a0, a1, inn, [])
+                keep = o0 + o1 + i0
+                a0, a1 = a0 * keep, a1 * keep + a0 * i1
+            states[v] = (a0, a1, inn, 0)
             continue
-        out = [1]
+        out = 1
         for o0, o1, i0, i1 in below:
-            out = _times(out, _plus(_plus(o0, o1), _plus(i0, i1)))
+            out *= o0 + o1 + i0 + i1
         if kinds[v] is PhiKind.GENERIC:
-            down = [1]
+            down = 1
             for _, o1, _, _ in below:
-                down = _times(down, o1)
-            i1 = [0] + down if down else []
-            states[v] = (out, [], _plus(inn, [-c for c in i1]), i1)
+                down *= o1
+            i1 = down << shift
+            states[v] = (out, 0, inn - i1, i1)
         else:
-            states[v] = (out, [], inn, [])
-    o0, o1, i0, _ = states[order[-1]]
-    counts = _plus(_plus(o0, o1), i0)
-    while counts and counts[-1] == 0:
-        counts.pop()
+            states[v] = (out, 0, inn, 0)
+    o0, o1, i0, _ = states[root]
+    packed = o0 + o1 + i0
+    slots = -(-packed.bit_length() // shift)
+    raw = packed.to_bytes(slots * width, "little")
+    counts = [
+        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+    ]
+    found = sum(counts)
+    if found > total or (found != total and PhiKind.GENERIC not in kinds):
+        raise AssertionError(f"{found} sets counted by size, {total} independent sets")
     return counts
 
 
-def _weigh_by_size(counts: list[int], exponent: int) -> Poly:
-    """sum_k counts[k] * (q-1)**(exponent - 2k) * q**k, by Horner in (q-1)**2."""
+def _weigh_by_size(counts: Sequence[int], exponent: int) -> Poly:
+    """sum_k counts[k] * (q-1)**(exponent - 2k) * q**k, by Horner in (q-1)**2,
+    checked to be monic of degree ``exponent`` (n + vr for a count)."""
     top = len(counts) - 1
     if exponent < 2 * top:
         raise AssertionError(
@@ -435,7 +452,13 @@ def _weigh_by_size(counts: list[int], exponent: int) -> Poly:
         acc[k] += c
     for _ in range(exponent - 2 * top):
         acc = [y - x for x, y in zip(acc + [0], [0] + acc)]
-    return Poly(tuple(acc))
+    result = Poly(tuple(acc))
+    if not result.is_monic or result.degree != exponent:
+        raise AssertionError(
+            f"count polynomial has wrong shape: {result}, expected monic of "
+            f"degree {exponent}"
+        )
+    return result
 
 
 def count_polynomial(obj: Tree | Forest, phi: PhiSpec = None) -> Poly:
@@ -465,13 +488,7 @@ def count_polynomial(obj: Tree | Forest, phi: PhiSpec = None) -> Poly:
         for comp, kind in zip(resolved.partition, resolved.assignment.kinds)
         if kind is PhiKind.VERSAL
     )
-    result = _weigh_by_size(_count_sets_by_size(obj, resolved), obj.n + versal_rank)
-    if not result.is_monic or result.degree != obj.n + versal_rank:
-        raise AssertionError(
-            f"count polynomial has wrong shape: {result} for n={obj.n}, "
-            f"versal rank {versal_rank}"
-        )
-    return result
+    return _weigh_by_size(_count_sets_by_size(obj, resolved), obj.n + versal_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +732,14 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     tree is read off its array in O(n) as the matching deficiency n - 2*nu.
     Only trees of the class become a :class:`Tree` to be counted: the same
     representatives, in the same order, as :func:`enumerate_free_trees`.
+
+    Trees are bucketed on their size vector c (:func:`_count_sets_by_size`),
+    which is the same as bucketing on N: within a class n and the versal
+    rank vr (1 for unimodal-versal, 0 otherwise) are fixed, and
+    c -> N = sum_k c_k (q-1)**(n+vr-2k) q**k is injective: the k-th term has
+    lowest power q**k, so N determines c_0, c_1, ... in turn.  Each bucket
+    is weighed into N once, and only buckets holding more than one tree get
+    graph6 strings.
     """
     target = 0 if census_class is CensusClass.ORANGE else 1
     phi = (
@@ -724,16 +749,23 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
         if census_class is CensusClass.UNIMODAL_VERSAL
         else PhiKind.GENERIC
     )
+    versal_rank = 1 if census_class is CensusClass.UNIMODAL_VERSAL else 0
     tree_count = 0
-    buckets: dict[Poly, list[str]] = {}
+    buckets: dict[tuple[int, ...], list[Tree]] = {}
     for parent in _free_tree_parents(n):
         if _matching_deficiency(parent) != target:
             continue
         t = _tree_from_parents(parent)
         tree_count += 1
-        buckets.setdefault(count_polynomial(t, phi), []).append(emit_graph6(t))
-    ordered = sorted(buckets.items(), key=lambda kv: kv[0].coeffs)
-    collisions = tuple(tuple(g6s) for _, g6s in ordered if len(g6s) > 1)
+        c = tuple(_count_sets_by_size(t, resolve_tree_phi(t, phi)))
+        buckets.setdefault(c, []).append(t)
+    ordered = sorted(
+        ((_weigh_by_size(c, n + versal_rank), trees) for c, trees in buckets.items()),
+        key=lambda kv: kv[0].coeffs,
+    )
+    collisions = tuple(
+        tuple(emit_graph6(t) for t in trees) for _, trees in ordered if len(trees) > 1
+    )
     return CensusReport(
         n=n,
         census_class=census_class,

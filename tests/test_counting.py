@@ -18,6 +18,7 @@ from treecount.counting import (
     Mode,
     PhiError,
     PhiKind,
+    _count_sets_by_size,
     all_phi_assignments,
     census,
     closed_form_a,
@@ -29,13 +30,26 @@ from treecount.counting import (
     phi_vertex_kinds,
     reciprocity_report,
     resolve_phi,
+    resolve_tree_phi,
     versal_by_independent_sets,
 )
 from treecount.families import d_tree, e_tree, linear_tree, star_tree
 from treecount.groupoid import rank_profile
-from treecount.matchings import count_maximum_independent_sets
+from treecount.matchings import (
+    _matching_deficiency,
+    count_maximum_independent_sets,
+    independent_set_size_counts,
+)
 from treecount.polynomials import Poly, Q
-from treecount.trees import Tree, emit_graph6, enumerate_free_trees, parse_graph6, prufer_decode
+from treecount.trees import (
+    Tree,
+    _free_tree_parents,
+    _tree_from_parents,
+    emit_graph6,
+    enumerate_free_trees,
+    parse_graph6,
+    prufer_decode,
+)
 from conftest import colored, trees_up_to
 
 
@@ -189,6 +203,53 @@ def test_count_long_path():
     assert count_polynomial(linear_tree(1201), "versal") == closed_form_a(1201, Mode.VERSAL)
 
 
+def _seeded_prufer_tree(n, seed):
+    rng = random.Random(seed)
+    return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+
+
+@pytest.mark.parametrize("n", [301, 302])
+def test_count_matches_closed_forms_at_large_n(n):
+    """The packed size-polynomials at a few hundred vertices."""
+    path_modes = (Mode.ORANGE,) if n % 2 == 0 else (Mode.GENERIC, Mode.VERSAL)
+    for family, closed_form, modes in (
+        (linear_tree, closed_form_a, path_modes),
+        (d_tree, closed_form_d, (Mode.GENERIC, Mode.VERSAL)),
+        (e_tree, closed_form_e, path_modes),
+    ):
+        for mode in modes:
+            phi = None if mode is Mode.ORANGE else mode.value
+            assert count_polynomial(family(n), phi) == closed_form(n, mode), (family, mode)
+
+
+def test_reciprocity_large_random_tree():
+    t = _seeded_prufer_tree(400, 2014)
+    _, part = colored(t)
+    p = count_polynomial(t, "generic")
+    rep = reciprocity_report(p, rank_profile(part, [True] * len(part)).rank)
+    assert rep.divisible and rep.reciprocal
+
+
+def _census_trees(n, dim):
+    for parent in _free_tree_parents(n):
+        if _matching_deficiency(parent) == dim:
+            yield _tree_from_parents(parent)
+
+
+def test_size_vector_is_the_independence_polynomial():
+    """On orange and all-versal trees no independent set is excluded, so the
+    size vector c is the independence polynomial; that is why bucketing the
+    census on c is bucketing on N."""
+    cases = [(t, None) for n in range(1, 15) for t in _census_trees(n, 0)]
+    cases += [(t, "versal") for n in range(1, 14) for t in _census_trees(n, 1)]
+    assert len(cases) == 253 + 419
+    # the widest slots: i(star) = 2**600 + 1
+    cases += [(star_tree(600), "versal"), (_seeded_prufer_tree(400, 2014), "versal")]
+    for t, phi in cases:
+        c = _count_sets_by_size(t, resolve_tree_phi(t, phi))
+        assert c == independent_set_size_counts(t), emit_graph6(t)
+
+
 def test_versal_by_independent_sets_examples(figure_tree):
     assert versal_by_independent_sets(Tree(1, ())) == Q**2 - Q + 1
     assert versal_by_independent_sets(linear_tree(2)) == Q**2 + 1
@@ -325,8 +386,9 @@ def test_census_at_the_enumeration_bound():
 
 
 def test_census_past_sixteen():
-    """census(18, orange), cross-checked against building, coloring and
-    counting every one of the 123,867 trees."""
+    """census(18, orange).  These numbers were cross-checked once, outside
+    the suite, against building, coloring and counting every one of the
+    123,867 trees; this test pins them."""
     orange = census(18, CensusClass.ORANGE)
     assert (orange.tree_count, orange.distinct_polynomial_count) == (2891, 1852)
 
