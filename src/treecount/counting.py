@@ -435,8 +435,13 @@ def _count_sets_by_size(t: Tree, resolved: ResolvedPhi) -> list[int]:
 
 
 def _weigh_by_size(counts: Sequence[int], exponent: int) -> Poly:
-    """sum_k counts[k] * (q-1)**(exponent - 2k) * q**k, by Horner in (q-1)**2,
-    checked to be monic of degree ``exponent`` (n + vr for a count)."""
+    """sum_k counts[k] * (q-1)**(exponent - 2k) * q**k, by Horner in (q-1)**2.
+
+    The leading term is counts[0] * q**exponent, so the result is monic of
+    degree ``exponent`` (n + vr for a count) exactly when the empty set is
+    counted once."""
+    if counts[0] != 1:
+        raise AssertionError(f"the empty set must count once, not {counts[0]} times")
     top = len(counts) - 1
     if exponent < 2 * top:
         raise AssertionError(
@@ -452,13 +457,7 @@ def _weigh_by_size(counts: Sequence[int], exponent: int) -> Poly:
         acc[k] += c
     for _ in range(exponent - 2 * top):
         acc = [y - x for x, y in zip(acc + [0], [0] + acc)]
-    result = Poly(tuple(acc))
-    if not result.is_monic or result.degree != exponent:
-        raise AssertionError(
-            f"count polynomial has wrong shape: {result}, expected monic of "
-            f"degree {exponent}"
-        )
-    return result
+    return Poly(tuple(acc))
 
 
 def count_polynomial(obj: Tree | Forest, phi: PhiSpec = None) -> Poly:

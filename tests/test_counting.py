@@ -19,6 +19,7 @@ from treecount.counting import (
     PhiError,
     PhiKind,
     _count_sets_by_size,
+    _weigh_by_size,
     all_phi_assignments,
     census,
     closed_form_a,
@@ -154,6 +155,16 @@ def test_monic_degree_law():
                 if k is PhiKind.VERSAL
             )
             assert p.is_monic and p.degree == t.n + versal_rank
+
+
+def test_weigh_by_size_requires_one_empty_set():
+    """c_0 sets the leading coefficient, so c_0 != 1 is the only way the
+    weighted sum can miss being monic of the given degree."""
+    assert _weigh_by_size((1, 1), 2) == (Q - 1) ** 2 + Q
+    with pytest.raises(AssertionError, match="empty set"):
+        _weigh_by_size((2, 1), 2)
+    with pytest.raises(AssertionError):
+        _weigh_by_size((1, 1), 1)
 
 
 def test_choice_independence():

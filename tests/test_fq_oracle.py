@@ -8,8 +8,9 @@ import random
 import pytest
 
 from treecount.coloring import Color, canonical_coloring, red_green_components
-from treecount.counting import all_phi_assignments, count_polynomial
+from treecount.counting import PhiKind, all_phi_assignments, count_polynomial
 from treecount.families import d_tree, linear_tree, star_tree
+import treecount.fqoracle as fqoracle
 from treecount.fqoracle import (
     NO_GENERIC_PARAMETERS,
     ConstancyError,
@@ -24,7 +25,7 @@ from treecount.fqoracle import (
 )
 from treecount.groupoid import genericity_check
 from treecount.matchings import maximum_matching, uncovered_vertices
-from treecount.trees import Tree
+from treecount.trees import Tree, relabel
 from conftest import colored, trees_up_to
 
 
@@ -60,6 +61,58 @@ def test_count_fixed_matches_naive_enumeration():
                             break
                     naive += ok
             assert count_fixed(t, FqContext(q), alpha) == naive
+
+
+def naive_tree_sum(t, q, factor):
+    """Sum over x in F_q**n of prod_v factor[v] at (x_v, neighbor product),
+    reading each (zero_row, w) pair point by point."""
+    total = 0
+    for xs in itertools.product(range(q), repeat=t.n):
+        term = 1
+        for v, (zero_row, w) in enumerate(factor):
+            if xs[v]:
+                term *= w
+            else:
+                prod = 1
+                for u in t.neighbors[v]:
+                    prod = prod * xs[u] % q
+                term *= zero_row[prod]
+        total += term
+    return total
+
+
+def test_tree_sum_matches_naive_on_every_factor_shape():
+    """Fixed, versal and edge-cover-forced factors mixed at random, plus
+    arbitrary ones, on every tree rooted at every vertex (the walk roots at
+    vertex 0).  Point counts barely depend on the coefficients, so a kernel
+    reading a zero row at the wrong P shows only with arbitrary rows on
+    trees deep enough below the root."""
+    rng = random.Random(8)
+    for base in trees_up_to(5):
+        for root in range(base.n):
+            perm = list(range(base.n))
+            perm[0], perm[root] = root, 0
+            t = relabel(base, perm)
+            walk = fqoracle._walk(t)
+            for q in (2, 3, 5, 7) if t.n <= 3 else (2, 3, 5):
+                ctx = FqContext(q)
+                for _ in range(4):
+                    factor = []
+                    for _ in range(t.n):
+                        shape = rng.choice(("fixed", "versal", "forced", "arbitrary"))
+                        if shape == "versal":
+                            factor.append(fqoracle._versal_factor(q))
+                        elif shape == "arbitrary":
+                            zero_row = [0] + [rng.randrange(4) for _ in range(1, q)]
+                            factor.append((zero_row, rng.randrange(4)))
+                        else:
+                            zero_row, w = fqoracle._fixed_factor(q, rng.randrange(q))
+                            factor.append((zero_row, w if shape == "fixed" else 0))
+                    assert fqoracle._tree_sum(walk, ctx, factor) == naive_tree_sum(
+                        t, q, factor
+                    ), (t.edges, q, factor)
+    with pytest.raises(ValueError):
+        fqoracle._tree_sum(fqoracle._walk(Tree(1, ())), FqContext(3), [([1, 0, 0], 1)])
 
 
 def test_count_points_examples():
@@ -137,6 +190,56 @@ def test_generic_constancy_is_asserted():
     got = count_points(star_tree(4), "generic", FqContext(7))
     expected = count_polynomial(star_tree(4), "generic")(7)
     assert got == expected
+
+
+def _passing_combinations(t, phi, q):
+    """Product over the generic components of their passing tuples, from
+    itertools.product filtered by genericity_check."""
+    _, part = colored(t)
+    free = uncovered_vertices(t, maximum_matching(t))
+    combos = 1
+    for comp, kind in zip(part, phi.kinds):
+        vertices = [v for v in free if v in comp.vertices]
+        if kind is not PhiKind.GENERIC or not vertices:
+            continue
+        combos *= sum(
+            genericity_check(comp, dict(zip(vertices, values)), q)
+            for values in itertools.product(range(1, q), repeat=len(vertices))
+        )
+    return combos
+
+
+def test_one_tree_sum_per_passing_tuple(monkeypatch):
+    """count_points skips no tuple: one transfer sum per combination of
+    passing tuples, none when a component has no passing tuple."""
+    calls = []
+    tree_sum = fqoracle._tree_sum
+
+    def counted(walk, ctx, factor):
+        calls.append(None)
+        return tree_sum(walk, ctx, factor)
+
+    monkeypatch.setattr(fqoracle, "_tree_sum", counted)
+    for t in trees_up_to(6):
+        _, part = colored(t)
+        for phi in all_phi_assignments(part):
+            for q in (2, 3, 5):
+                calls.clear()
+                got = count_points(t, phi, FqContext(q))
+                combos = _passing_combinations(t, phi, q)
+                assert len(calls) == combos, (t.edges, phi, q)
+                assert (got is NO_GENERIC_PARAMETERS) == (combos == 0)
+
+
+def test_constancy_error_fires(monkeypatch):
+    """A transfer sum that depends on the generic tuple must be caught."""
+    monkeypatch.setattr(
+        fqoracle,
+        "_tree_sum",
+        lambda walk, ctx, factor: tuple(tuple(zero_row) for zero_row, _ in factor),
+    )
+    with pytest.raises(ConstancyError):
+        count_points(star_tree(4), "generic", FqContext(7))
 
 
 def test_guard_and_force():

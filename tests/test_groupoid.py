@@ -12,7 +12,10 @@ from treecount.groupoid import (
     CoefficientState,
     JumpError,
     formal_genericity,
+    generic_tuples,
     genericity_check,
+    genericity_patterns,
+    is_generic,
     is_linear_extension,
     jump,
     jump_graph,
@@ -211,6 +214,26 @@ def test_genericity_examples():
     assert genericity_check(comp3, {0: 1, 2: 1}, 5) is False
     with pytest.raises(ValueError):
         genericity_check(comp3, {0: 0, 2: 1}, 5)
+
+
+def test_generic_tuples_match_filtered_product():
+    """The pruned walk yields exactly the tuples, in the same order, that
+    itertools.product gives after filtering by the pointwise test
+    (is_generic is what genericity_check runs, with the patterns built once
+    per component here)."""
+    for t in trees_up_to(7):
+        _, part = colored(t)
+        free = uncovered_vertices(t, maximum_matching(t))
+        for comp in part:
+            vertices = [v for v in free if v in comp.vertices]
+            patterns = genericity_patterns(comp)
+            for q in (2, 3, 5, 7):
+                expected = [
+                    values
+                    for values in itertools.product(range(1, q), repeat=len(vertices))
+                    if is_generic(patterns, dict(zip(vertices, values)), q)
+                ]
+                assert generic_tuples(patterns, vertices, q) == expected
 
 
 def test_genericity_flip_invariance():
