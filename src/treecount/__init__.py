@@ -13,7 +13,6 @@ from .coloring import (
     coloring_by_vertex_covers,
     dimension,
     red_green_components,
-    tree_class,
 )
 from .counting import (
     CensusClass,
@@ -26,7 +25,6 @@ from .counting import (
     closed_form_e,
     count_polynomial,
     euler_characteristic,
-    orange_unimodal_chain,
     reciprocity_report,
     versal_by_independent_sets,
 )

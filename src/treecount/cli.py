@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .coloring import (
     SizeGuardError,
+    all_maximum_matchings,
     canonical_coloring,
-    dimension,
     red_green_components,
 )
 from .counting import (
@@ -47,8 +47,7 @@ from .matchings import (
     maximum_matching,
 )
 from .polynomials import Poly, format_poly
-from .trees import Graph6Error, NotATreeError, Tree, parse_edge_list, parse_graph6
-from .coloring import all_maximum_matchings
+from .trees import Graph6Error, NotATreeError, Tree, _read_edge_list, parse_graph6
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -80,12 +79,7 @@ def _load_tree(args: argparse.Namespace) -> tuple[Tree, int]:
         return parse_graph6(args.graph6), 0
     if args.edges is not None:
         with open(args.edges, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        tree = parse_edge_list(text, indexing=args.indexing)
-        one_based = args.indexing == "1" or (
-            args.indexing == "auto" and "0" not in text.split()
-        )
-        return tree, 1 if one_based else 0
+            return _read_edge_list(fh.read(), args.indexing)
     if args.n is None:
         raise PhiError("--family needs --n")
     return family_tree(args.family, args.n), 0

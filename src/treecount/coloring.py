@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import Edge, SizeGuardError, Tree, normalize_edge, remove_vertices
+from .trees import Edge, SizeGuardError, Tree, normalize_edge
 
 
 class Color(enum.Enum):
@@ -314,27 +314,3 @@ def adjacency_nullity(t: Tree) -> int:
         rank += 1
         row += 1
     return n - rank
-
-
-class TreeKind(enum.Enum):
-    ORANGE = "orange"
-    UNIMODAL = "unimodal"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class TreeClass:
-    dimension: int
-    kind: TreeKind
-
-
-def tree_class(t: Tree) -> TreeClass:
-    """Dimension plus the orange/unimodal/other trichotomy."""
-    d = dimension(t)
-    if d == 0:
-        kind = TreeKind.ORANGE
-    elif d == 1:
-        kind = TreeKind.UNIMODAL
-    else:
-        kind = TreeKind.OTHER
-    return TreeClass(d, kind)

@@ -69,9 +69,6 @@ class CoefficientState:
     def symbols(self, v: int) -> set[int]:
         return {s for s, _ in self.coeff[v]}
 
-    def is_trivial(self, v: int) -> bool:
-        return not self.coeff[v]
-
 
 def _allowed_jump(c: Coloring, u: int, v: int) -> bool:
     cu, cv = c.colors[u], c.colors[v]

@@ -251,13 +251,18 @@ def shared_green_blocks(
 ) -> list[list[int]]:
     """Connected blocks of ``s`` under 'shares a green neighbor', each listed
     in BFS order from its smallest member."""
+    return _shared_green(component, s)[1]
+
+
+def _shared_green(
+    component: RedGreenComponent, s: frozenset[int]
+) -> tuple[dict[int, set[int]], list[list[int]]]:
+    """The 'shares a green neighbor' graph on ``s`` and its blocks."""
     adj: dict[int, set[int]] = {v: set() for v in s}
     for ns in _green_adjacency(component).values():
         inside = [x for x in ns if x in s]
         for a in inside:
-            for b in inside:
-                if a != b:
-                    adj[a].add(b)
+            adj[a].update(b for b in inside if b != a)
     blocks = []
     seen: set[int] = set()
     for start in sorted(s):
@@ -273,7 +278,7 @@ def shared_green_blocks(
                     block.append(y)
             i += 1
         blocks.append(block)
-    return blocks
+    return adj, blocks
 
 
 def _canonical_signs(component: RedGreenComponent, s: frozenset[int]) -> dict[int, int]:
@@ -283,15 +288,9 @@ def _canonical_signs(component: RedGreenComponent, s: frozenset[int]) -> dict[in
     is a forest, so the BFS never meets a parity conflict; a conflict would
     mean an odd cycle in the tree.
     """
-    adj: dict[int, set[int]] = {v: set() for v in s}
-    for ns in _green_adjacency(component).values():
-        inside = [x for x in ns if x in s]
-        for a in inside:
-            for b in inside:
-                if a != b:
-                    adj[a].add(b)
+    adj, blocks = _shared_green(component, s)
     sign: dict[int, int] = {}
-    for block in shared_green_blocks(component, s):
+    for block in blocks:
         sign[block[0]] = 1
         for v in block[1:]:
             fixed = next(w for w in sorted(adj[v]) if w in sign)

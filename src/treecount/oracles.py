@@ -1,0 +1,283 @@
+"""Independent oracles for :func:`treecount.counting.count_polynomial`.
+
+The leaf/domino recursion of :class:`CountEngine` peels a red leaf (generic
+or versal case) or splits an orange tree along a domino, memoized on the
+canonical key of the choice-decorated tree.  The orange/unimodal two-step
+chain of :class:`ChainEngine` reaches orange trees and versal unimodal trees
+from the closed form of the even paths alone.  Neither shares the
+independent-set pass they check; only the tests import this module.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Sequence
+
+from .coloring import Color, Coloring, canonical_coloring, dimension, red_green_components
+from .counting import Mode, PhiError, PhiKind, PhiSpec, closed_form_a, resolve_tree_phi
+from .polynomials import ONE, Poly, Q
+from .trees import Forest, Tree, canonical_key, remove_vertices
+
+# ---------------------------------------------------------------------------
+# The leaf/domino recursion
+# ---------------------------------------------------------------------------
+
+_KIND_LABEL = {None: 0, PhiKind.GENERIC: 1, PhiKind.VERSAL: 2}
+
+#: Base counts for a single red vertex.
+_SINGLE = {
+    PhiKind.GENERIC: Q - 1,
+    PhiKind.VERSAL: Q * Q - Q + 1,
+}
+
+VertexKinds = tuple  # tuple[PhiKind | None, ...]
+
+
+def _induced_kinds(
+    child: Tree, orig: Sequence[int], parent_kinds: VertexKinds
+) -> VertexKinds:
+    """Restrict a per-vertex choice to a subtree, recolored from scratch.
+
+    Vertices that become orange lose their mark; red/green vertices keep the
+    mark of the unique parent component containing them (removals only ever
+    shrink the red/green set, so the inherited mark is always present).
+    """
+    child_coloring = canonical_coloring(child)
+    out: list[PhiKind | None] = []
+    for x in range(child.n):
+        if child_coloring.colors[x] is Color.ORANGE:
+            out.append(None)
+        else:
+            kind = parent_kinds[orig[x]]
+            if kind is None:
+                raise AssertionError("red/green vertex came from an orange one")
+            out.append(kind)
+    return tuple(out)
+
+
+class CountEngine:
+    """Memoized evaluator of the point-count recursion.
+
+    The memo lives as long as the engine.  ``rng`` randomizes the red-leaf
+    and domino choices, which must not change any result.
+    """
+
+    def __init__(self, rng: random.Random | None = None) -> None:
+        self.memo: dict[bytes, Poly] = {}
+        self.rng = rng
+
+    def count(self, t: Tree, phi: PhiSpec) -> Poly:
+        return self.tree_poly(t, resolve_tree_phi(t, phi).kinds)
+
+    def tree_poly(self, t: Tree, kinds: VertexKinds) -> Poly:
+        key = canonical_key(t, [_KIND_LABEL[k] for k in kinds])
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        result = self._compute(t, kinds)
+        self.memo[key] = result
+        return result
+
+    def forest_poly(self, f: Forest, parent_kinds: VertexKinds) -> Poly:
+        out = ONE
+        for comp, orig in f:
+            out = out * self.tree_poly(comp, _induced_kinds(comp, orig, parent_kinds))
+        return out
+
+    def _choose(self, options: list, scores: list) -> object:
+        if self.rng is not None:
+            return options[self.rng.randrange(len(options))]
+        return min(zip(scores, options))[1]
+
+    def _compute(self, t: Tree, kinds: VertexKinds) -> Poly:
+        if t.n == 1:
+            if kinds[0] is None:
+                raise PhiError("an isolated vertex is red and needs a choice")
+            return _SINGLE[kinds[0]]
+        coloring = canonical_coloring(t)
+        for v in range(t.n):
+            if (kinds[v] is None) != (coloring.colors[v] is Color.ORANGE):
+                raise PhiError("vertex marks do not match the coloring")
+        red_leaves = [
+            v
+            for v in range(t.n)
+            if t.degree(v) == 1 and coloring.colors[v] is Color.RED
+        ]
+        if not red_leaves:
+            result = self._orange_split(t, coloring, kinds)
+        else:
+            result = self._leaf_split(t, kinds, red_leaves)
+        self._check_shape(t, coloring, kinds, result)
+        return result
+
+    def _leaf_split(self, t: Tree, kinds: VertexKinds, red_leaves: list[int]) -> Poly:
+        """Peel a red leaf v with green neighbor u.
+
+        Generic component: N = (q-1) N(T-v) + q N(T-u-v);
+        versal component:  N = (q-1)^2 N(T-v) + q N(T-u-v).
+        """
+        scores = []
+        for v in red_leaves:
+            u = t.neighbors[v][0]
+            pieces = remove_vertices(t, {u, v})
+            scores.append(max((c.n for c in pieces.components), default=0))
+        v = self._choose(red_leaves, scores)
+        u = t.neighbors[v][0]
+        minus_leaf = remove_vertices(t, {v})
+        fringe = remove_vertices(t, {u, v})
+        n_minus_leaf = self.forest_poly(minus_leaf, kinds)
+        n_fringe = self.forest_poly(fringe, kinds)
+        if kinds[v] is PhiKind.GENERIC:
+            return (Q - 1) * n_minus_leaf + Q * n_fringe
+        return (Q - 1) ** 2 * n_minus_leaf + Q * n_fringe
+
+    def _orange_split(self, t: Tree, coloring: Coloring, kinds: VertexKinds) -> Poly:
+        """Split an orange tree along a domino u-v.
+
+        With T_u/T_v the orange trees hanging off u and off v, and S the
+        forests obtained from them by also deleting the contact vertex:
+        N = (q-1)^2 prod N(T_u) prod N(T_v)
+            + q prod Nversal(S_u) prod N(T_v)
+            + q prod N(T_u) prod Nversal(S_v).
+        """
+        dominoes = sorted(coloring.dominoes)
+        scores = []
+        for a, b in dominoes:
+            pieces = remove_vertices(t, {a, b})
+            scores.append(max((c.n for c in pieces.components), default=0))
+        u, v = self._choose(dominoes, scores)
+        pieces = remove_vertices(t, {u, v})
+        orange_u, orange_v = ONE, ONE
+        versal_u, versal_v = ONE, ONE
+        for comp, orig in pieces:
+            inherited = _induced_kinds(comp, orig, kinds)
+            contact_side = None
+            contact_local = None
+            for x in range(comp.n):
+                if u in t.neighbors[orig[x]]:
+                    contact_side, contact_local = "u", x
+                if v in t.neighbors[orig[x]]:
+                    contact_side, contact_local = "v", x
+            plain = self.tree_poly(comp, inherited)
+            stripped = remove_vertices(comp, {contact_local})
+            versal = ONE
+            for sub, _ in stripped:
+                sub_kinds = tuple(
+                    None if c is Color.ORANGE else PhiKind.VERSAL
+                    for c in canonical_coloring(sub).colors
+                )
+                versal = versal * self.tree_poly(sub, sub_kinds)
+            if contact_side == "u":
+                orange_u = orange_u * plain
+                versal_u = versal_u * versal
+            else:
+                orange_v = orange_v * plain
+                versal_v = versal_v * versal
+        return (
+            (Q - 1) ** 2 * orange_u * orange_v
+            + Q * versal_u * orange_v
+            + Q * orange_u * versal_v
+        )
+
+    def _check_shape(
+        self, t: Tree, coloring: Coloring, kinds: VertexKinds, result: Poly
+    ) -> None:
+        partition = red_green_components(t, coloring)
+        versal_rank = sum(
+            comp.dimension
+            for comp in partition
+            if kinds[comp.min_vertex] is PhiKind.VERSAL
+        )
+        if not result.is_monic or result.degree != t.n + versal_rank:
+            raise AssertionError(
+                f"count polynomial has wrong shape: {result} for n={t.n}, "
+                f"versal rank {versal_rank}"
+            )
+
+
+# ---------------------------------------------------------------------------
+# The orange/unimodal chain
+# ---------------------------------------------------------------------------
+
+def _is_path(t: Tree) -> bool:
+    return all(t.degree(v) <= 2 for v in range(t.n))
+
+
+def branch_length(t: Tree, leaf: int) -> int:
+    """Number of valency-2 vertices walked from the leaf's neighbor."""
+    if t.degree(leaf) != 1:
+        raise ValueError(f"vertex {leaf} is not a leaf")
+    prev, cur = leaf, t.neighbors[leaf][0]
+    length = 0
+    while t.degree(cur) == 2:
+        length += 1
+        prev, cur = cur, next(x for x in t.neighbors[cur] if x != prev)
+    return length
+
+
+class ChainEngine:
+    """The two-step scheme for orange trees and versal unimodal trees.
+
+    Orange: peel the leaf with the shortest branch, N = Nversal(T - leaf)
+    + q * N(T - domino).  Unimodal: extend the red leaf with the longest
+    branch into an orange tree and run the same identity backwards.  Even
+    paths seed the chain through their closed form; the general recursion
+    is never consulted.
+    """
+
+    def __init__(self) -> None:
+        self.memo: dict[bytes, Poly] = {}
+
+    def orange(self, t: Tree) -> Poly:
+        key = b"N" + canonical_key(t)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        if _is_path(t):
+            if t.n % 2:
+                raise AssertionError("odd path reached the orange chain")
+            result = closed_form_a(t.n, Mode.ORANGE)
+        else:
+            leaves = [v for v in range(t.n) if t.degree(v) == 1]
+            v = min(leaves, key=lambda x: (branch_length(t, x), x))
+            u = t.neighbors[v][0]
+            minus_leaf = remove_vertices(t, {v})
+            rest = ONE
+            for comp, _ in remove_vertices(t, {u, v}):
+                rest = rest * self.orange(comp)
+            result = self.versal_unimodal(minus_leaf.components[0]) + Q * rest
+        self.memo[key] = result
+        return result
+
+    def versal_unimodal(self, t: Tree) -> Poly:
+        key = b"V" + canonical_key(t)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        coloring = canonical_coloring(t)
+        red_leaves = [
+            v
+            for v in range(t.n)
+            if t.degree(v) == 1 or t.n == 1
+            if coloring.colors[v] is Color.RED
+        ]
+        w = max(red_leaves, key=lambda x: (branch_length(t, x) if t.n > 1 else 0, -x))
+        extended = Tree(t.n + 1, t.edges + ((w, t.n),))
+        shrunk = ONE
+        for comp, _ in remove_vertices(t, {w}):
+            shrunk = shrunk * self.orange(comp)
+        result = self.orange(extended) - Q * shrunk
+        self.memo[key] = result
+        return result
+
+
+def orange_unimodal_chain(t: Tree) -> Poly:
+    """N for an orange tree, or the all-versal N for a unimodal tree,
+    computed purely by the chain scheme."""
+    d = dimension(t)
+    engine = ChainEngine()
+    if d == 0:
+        return engine.orange(t)
+    if d == 1:
+        return engine.versal_unimodal(t)
+    raise ValueError("chain scheme applies to orange or unimodal trees only")

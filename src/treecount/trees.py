@@ -3,7 +3,8 @@
 Everything downstream works on the :class:`Tree` type defined here: a
 connected acyclic graph on vertices ``0..n-1``.  The module also provides
 the graph6 codec (short and long form, n <= 258047), an AHU-style canonical
-key for labelled trees (used for isomorphism tests and as a memoization key),
+key for labelled trees (used for isomorphism tests and, with vertex labels,
+as the memo key of the leaf/domino recursion in :mod:`treecount.oracles`),
 vertex removal into :class:`Forest`, and the Wright-Richmond-Odlyzko-McKay
 generator of free trees up to isomorphism (n <= 20).  The generator walks
 one level sequence per class and needs no key; its parent arrays can be
@@ -91,9 +92,6 @@ class Tree:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
-
-    def leaves(self) -> list[int]:
-        return [v for v in range(self.n) if self.degree(v) <= 1]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors[u]
@@ -257,6 +255,11 @@ def parse_edge_list(text: str, indexing: str = "auto") -> Tree:
     ``indexing`` is one of ``auto``, ``0``, ``1``.  Auto treats the input as
     1-based when no 0 appears and the labels are exactly ``1..n``.
     """
+    return _read_edge_list(text, indexing)[0]
+
+
+def _read_edge_list(text: str, indexing: str) -> tuple[Tree, int]:
+    """:func:`parse_edge_list` plus the base, 0 or 1, the labels were read in."""
     pairs = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -266,19 +269,16 @@ def parse_edge_list(text: str, indexing: str = "auto") -> Tree:
         if len(parts) != 2:
             raise ValueError(f"expected 'u v' per line, got {line!r}")
         pairs.append((int(parts[0]), int(parts[1])))
-    if not pairs:
-        return single_vertex()
-    labels = sorted({x for e in pairs for x in e})
     if indexing not in ("auto", "0", "1"):
         raise ValueError("indexing must be auto, 0 or 1")
-    if indexing == "1" or (
-        indexing == "auto" and labels[0] >= 1 and labels == list(range(1, len(labels) + 1))
-    ):
-        pairs = [(u - 1, v - 1) for u, v in pairs]
-        labels = [x - 1 for x in labels]
-    if labels != list(range(len(labels))):
+    labels = sorted({x for e in pairs for x in e})
+    from_one = labels == list(range(1, len(labels) + 1))
+    base = 1 if indexing == "1" or (indexing == "auto" and from_one) else 0
+    if labels != list(range(base, base + len(labels))):
         raise ValueError("edge list labels are not contiguous from the base index")
-    return Tree(len(labels), tuple(pairs))
+    if not pairs:
+        return single_vertex(), base
+    return Tree(len(labels), tuple((u - base, v - base) for u, v in pairs)), base
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +306,9 @@ def tree_centers(t: Tree) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_key(t: Tree, root: int, banned: int, label: Callable[[int], int]) -> bytes:
-    """AHU signature of the subtree at ``root`` when the edge to ``banned`` is cut."""
-    # Iterative post-order; child signatures are sorted so the key is
-    # invariant under relabelling.
+def _rooted_order(t: Tree, root: int, banned: int) -> list[tuple[int, int]]:
+    """(vertex, parent) pairs of the subtree at ``root`` when the edge to
+    ``banned`` is cut, each parent before its children."""
     order: list[tuple[int, int]] = []
     stack = [(root, banned)]
     while stack:
@@ -318,8 +317,14 @@ def _rooted_key(t: Tree, root: int, banned: int, label: Callable[[int], int]) ->
         for w in t.neighbors[v]:
             if w != parent:
                 stack.append((w, v))
+    return order
+
+
+def _rooted_key(t: Tree, root: int, banned: int, label: Callable[[int], int]) -> bytes:
+    """AHU signature of the subtree at ``root`` when the edge to ``banned`` is cut."""
+    # Child signatures are sorted so the key is invariant under relabelling.
     sig: dict[int, bytes] = {}
-    for v, parent in reversed(order):
+    for v, parent in reversed(_rooted_order(t, root, banned)):
         children = sorted(sig[w] for w in t.neighbors[v] if w != parent)
         sig[v] = b"(%d:" % label(v) + b"".join(children) + b")"
     return sig[root]
@@ -352,16 +357,8 @@ def canonical_key(t: Tree, labels: Mapping[int, int] | Sequence[int] | None = No
 def _rooted_aut(t: Tree, root: int, banned: int) -> tuple[bytes, int]:
     """Signature and automorphism-group order of the subtree at ``root`` when
     the edge to ``banned`` is cut."""
-    order: list[tuple[int, int]] = []
-    stack = [(root, banned)]
-    while stack:
-        v, parent = stack.pop()
-        order.append((v, parent))
-        for w in t.neighbors[v]:
-            if w != parent:
-                stack.append((w, v))
     done: dict[int, tuple[bytes, int]] = {}
-    for v, parent in reversed(order):
+    for v, parent in reversed(_rooted_order(t, root, banned)):
         sigs = sorted(done.pop(w) for w in t.neighbors[v] if w != parent)
         aut = 1
         for _, grp in itertools.groupby(sigs, key=lambda p: p[0]):

@@ -90,10 +90,17 @@ def test_mixed_phi_spec(capsys, tmp_path):
 
 
 def test_one_based_edge_list_echo(capsys, tmp_path):
-    path = tmp_path / "p3.txt"
-    path.write_text("1 2\n2 3\n", encoding="utf-8")
-    code, out, _ = run(capsys, "color", "--edges", str(path))
-    assert code == 0 and "vertex 1: red" in out and "vertex 3: red" in out
+    for name, text in [
+        ("p3.txt", "1 2\n2 3\n"),
+        ("commented.txt", "# vertex 0 absent\n1 2\n2 3\n"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "color", "--edges", str(path))
+        assert code == 0 and "vertex 1: red" in out and "vertex 3: red" in out
+        assert "vertex 0:" not in out
+        code, out, _ = run(capsys, "count", "--edges", str(path), "--phi", "1=generic")
+        assert code == 0 and out.strip() == "q^3 - 1"
 
 
 def test_sets_subcommand(capsys):
@@ -175,10 +182,14 @@ def test_phi_spec_parse():
 
 
 def test_cli_import_does_not_load_numpy():
-    """The package is pure Python; importing the CLI must not pull numpy in."""
+    """The package is pure Python; importing the CLI must not pull numpy in,
+    nor the test-only oracles."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = "import sys, treecount.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, treecount.cli; "
+        "print('numpy' in sys.modules, 'treecount.oracles' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -186,4 +197,4 @@ def test_cli_import_does_not_load_numpy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -6,7 +6,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from treecount.coloring import (
     Color,
@@ -19,12 +18,9 @@ from treecount.coloring import (
     coloring_by_vertex_covers,
     dimension,
     minimum_vertex_covers,
-    red_green_components,
-    tree_class,
-    TreeKind,
 )
 from treecount.trees import Tree, remove_vertices
-from conftest import colored, trees_of_size, trees_up_to
+from conftest import colored, trees_up_to
 from test_trees import random_tree
 
 R, O, G = Color.RED, Color.ORANGE, Color.GREEN
@@ -200,12 +196,6 @@ def test_dimension_equals_uncovered_count():
     for t in trees_up_to(10):
         best = max(len(m) for m in all_maximum_matchings(t))
         assert dimension(t) == t.n - 2 * best
-
-
-def test_tree_class():
-    assert tree_class(path(4)).kind is TreeKind.ORANGE
-    assert tree_class(path(7)).kind is TreeKind.UNIMODAL
-    assert tree_class(Tree(4, ((0, 2), (1, 2), (2, 3)))).kind is TreeKind.OTHER
 
 
 def _is_red_green_tree(t, c, part):

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treecount.counting
 from treecount.coloring import dimension
 from treecount.counting import (
     CensusClass,
     CensusReport,
-    CountEngine,
     InconsistentModeError,
     Mode,
     PhiError,
@@ -27,7 +26,6 @@ from treecount.counting import (
     closed_form_e,
     count_polynomial,
     euler_characteristic,
-    orange_unimodal_chain,
     phi_vertex_kinds,
     reciprocity_report,
     resolve_phi,
@@ -41,7 +39,8 @@ from treecount.matchings import (
     count_maximum_independent_sets,
     independent_set_size_counts,
 )
-from treecount.polynomials import Poly, Q
+from treecount.oracles import CountEngine, orange_unimodal_chain
+from treecount.polynomials import Q
 from treecount.trees import (
     Tree,
     _free_tree_parents,
@@ -120,6 +119,22 @@ def test_a7_e7_coincidence():
     assert closed_form_e(7, Mode.GENERIC) == expected
     assert count_polynomial(linear_tree(7), "generic") == expected
     assert count_polynomial(e_tree(7), "generic") == expected
+
+
+def test_counting_holds_only_the_production_path():
+    """The recursion and chain oracles live in treecount.oracles, apart from
+    the count they check."""
+    names = vars(treecount.counting)
+    for name in (
+        "CountEngine",
+        "ChainEngine",
+        "orange_unimodal_chain",
+        "branch_length",
+        "Forest",
+        "remove_vertices",
+        "canonical_key",
+    ):
+        assert name not in names
 
 
 def test_recursion_matches_closed_forms():
@@ -329,15 +344,6 @@ def test_chain_matches_recursion():
             assert orange_unimodal_chain(t) == count_polynomial(t)
         elif d == 1:
             assert orange_unimodal_chain(t) == count_polynomial(t, "versal")
-
-
-def test_forest_input_multiplies():
-    from treecount.trees import remove_vertices
-
-    t = star_tree(3)
-    f = remove_vertices(t, {0})
-    assert count_polynomial(f, "versal") == (Q**2 - Q + 1) ** 3
-    assert count_polynomial(f, "generic") == (Q - 1) ** 3
 
 
 def test_census_spot_checks():
