@@ -26,8 +26,8 @@ from .counting import (
     CensusClass,
     PhiError,
     PhiKind,
+    _count_resolved,
     census,
-    count_polynomial,
     resolve_tree_phi,
 )
 from .families import family_tree
@@ -254,11 +254,11 @@ def _run_normalize(args) -> int:
 
 
 def _poly_payload(t: Tree, phi_spec) -> tuple[Poly, int, dict]:
-    _, part, assignment, _ = resolve_tree_phi(t, phi_spec)
+    resolved = resolve_tree_phi(t, phi_spec)
     rank = rank_profile(
-        part, [k is PhiKind.GENERIC for k in assignment.kinds]
+        resolved.partition, [k is PhiKind.GENERIC for k in resolved.assignment.kinds]
     ).rank
-    poly = count_polynomial(t, phi_spec)
+    poly = _count_resolved(t, resolved)
     return poly, rank, {
         "coeffs": list(poly.coeffs),
         "degree": poly.degree,

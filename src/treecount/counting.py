@@ -10,12 +10,17 @@ sets of the tree, so a slot one bit wider than the total number i(T) of
 independent sets needs can never carry into the next; i(T) comes from a
 scalar pass first.
 
+The pass takes a children-first vertex order and a parent array, not a
+:class:`Tree`, and reads colors only at generic vertices.  So the
+coincidence census counts orange and all-versal trees straight off the
+parent arrays of the free-tree walk, with no coloring, and buckets them on
+their size vector.
+
 Also here: closed forms for the linear, D- and E-shaped families (checked
 by exact division), the all-versal independent-set formula, Euler
-characteristics, the divisibility/reciprocity report and the coincidence
-census, which buckets trees on their size vector.  The leaf/domino recursion
-and the orange/unimodal chain that check :func:`count_polynomial` live in
-:mod:`treecount.oracles`.
+characteristics and the divisibility/reciprocity report.  The leaf/domino
+recursion and the orange/unimodal chain that check :func:`count_polynomial`
+live in :mod:`treecount.oracles`.
 """
 
 from __future__ import annotations
@@ -153,11 +158,19 @@ def all_phi_assignments(partition: RedGreenPartition) -> list[PhiAssignment]:
 # The independent-set count (the production path)
 # ---------------------------------------------------------------------------
 
-def _count_sets_by_size(t: Tree, resolved: ResolvedPhi) -> list[int]:
+def _count_sets_by_size(
+    order: Sequence[int],
+    parent: Sequence[int],
+    colors: Sequence[Color] | None,
+    kinds: Sequence[PhiKind | None],
+) -> list[int]:
     """``c[k]``: independent sets S with |S| = k that contain no admissible
     set of a generic component.
 
-    One pass up the tree rooted at 0.  Each vertex keeps four size-polynomials,
+    The tree is given by ``parent`` (-1 at the root) and ``order``, its
+    vertices children first with the root last.  ``colors`` is read only at
+    generic vertices, so it may be ``None`` when none is.  One pass folds
+    each vertex into its parent.  A vertex's state is four size-polynomials,
     zero where a state cannot occur:
 
     * ``o0``: v not in S, and for a generic green no child in state ``i1``;
@@ -167,6 +180,12 @@ def _count_sets_by_size(t: Tree, resolved: ResolvedPhi) -> list[int]:
     * ``i0``: v in S and not in ``i1``;
     * ``i1``: a generic red in S each of whose green children has exactly one
       red child in ``i1``, so that pruning S from below keeps it.
+
+    While its children arrive, v accumulates products over them: ``inn`` of
+    o0 + o1 (v in S), ``out`` of o0 + o1 + i0 + i1 (v not in S) and, at a
+    generic red, ``down`` of o1.  At a generic green ``out`` and ``down``
+    hold o0 and o1 instead.  Once folded into its parent, a vertex's entries
+    are set to 0, so the big integers of finished subtrees are freed.
 
     Reds have only green neighbours, all of their own component, so a red is
     never the top of its component unless it is the root, where ``i1`` is
@@ -185,11 +204,14 @@ def _count_sets_by_size(t: Tree, resolved: ResolvedPhi) -> list[int]:
     root unpacks by byte slices.  The slot sums are checked against i(T):
     equal when no vertex is generic, at most i(T) otherwise.
     """
-    order, parent = _postorder(t)
-    colors = resolved.coloring.colors
-    kinds = resolved.kinds
+    n = len(parent)
+    # 0: neither, 1: generic red, 2: generic green
+    role = [
+        0 if k is not PhiKind.GENERIC else 2 if colors[v] is Color.GREEN else 1
+        for v, k in enumerate(kinds)
+    ]
     # i(T): per vertex, the independent sets below it without / with it
-    without, with_ = [1] * t.n, [1] * t.n
+    without, with_ = [1] * n, [1] * n
     for v in order[:-1]:
         p = parent[v]
         without[p] *= without[v] + with_[v]
@@ -198,32 +220,33 @@ def _count_sets_by_size(t: Tree, resolved: ResolvedPhi) -> list[int]:
     total = without[root] + with_[root]
     width = (total.bit_length() + 8) // 8  # bytes per slot
     shift = 8 * width
-    states: dict[int, tuple[int, int, int, int]] = {}
+    inn, out = [1] * n, [1] * n
+    down = [0 if r == 2 else 1 for r in role]
     for v in order:
-        below = [states.pop(w) for w in t.neighbors[v] if w != parent[v]]
-        inn = 1  # v in S: every child outside S
-        for o0, o1, _, _ in below:
-            inn *= o0 + o1
-        inn <<= shift
-        if kinds[v] is PhiKind.GENERIC and colors[v] is Color.GREEN:
-            a0, a1 = 1, 0
-            for o0, o1, i0, i1 in below:
-                keep = o0 + o1 + i0
-                a0, a1 = a0 * keep, a1 * keep + a0 * i1
-            states[v] = (a0, a1, inn, 0)
-            continue
-        out = 1
-        for o0, o1, i0, i1 in below:
-            out *= o0 + o1 + i0 + i1
-        if kinds[v] is PhiKind.GENERIC:
-            down = 1
-            for _, o1, _, _ in below:
-                down *= o1
-            i1 = down << shift
-            states[v] = (out, 0, inn - i1, i1)
+        i0 = inn[v] << shift
+        o0 = out[v]
+        r = role[v]
+        if r == 2:
+            o1, i1 = down[v], 0
+        elif r == 1:
+            o1, i1 = 0, down[v] << shift
+            i0 -= i1
         else:
-            states[v] = (out, 0, inn, 0)
-    o0, o1, i0, _ = states[root]
+            o1 = i1 = 0
+        p = parent[v]
+        if p < 0:
+            break
+        inn[p] *= o0 + o1
+        if role[p] == 2:
+            keep = o0 + o1 + i0
+            a0 = out[p]
+            out[p] = a0 * keep
+            down[p] = down[p] * keep + a0 * i1
+        else:
+            out[p] *= o0 + o1 + i0 + i1
+            if role[p]:
+                down[p] *= o1
+        inn[v] = out[v] = down[v] = 0
     packed = o0 + o1 + i0
     slots = -(-packed.bit_length() // shift)
     raw = packed.to_bytes(slots * width, "little")
@@ -276,13 +299,19 @@ def count_polynomial(t: Tree, phi: PhiSpec = None) -> Poly:
     bottom-up pass; the engines of :mod:`treecount.oracles`, the closed
     forms, :func:`versal_by_independent_sets` and the F_q oracle check it.
     """
-    resolved = resolve_tree_phi(t, phi)
+    return _count_resolved(t, resolve_tree_phi(t, phi))
+
+
+def _count_resolved(t: Tree, resolved: ResolvedPhi) -> Poly:
+    """:func:`count_polynomial` for a choice already resolved against ``t``."""
     versal_rank = sum(
         comp.dimension
         for comp, kind in zip(resolved.partition, resolved.assignment.kinds)
         if kind is PhiKind.VERSAL
     )
-    return _weigh_by_size(_count_sets_by_size(t, resolved), t.n + versal_rank)
+    order, parent = _postorder(t)
+    counts = _count_sets_by_size(order, parent, resolved.coloring.colors, resolved.kinds)
+    return _weigh_by_size(counts, t.n + versal_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -431,43 +460,48 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     component.  Collisions list the graph6 strings of trees sharing one
     polynomial.
 
-    The free-tree walk hands out parent arrays, and the dimension of each
-    tree is read off its array in O(n) as the matching deficiency n - 2*nu.
-    Only trees of the class become a :class:`Tree` to be counted: the same
-    representatives, in the same order, as :func:`enumerate_free_trees`.
+    The free-tree walk hands out parent arrays, numbered in pre-order, and
+    the dimension of each tree is read off its array in O(n) as the matching
+    deficiency n - 2*nu.  Trees of the class are counted straight off the
+    array, whose vertices n-1 down to 0 put children first.  An orange or
+    all-versal tree excludes no independent set, so it is counted with no
+    coloring and no :class:`Tree`; only a unimodal-generic tree is built,
+    colored and split into its component to find its generic vertices.
 
     Trees are bucketed on their size vector c (:func:`_count_sets_by_size`),
     which is the same as bucketing on N: within a class n and the versal
     rank vr (1 for unimodal-versal, 0 otherwise) are fixed, and
     c -> N = sum_k c_k (q-1)**(n+vr-2k) q**k is injective: the k-th term has
     lowest power q**k, so N determines c_0, c_1, ... in turn.  Each bucket
-    is weighed into N once, and only buckets holding more than one tree get
-    graph6 strings.
+    is weighed into N once, and only the trees of buckets holding more than
+    one become a :class:`Tree`, for their graph6 strings: the same
+    representatives, in the same order, as :func:`enumerate_free_trees`.
     """
     target = 0 if census_class is CensusClass.ORANGE else 1
-    phi = (
-        None
-        if census_class is CensusClass.ORANGE
-        else PhiKind.VERSAL
-        if census_class is CensusClass.UNIMODAL_VERSAL
-        else PhiKind.GENERIC
-    )
+    generic = census_class is CensusClass.UNIMODAL_GENERIC
     versal_rank = 1 if census_class is CensusClass.UNIMODAL_VERSAL else 0
+    order = range(n - 1, -1, -1)
+    no_kinds = (None,) * n
     tree_count = 0
-    buckets: dict[tuple[int, ...], list[Tree]] = {}
+    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for parent in _free_tree_parents(n):
         if _matching_deficiency(parent) != target:
             continue
-        t = _tree_from_parents(parent)
         tree_count += 1
-        c = tuple(_count_sets_by_size(t, resolve_tree_phi(t, phi)))
-        buckets.setdefault(c, []).append(t)
+        colors, kinds = None, no_kinds
+        if generic:
+            resolved = resolve_tree_phi(_tree_from_parents(parent), PhiKind.GENERIC)
+            colors, kinds = resolved.coloring.colors, resolved.kinds
+        c = _count_sets_by_size(order, parent, colors, kinds)
+        buckets.setdefault(tuple(c), []).append(tuple(parent))
     ordered = sorted(
-        ((_weigh_by_size(c, n + versal_rank), trees) for c, trees in buckets.items()),
+        ((_weigh_by_size(c, n + versal_rank), arrays) for c, arrays in buckets.items()),
         key=lambda kv: kv[0].coeffs,
     )
     collisions = tuple(
-        tuple(emit_graph6(t) for t in trees) for _, trees in ordered if len(trees) > 1
+        tuple(emit_graph6(_tree_from_parents(a)) for a in arrays)
+        for _, arrays in ordered
+        if len(arrays) > 1
     )
     return CensusReport(
         n=n,

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .coloring import Color
-from .counting import PhiKind, PhiSpec, count_polynomial, resolve_tree_phi
+from .counting import PhiKind, PhiSpec, ResolvedPhi, _count_resolved, resolve_tree_phi
 from .groupoid import GenericityPattern, generic_tuples, genericity_patterns
 from .matchings import _postorder, maximum_matching, uncovered_vertices
 from .trees import Tree
@@ -215,10 +215,10 @@ class _Plan:
     generic: tuple[tuple[tuple[int, ...], list[GenericityPattern]], ...]
 
 
-def _plan(t: Tree, phi: PhiSpec) -> _Plan:
-    """Resolve phi, fix a maximum matching and collect the free vertices of
-    every component with its patterns."""
-    coloring, partition, assignment, kinds = resolve_tree_phi(t, phi)
+def _plan(t: Tree, resolved: ResolvedPhi) -> _Plan:
+    """Fix a maximum matching and collect the free vertices of every
+    component with its patterns."""
+    coloring, partition, assignment, kinds = resolved
     uncovered = uncovered_vertices(t, maximum_matching(t))
     free = [v for v in uncovered if coloring.colors[v] is Color.RED]
     if len(free) != len(uncovered):
@@ -251,7 +251,7 @@ def count_points(
     tuple passes.  ``phi`` may also be the plan of ``t`` that
     :func:`verify_polynomial` builds once for all its primes.
     """
-    plan = phi if isinstance(phi, _Plan) else _plan(t, phi)
+    plan = phi if isinstance(phi, _Plan) else _plan(t, resolve_tree_phi(t, phi))
     q = ctx.q
     size = q ** (plan.n + len(plan.versal))
     if size > WORK_BUDGET and not force:
@@ -309,9 +309,10 @@ def verify_polynomial(
     force: bool = False,
 ) -> VerifyReport:
     """Compare the counting polynomial against the F_q point-count oracle
-    (:func:`count_points` at each prime, with phi resolved once)."""
-    poly = count_polynomial(t, phi)
-    plan = _plan(t, phi)
+    (:func:`count_points` at each prime, with phi resolved once for both)."""
+    resolved = resolve_tree_phi(t, phi)
+    poly = _count_resolved(t, resolved)
+    plan = _plan(t, resolved)
     checks = []
     for q in primes:
         expected = poly(q)

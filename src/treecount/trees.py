@@ -225,28 +225,28 @@ def parse_graph6(text: str) -> Tree:
         raise NotATreeError(f"graph6 {text.strip()!r} is not a tree: {exc}") from exc
 
 
+# byte b -> the graph6 character chr(b + 63); only b < 64 occurs
+_GRAPH6_CHARS = bytes((b + 63) % 256 for b in range(256))
+
+
 def emit_graph6(t: Tree) -> str:
     """Standard graph6 encoding (bit-exact, upper triangle by columns), with
-    the long-form size header above 62 vertices."""
-    if t.n > MAX_GRAPH6_VERTICES:
+    the long-form size header above 62 vertices.
+
+    Edge u < v is bit v(v-1)/2 + u of the upper triangle, so only the n - 1
+    edge bits are set, six to a character, high bit first."""
+    n = t.n
+    if n > MAX_GRAPH6_VERTICES:
         raise Graph6Error(f"graph6 supports n <= {MAX_GRAPH6_VERTICES}")
-    adj = set(t.edges)
-    bits = []
-    for v in range(1, t.n):
-        for u in range(v):
-            bits.append(1 if (u, v) in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    if t.n <= 62:
-        out = [chr(t.n + 63)]
+    groups = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for u, v in t.edges:
+        k = v * (v - 1) // 2 + u
+        groups[k // 6] |= 32 >> k % 6
+    if n <= 62:
+        header = chr(n + 63)
     else:
-        out = ["~"] + [chr((t.n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+        header = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    return header + groups.translate(_GRAPH6_CHARS).decode("ascii")
 
 
 def parse_edge_list(text: str, indexing: str = "auto") -> Tree:

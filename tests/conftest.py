@@ -4,6 +4,7 @@ exhaustive suites pay for generation once."""
 from __future__ import annotations
 
 import functools
+import sys
 
 import pytest
 
@@ -31,3 +32,21 @@ def colored(t: Tree):
 def figure_tree() -> Tree:
     """The running example: orange pair {0,1}, greens {3,5}, reds {2,4,6}."""
     return Tree(7, ((0, 1), (1, 3), (3, 2), (3, 4), (4, 5), (5, 6)))
+
+
+@pytest.fixture
+def coloring_calls(monkeypatch) -> list[int]:
+    """Records the size of every tree colored through any treecount module
+    that bound :func:`canonical_coloring`."""
+    calls: list[int] = []
+
+    def counted(t, *args, **kwargs):
+        calls.append(t.n)
+        return canonical_coloring(t, *args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("treecount") and (
+            vars(mod).get("canonical_coloring") is canonical_coloring
+        ):
+            monkeypatch.setattr(mod, "canonical_coloring", counted)
+    return calls

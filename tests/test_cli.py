@@ -63,6 +63,14 @@ def test_count_factored_and_json(capsys):
     assert payload == {"coeffs": [-1, 0, 0, 1], "degree": 3, "rank": 1}
 
 
+def test_count_colors_once(capsys, coloring_calls):
+    code, out, _ = run(
+        capsys, "count", "--family", "D", "--n", "6", "--phi", "generic", "--json"
+    )
+    assert code == 0 and json.loads(out)["rank"] == 2
+    assert coloring_calls == [6]
+
+
 def test_json_reports_reproduce_up_to_timestamp(capsys):
     argv = ["census", "--n", "8", "--class", "orange", "--json"]
     _, out1, _ = run(capsys, *argv)

@@ -36,6 +36,7 @@ from treecount.families import d_tree, e_tree, linear_tree, star_tree
 from treecount.groupoid import rank_profile
 from treecount.matchings import (
     _matching_deficiency,
+    _postorder,
     count_maximum_independent_sets,
     independent_set_size_counts,
 )
@@ -272,8 +273,44 @@ def test_size_vector_is_the_independence_polynomial():
     # the widest slots: i(star) = 2**600 + 1
     cases += [(star_tree(600), "versal"), (_seeded_prufer_tree(400, 2014), "versal")]
     for t, phi in cases:
-        c = _count_sets_by_size(t, resolve_tree_phi(t, phi))
+        resolved = resolve_tree_phi(t, phi)
+        c = _count_sets_by_size(*_postorder(t), resolved.coloring.colors, resolved.kinds)
         assert c == independent_set_size_counts(t), emit_graph6(t)
+
+
+def test_kernel_takes_any_rooting():
+    """The size vector of every (tree, phi) pair with n <= 11 is the same
+    from the pre-order parent array the census walks, vertices n-1..0, as
+    from :func:`_postorder` at every root."""
+    pairs = 0
+    for n in range(1, 12):
+        for parent in _free_tree_parents(n):
+            t = _tree_from_parents(parent)
+            _, partition = colored(t)
+            for phi in all_phi_assignments(partition):
+                resolved = resolve_tree_phi(t, phi)
+                colors, kinds = resolved.coloring.colors, resolved.kinds
+                c = _count_sets_by_size(range(n - 1, -1, -1), parent, colors, kinds)
+                for root in range(n):
+                    order, rooted = _postorder(t, root)
+                    assert _count_sets_by_size(order, rooted, colors, kinds) == c, (
+                        emit_graph6(t),
+                        phi,
+                        root,
+                    )
+                pairs += 1
+    assert pairs == 1186
+
+
+def test_census_colors_only_generic_trees(coloring_calls):
+    """Orange and versal unimodal trees are counted off the parent array with
+    no coloring; a unimodal-generic tree is colored once."""
+    census(12, CensusClass.ORANGE)
+    census(11, CensusClass.UNIMODAL_VERSAL)
+    assert coloring_calls == []
+    generic = census(11, CensusClass.UNIMODAL_GENERIC)
+    assert coloring_calls == [11] * generic.tree_count
+    assert generic.tree_count == 76
 
 
 def test_versal_by_independent_sets_examples(figure_tree):

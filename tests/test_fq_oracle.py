@@ -184,6 +184,14 @@ def test_verify_all_small_trees():
             assert any(c.status == "ok" for c in rep.checks)
 
 
+def test_verify_colors_once(coloring_calls):
+    """verify_polynomial resolves phi once: one coloring serves both the
+    polynomial and the oracle's plan."""
+    rep = verify_polynomial(d_tree(6), "generic", [3, 5, 7])
+    assert rep.passed
+    assert coloring_calls == [6]
+
+
 def test_generic_constancy_is_asserted():
     """All passing tuples must give one number; the sweep would raise
     otherwise.  Run a case with many passing tuples to exercise it."""

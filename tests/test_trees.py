@@ -115,6 +115,33 @@ def test_long_form_header():
         emit_graph6(Tree(258048, tuple((0, i) for i in range(1, 258048))))
 
 
+def _graph6_by_pairs(t):
+    """graph6 the long way: every pair u < v tested against the edge set,
+    column by column, six bits to a character."""
+    adj = set(t.edges)
+    bits = [(u, v) in adj for v in range(1, t.n) for u in range(v)]
+    bits += [False] * (-len(bits) % 6)
+    if t.n <= 62:
+        header = chr(t.n + 63)
+    else:  # "~" and n in 18 bits, big-endian
+        header = "~" + "".join(chr((t.n >> shift & 63) + 63) for shift in (12, 6, 0))
+    groups = [
+        int("".join("1" if b else "0" for b in bits[i : i + 6]), 2)
+        for i in range(0, len(bits), 6)
+    ]
+    return header + "".join(chr(g + 63) for g in groups)
+
+
+def test_emit_matches_the_pair_loop():
+    trees = list(trees_up_to(11))
+    for n in (63, 100, 300):
+        rng = random.Random(n)
+        trees.append(prufer_decode([rng.randrange(n) for _ in range(n - 2)], n))
+    for t in trees:
+        assert emit_graph6(t) == _graph6_by_pairs(t), t.edges
+    assert [emit_graph6(t)[0] for t in trees[-3:]] == ["~"] * 3
+
+
 # -- edge lists ---------------------------------------------------------------
 
 def test_edge_list_autodetect():
