@@ -51,8 +51,6 @@ from .matchings import (
     grow_admissible,
     independent_sets,
     maximum_matching,
-    maximum_matching_avoiding,
-    maximum_matching_containing,
 )
 from .polynomials import Poly
 from .trees import (

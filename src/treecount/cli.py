@@ -43,6 +43,7 @@ from .groupoid import CoefficientState, normalize_to_matching, rank_profile
 from .matchings import (
     admissible_sets,
     count_maximum_independent_sets,
+    independent_set_size_counts,
     independent_sets,
     maximum_matching,
 )
@@ -180,13 +181,12 @@ def _run_sets(args) -> int:
             )
     if args.independent:
         if args.count_only:
-            total = sum(1 for _ in independent_sets(t))
+            total = sum(independent_set_size_counts(t))
+            maximum = count_maximum_independent_sets(t)
             payload["independent_sets"] = total
-            payload["maximum_independent_sets"] = count_maximum_independent_sets(t)
+            payload["maximum_independent_sets"] = maximum
             lines.append(f"independent sets: {total}")
-            lines.append(
-                f"maximum independent sets: {count_maximum_independent_sets(t)}"
-            )
+            lines.append(f"maximum independent sets: {maximum}")
         else:
             sets = [sorted(x + off for x in s) for s in independent_sets(t)]
             payload["independent_sets"] = sets

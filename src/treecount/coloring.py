@@ -1,23 +1,26 @@
 """The canonical red-orange-green coloring of trees and its invariants.
 
-Three independent routes to the same coloring live here: the linear-time
-fixpoint algorithm (the production path), a minimum-vertex-cover oracle and
-a maximum-matching oracle (both exponential, both self-contained so they
-share no code with what they check).  On top of the coloring sit the
-red-green components and the dimension invariant r(T) - g(T), which also
-equals the adjacency-matrix nullity and the number of vertices missed by
-any maximum matching.
+The production path reads the coloring off one maximum matching, the greedy
+leaf-up matching, by the Gallai-Edmonds decomposition; the census calls the
+same two functions on the parent arrays of the free-tree walk.  Two
+independent exponential oracles live here too, a minimum-vertex-cover one
+and a maximum-matching one, both self-contained so they share no code with
+what they check (the recoloring fixpoint is a third, in
+:mod:`treecount.oracles`).  On top of the coloring sit the red-green
+components and the dimension invariant r(T) - g(T), which also equals the
+adjacency-matrix nullity and the number of vertices missed by any maximum
+matching.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .trees import Edge, SizeGuardError, Tree, normalize_edge
+from .trees import Edge, SizeGuardError, Tree, _postorder
 
 
 class Color(enum.Enum):
@@ -47,42 +50,72 @@ class Coloring:
         return sum(1 for c in self.colors if c is Color.GREEN)
 
 
-def canonical_coloring(t: Tree, rng: random.Random | None = None) -> Coloring:
-    """Compute the canonical coloring by the recoloring fixpoint.
+def _greedy_mates(order: Sequence[int], parent: Sequence[int]) -> list[int]:
+    """The greedy leaf-up matching as a mate array: ``mate[v]`` is the vertex
+    matched to v, -1 when v is unmatched.
 
-    All vertices start red.  Whenever some vertex has exactly one red
-    neighbor, that neighbor turns green; if the witness is itself green at
-    that moment, the witness-neighbor edge becomes a domino.  Once stable,
-    green vertices without a red neighbor become orange.  The result does
-    not depend on the processing order; ``rng`` shuffles the work queue to
-    let tests exercise exactly that.
+    ``order`` lists the vertices children first and ``parent`` gives each
+    one's parent (-1 at the root).  When v's turn comes every child of v is
+    matched, or v would already be taken, so v is a leaf of what is left;
+    matching a leaf to its free neighbour keeps the matching extendable to a
+    maximum one, so the result is a maximum matching.
     """
-    colors = [Color.RED] * t.n
-    red_nbrs = [t.degree(v) for v in range(t.n)]
-    dominoes: set[Edge] = set()
-    queue = list(range(t.n))
-    in_queue = [True] * t.n
-    while queue:
-        if rng is None:
-            v = queue.pop()
-        else:
-            v = queue.pop(rng.randrange(len(queue)))
-        in_queue[v] = False
-        if red_nbrs[v] != 1:
-            continue
-        w = next(x for x in t.neighbors[v] if colors[x] is Color.RED)
-        colors[w] = Color.GREEN
-        if colors[v] is Color.GREEN:
-            dominoes.add(normalize_edge(v, w))
-        for x in t.neighbors[w]:
-            red_nbrs[x] -= 1
-            if not in_queue[x]:
-                queue.append(x)
-                in_queue[x] = True
-    for v in range(t.n):
-        if colors[v] is Color.GREEN and red_nbrs[v] == 0:
-            colors[v] = Color.ORANGE
-    return Coloring(tuple(colors), frozenset(dominoes))
+    mate = [-1] * len(parent)
+    for v in order:
+        if mate[v] < 0:
+            p = parent[v]
+            if p >= 0 and mate[p] < 0:
+                mate[p] = v
+                mate[v] = p
+    return mate
+
+
+def _gallai_edmonds(parent: Sequence[int], mate: Sequence[int]) -> list[Color]:
+    """Colors of the tree with edges ``parent[v]-v`` (-1 at the root), read
+    off any maximum matching ``mate`` by the Gallai-Edmonds decomposition.
+
+    Red vertices are those an even alternating path reaches from an
+    unmatched vertex, which are the vertices some maximum matching misses;
+    green vertices are their neighbours; the rest are orange, and every
+    maximum matching pairs them among themselves.  A green vertex is always
+    matched, or the path reaching it would augment the matching, and the
+    path goes on to its mate; a tree is bipartite, so no vertex is reached
+    both at even and at odd distance.
+    """
+    nbrs: list[list[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            nbrs[p].append(v)
+            nbrs[v].append(p)
+    colors = [Color.ORANGE] * len(parent)
+    stack = [v for v, m in enumerate(mate) if m < 0]
+    for v in stack:
+        colors[v] = Color.RED
+    while stack:
+        for y in nbrs[stack.pop()]:
+            if colors[y] is Color.ORANGE:
+                colors[y] = Color.GREEN
+                z = mate[y]
+                colors[z] = Color.RED
+                stack.append(z)
+    return colors
+
+
+def canonical_coloring(t: Tree) -> Coloring:
+    """Compute the canonical coloring from one maximum matching.
+
+    The greedy leaf-up matching gives the colors by Gallai-Edmonds
+    (:func:`_gallai_edmonds`).  The dominoes are its edges with both ends
+    orange: the orange vertices span a forest with a perfect matching, and a
+    forest has at most one.
+    """
+    order, parent = _postorder(t)
+    mate = _greedy_mates(order, parent)
+    colors = _gallai_edmonds(parent, mate)
+    dominoes = frozenset(
+        (v, m) for v, m in enumerate(mate) if v < m and colors[v] is Color.ORANGE
+    )
+    return Coloring(tuple(colors), dominoes)
 
 
 def check_local_description(t: Tree, c: Coloring) -> None:
@@ -287,9 +320,11 @@ def red_green_components(t: Tree, c: Coloring) -> RedGreenPartition:
 
 
 def dimension(t: Tree) -> int:
-    """The invariant r(T) - g(T) of the canonical coloring."""
-    c = canonical_coloring(t)
-    return c.red_count - c.green_count
+    """The invariant r(T) - g(T) of the canonical coloring, counted as the
+    vertices the greedy maximum matching leaves unmatched: each green vertex
+    is matched to a red one, and the red vertices left over are exactly the
+    unmatched ones."""
+    return _greedy_mates(*_postorder(t)).count(-1)
 
 
 def adjacency_nullity(t: Tree) -> int:

@@ -12,9 +12,9 @@ scalar pass first.
 
 The pass takes a children-first vertex order and a parent array, not a
 :class:`Tree`, and reads colors only at generic vertices.  So the
-coincidence census counts orange and all-versal trees straight off the
-parent arrays of the free-tree walk, with no coloring, and buckets them on
-their size vector.
+coincidence census counts every tree straight off the parent arrays of the
+free-tree walk, colors only the unimodal-generic ones, off the same arrays,
+and buckets them on their size vector.
 
 Also here: closed forms for the linear, D- and E-shaped families (checked
 by exact division), the all-versal independent-set formula, Euler
@@ -33,18 +33,15 @@ from .coloring import (
     Color,
     Coloring,
     RedGreenPartition,
+    _gallai_edmonds,
+    _greedy_mates,
     canonical_coloring,
     dimension,
     red_green_components,
 )
-from .matchings import (
-    _matching_deficiency,
-    _postorder,
-    count_maximum_independent_sets,
-    independent_set_size_counts,
-)
+from .matchings import count_maximum_independent_sets, independent_set_size_counts
 from .polynomials import Poly, Q
-from .trees import Tree, _free_tree_parents, _tree_from_parents, emit_graph6
+from .trees import Tree, _free_tree_parents, _postorder, emit_graph6
 
 
 class PhiKind(enum.Enum):
@@ -460,13 +457,15 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     component.  Collisions list the graph6 strings of trees sharing one
     polynomial.
 
-    The free-tree walk hands out parent arrays, numbered in pre-order, and
-    the dimension of each tree is read off its array in O(n) as the matching
-    deficiency n - 2*nu.  Trees of the class are counted straight off the
-    array, whose vertices n-1 down to 0 put children first.  An orange or
-    all-versal tree excludes no independent set, so it is counted with no
-    coloring and no :class:`Tree`; only a unimodal-generic tree is built,
-    colored and split into its component to find its generic vertices.
+    The free-tree walk hands out parent arrays, numbered in pre-order, so
+    vertices n-1 down to 0 put children first.  The greedy matching of each
+    array (:func:`_greedy_mates`) gives its dimension as the number of
+    unmatched vertices, and trees of the class are counted straight off the
+    array.  An orange or all-versal tree excludes no independent set, so it
+    is counted with no coloring.  A unimodal-generic tree is colored off the
+    same matching (:func:`_gallai_edmonds`); with dimension 1 it has one
+    red-green component, so every red or green vertex is generic.  No
+    :class:`Tree` is built to count or color a tree.
 
     Trees are bucketed on their size vector c (:func:`_count_sets_by_size`),
     which is the same as bucketing on N: within a class n and the versal
@@ -485,13 +484,14 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     tree_count = 0
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for parent in _free_tree_parents(n):
-        if _matching_deficiency(parent) != target:
+        mate = _greedy_mates(order, parent)
+        if mate.count(-1) != target:
             continue
         tree_count += 1
         colors, kinds = None, no_kinds
         if generic:
-            resolved = resolve_tree_phi(_tree_from_parents(parent), PhiKind.GENERIC)
-            colors, kinds = resolved.coloring.colors, resolved.kinds
+            colors = _gallai_edmonds(parent, mate)
+            kinds = [None if col is Color.ORANGE else PhiKind.GENERIC for col in colors]
         c = _count_sets_by_size(order, parent, colors, kinds)
         buckets.setdefault(tuple(c), []).append(tuple(parent))
     ordered = sorted(
@@ -499,7 +499,7 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
         key=lambda kv: kv[0].coeffs,
     )
     collisions = tuple(
-        tuple(emit_graph6(_tree_from_parents(a)) for a in arrays)
+        tuple(emit_graph6(Tree(n, tuple(zip(a[1:], range(1, n))))) for a in arrays)
         for _, arrays in ordered
         if len(arrays) > 1
     )

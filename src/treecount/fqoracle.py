@@ -30,8 +30,8 @@ from typing import Sequence
 from .coloring import Color
 from .counting import PhiKind, PhiSpec, ResolvedPhi, _count_resolved, resolve_tree_phi
 from .groupoid import GenericityPattern, generic_tuples, genericity_patterns
-from .matchings import _postorder, maximum_matching, uncovered_vertices
-from .trees import Tree
+from .matchings import maximum_matching, uncovered_vertices
+from .trees import Tree, _postorder
 
 WORK_BUDGET = 10**9
 

@@ -1,121 +1,37 @@
 """Matchings, independent sets, vertex covers and admissible sets.
 
-The combinatorial substrate under the variety constructions: greedy maximum
-matchings on trees and forests (including matchings forced to avoid a red
-vertex or to contain a red-green edge), exact counting of maximum
-independent sets, enumeration of all independent sets, and the admissible
-sets of red vertices that carry the genericity condition, with their
-canonical sign assignment.
+The combinatorial substrate under the variety constructions: the greedy
+maximum matching of a tree (the mate array of :mod:`treecount.coloring`,
+which also gives the coloring and the dimension), exact counting of
+maximum independent sets, enumeration of all independent sets, and the
+admissible sets of red vertices that carry the genericity condition, with
+their canonical sign assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .coloring import (
-    Color,
-    Coloring,
-    RedGreenComponent,
-    SizeGuardError,
-    canonical_coloring,
-)
-from .trees import Edge, Forest, Tree, normalize_edge, remove_vertices
+from .coloring import RedGreenComponent, SizeGuardError, _greedy_mates
+from .trees import Edge, Tree, _postorder
 
 INDEPENDENT_SET_MAX_VERTICES = 24
 
 
-def _postorder(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
-    """Vertices in post-order plus the parent array of the rooting."""
-    parent = [-1] * t.n
-    order = []
-    stack = [root]
-    seen = [False] * t.n
-    seen[root] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in t.neighbors[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                stack.append(w)
-    order.reverse()
-    return order, parent
-
-
-def maximum_matching(t: Tree | Forest) -> frozenset[Edge]:
+def maximum_matching(t: Tree) -> frozenset[Edge]:
     """One maximum matching, by greedy leaf elimination up the tree."""
-    if isinstance(t, Forest):
-        out: set[Edge] = set()
-        for comp, orig in t:
-            for u, v in maximum_matching(comp):
-                out.add(normalize_edge(orig[u], orig[v]))
-        return frozenset(out)
-    order, parent = _postorder(t)
-    matched = [False] * t.n
-    chosen: set[Edge] = set()
-    for v in order:
-        p = parent[v]
-        if p >= 0 and not matched[v] and not matched[p]:
-            matched[v] = matched[p] = True
-            chosen.add(normalize_edge(v, p))
-    return frozenset(chosen)
+    mate = _greedy_mates(*_postorder(t))
+    return frozenset((v, m) for v, m in enumerate(mate) if v < m)
 
 
-def _matching_deficiency(parent: Sequence[int]) -> int:
-    """n - 2*nu(T) for the tree with edges ``parent[v]-v``, where
-    ``parent[v] < v`` for v >= 1: the greedy leaf-up matching of
-    :func:`maximum_matching` on vertices n-1..1, a post-order of that tree.
-    It equals :func:`coloring.dimension`."""
-    matched = [False] * len(parent)
-    deficiency = len(parent)
-    for v in range(len(parent) - 1, 0, -1):
-        if not matched[v]:
-            p = parent[v]
-            if not matched[p]:
-                matched[p] = True  # v itself is not looked at again
-                deficiency -= 2
-    return deficiency
-
-
-def maximum_matching_size(t: Tree | Forest) -> int:
+def maximum_matching_size(t: Tree) -> int:
     return len(maximum_matching(t))
 
 
 def uncovered_vertices(t: Tree, m: frozenset[Edge]) -> list[int]:
     covered = {x for e in m for x in e}
     return [v for v in range(t.n) if v not in covered]
-
-
-def maximum_matching_avoiding(
-    t: Tree, v: int, coloring: Coloring | None = None
-) -> frozenset[Edge]:
-    """A maximum matching of ``t`` leaving the red vertex ``v`` uncovered."""
-    c = coloring or canonical_coloring(t)
-    if c.colors[v] is not Color.RED:
-        raise ValueError(f"vertex {v} is not red")
-    rest = maximum_matching(remove_vertices(t, {v}))
-    if len(rest) != maximum_matching_size(t):
-        raise AssertionError("matching of T minus a red vertex is not maximum")
-    return rest
-
-
-def maximum_matching_containing(
-    t: Tree, e: Edge, coloring: Coloring | None = None
-) -> frozenset[Edge]:
-    """A maximum matching of ``t`` containing the red-green edge ``e``."""
-    u, v = e
-    if not t.has_edge(u, v):
-        raise ValueError(f"{e} is not an edge")
-    c = coloring or canonical_coloring(t)
-    if {c.colors[u], c.colors[v]} != {Color.RED, Color.GREEN}:
-        raise ValueError(f"edge {e} is not red-green")
-    rest = set(maximum_matching(remove_vertices(t, {u, v})))
-    rest.add(normalize_edge(u, v))
-    if len(rest) != maximum_matching_size(t):
-        raise AssertionError("completed matching through a red-green edge not maximum")
-    return frozenset(rest)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
-"""Independent oracles for :func:`treecount.counting.count_polynomial`.
+"""Independent oracles for the production paths; only the tests import
+this module.
 
-The leaf/domino recursion of :class:`CountEngine` peels a red leaf (generic
-or versal case) or splits an orange tree along a domino, memoized on the
-canonical key of the choice-decorated tree.  The orange/unimodal two-step
-chain of :class:`ChainEngine` reaches orange trees and versal unimodal trees
-from the closed form of the even paths alone.  Neither shares the
-independent-set pass they check; only the tests import this module.
+For :func:`treecount.coloring.canonical_coloring`: the recoloring fixpoint
+:func:`coloring_by_fixpoint`, which never looks at a matching, and the
+maximum matchings that avoid a red vertex or contain a red-green edge,
+built by matching what is left after removing them.
+
+For :func:`treecount.counting.count_polynomial`: the leaf/domino recursion
+of :class:`CountEngine` peels a red leaf (generic or versal case) or splits
+an orange tree along a domino, memoized on the canonical key of the
+choice-decorated tree.  The orange/unimodal two-step chain of
+:class:`ChainEngine` reaches orange trees and versal unimodal trees from the
+closed form of the even paths alone.  Neither shares the independent-set
+pass they check.
 """
 
 from __future__ import annotations
@@ -15,8 +22,94 @@ from typing import Sequence
 
 from .coloring import Color, Coloring, canonical_coloring, dimension, red_green_components
 from .counting import Mode, PhiError, PhiKind, PhiSpec, closed_form_a, resolve_tree_phi
+from .matchings import maximum_matching, maximum_matching_size
 from .polynomials import ONE, Poly, Q
-from .trees import Forest, Tree, canonical_key, remove_vertices
+from .trees import Edge, Forest, Tree, canonical_key, normalize_edge, remove_vertices
+
+# ---------------------------------------------------------------------------
+# The recoloring fixpoint
+# ---------------------------------------------------------------------------
+
+def coloring_by_fixpoint(t: Tree, rng: random.Random | None = None) -> Coloring:
+    """Compute the canonical coloring by the recoloring fixpoint.
+
+    All vertices start red.  Whenever some vertex has exactly one red
+    neighbor, that neighbor turns green; if the witness is itself green at
+    that moment, the witness-neighbor edge becomes a domino.  Once stable,
+    green vertices without a red neighbor become orange.  The result does
+    not depend on the processing order; ``rng`` shuffles the work queue to
+    let tests exercise exactly that.
+    """
+    colors = [Color.RED] * t.n
+    red_nbrs = [t.degree(v) for v in range(t.n)]
+    dominoes: set[Edge] = set()
+    queue = list(range(t.n))
+    in_queue = [True] * t.n
+    while queue:
+        if rng is None:
+            v = queue.pop()
+        else:
+            v = queue.pop(rng.randrange(len(queue)))
+        in_queue[v] = False
+        if red_nbrs[v] != 1:
+            continue
+        w = next(x for x in t.neighbors[v] if colors[x] is Color.RED)
+        colors[w] = Color.GREEN
+        if colors[v] is Color.GREEN:
+            dominoes.add(normalize_edge(v, w))
+        for x in t.neighbors[w]:
+            red_nbrs[x] -= 1
+            if not in_queue[x]:
+                queue.append(x)
+                in_queue[x] = True
+    for v in range(t.n):
+        if colors[v] is Color.GREEN and red_nbrs[v] == 0:
+            colors[v] = Color.ORANGE
+    return Coloring(tuple(colors), frozenset(dominoes))
+
+
+# ---------------------------------------------------------------------------
+# Matchings through a given red vertex or red-green edge
+# ---------------------------------------------------------------------------
+
+def _forest_matching(f: Forest) -> set[Edge]:
+    """A maximum matching of a forest, in the labels it was cut from."""
+    return {
+        normalize_edge(orig[u], orig[v])
+        for comp, orig in f
+        for u, v in maximum_matching(comp)
+    }
+
+
+def maximum_matching_avoiding(
+    t: Tree, v: int, coloring: Coloring | None = None
+) -> frozenset[Edge]:
+    """A maximum matching of ``t`` leaving the red vertex ``v`` uncovered."""
+    c = coloring or canonical_coloring(t)
+    if c.colors[v] is not Color.RED:
+        raise ValueError(f"vertex {v} is not red")
+    rest = _forest_matching(remove_vertices(t, {v}))
+    if len(rest) != maximum_matching_size(t):
+        raise AssertionError("matching of T minus a red vertex is not maximum")
+    return frozenset(rest)
+
+
+def maximum_matching_containing(
+    t: Tree, e: Edge, coloring: Coloring | None = None
+) -> frozenset[Edge]:
+    """A maximum matching of ``t`` containing the red-green edge ``e``."""
+    u, v = e
+    if not t.has_edge(u, v):
+        raise ValueError(f"{e} is not an edge")
+    c = coloring or canonical_coloring(t)
+    if {c.colors[u], c.colors[v]} != {Color.RED, Color.GREEN}:
+        raise ValueError(f"edge {e} is not red-green")
+    rest = _forest_matching(remove_vertices(t, {u, v}))
+    rest.add(normalize_edge(u, v))
+    if len(rest) != maximum_matching_size(t):
+        raise AssertionError("completed matching through a red-green edge not maximum")
+    return frozenset(rest)
+
 
 # ---------------------------------------------------------------------------
 # The leaf/domino recursion

@@ -5,10 +5,12 @@ connected acyclic graph on vertices ``0..n-1``.  The module also provides
 the graph6 codec (short and long form, n <= 258047), an AHU-style canonical
 key for labelled trees (used for isomorphism tests and, with vertex labels,
 as the memo key of the leaf/domino recursion in :mod:`treecount.oracles`),
-vertex removal into :class:`Forest`, and the Wright-Richmond-Odlyzko-McKay
-generator of free trees up to isomorphism (n <= 20).  The generator walks
-one level sequence per class and needs no key; its parent arrays can be
-filtered, as the census does, before any :class:`Tree` is built.
+vertex removal into :class:`Forest`, the post-order and parent array of a
+rooting, and the Wright-Richmond-Odlyzko-McKay generator of free trees up
+to isomorphism (n <= 20).  The generator walks one level sequence per class
+and needs no key.  :func:`enumerate_free_trees` builds a :class:`Tree` from
+each parent array it yields; the census matches, colors and counts the
+arrays themselves and builds a :class:`Tree` only for a tree it prints.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ class Tree:
     """Immutable tree on vertices ``0..n-1``.
 
     Construction validates connectivity and acyclicity; adjacency lists are
-    precomputed.  Only the free-tree enumeration skips the validation, for
-    trees it builds from parent arrays (:func:`_tree_from_parents`).
+    precomputed.
     """
 
     n: int
@@ -159,6 +160,25 @@ def remove_vertices(t: Tree, drop: Iterable[int]) -> Forest:
         )
         trees.append(Tree(len(members), edges))
     return Forest(tuple(trees), tuple(tuple(m) for m in comps))
+
+
+def _postorder(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
+    """Vertices in post-order plus the parent array of the rooting."""
+    parent = [-1] * t.n
+    order = []
+    stack = [root]
+    seen = [False] * t.n
+    seen[root] = True
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in t.neighbors[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                stack.append(w)
+    order.reverse()
+    return order, parent
 
 
 def relabel(t: Tree, perm: Sequence[int]) -> Tree:
@@ -481,32 +501,12 @@ def _free_tree_parents(n: int) -> Iterator[list[int]]:
                 par[n - height :] = [0, *range(n - height, n - 1)]
 
 
-def _tree_from_parents(parent: Sequence[int]) -> Tree:
-    """The tree with edges ``parent[v]-v``, built without validation.
-
-    Only for parent arrays with ``parent[v] < v`` for v >= 1, which are trees
-    by construction.  Filling the adjacency in index order lists each
-    vertex's parent before its children, in increasing order, so no list
-    needs sorting.
-    """
-    n = len(parent)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        u = parent[v]
-        adj[u].append(v)
-        adj[v].append(u)
-    t = object.__new__(Tree)
-    object.__setattr__(t, "n", n)
-    object.__setattr__(t, "edges", tuple(sorted(zip(parent[1:], range(1, n)))))
-    object.__setattr__(t, "neighbors", tuple(map(tuple, adj)))
-    return t
-
-
 def enumerate_free_trees(n: int) -> Iterator[Tree]:
     """One representative per isomorphism class of trees on n vertices, in
     the order of the Wright-Richmond-Odlyzko-McKay walk
-    (:func:`_free_tree_parents`)."""
-    return map(_tree_from_parents, _free_tree_parents(n))
+    (:func:`_free_tree_parents`), each built from its parent array."""
+    for parent in _free_tree_parents(n):
+        yield Tree(n, tuple(zip(parent[1:], range(1, n))))
 
 
 def prufer_decode(seq: Sequence[int], n: int) -> Tree:

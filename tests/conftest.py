@@ -40,9 +40,9 @@ def coloring_calls(monkeypatch) -> list[int]:
     that bound :func:`canonical_coloring`."""
     calls: list[int] = []
 
-    def counted(t, *args, **kwargs):
+    def counted(t):
         calls.append(t.n)
-        return canonical_coloring(t, *args, **kwargs)
+        return canonical_coloring(t)
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("treecount") and (

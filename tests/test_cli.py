@@ -122,6 +122,26 @@ def test_sets_subcommand(capsys):
     assert "admissible sets: 1" in out
 
 
+def test_sets_count_only_past_the_enumeration_guard(capsys):
+    """Counting independent sets enumerates none of them, so it is not held
+    to the n <= 24 guard; listing them still is."""
+    argv = ("sets", "--family", "A", "--n", "30", "--independent", "--count-only")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "independent sets: 2178309",
+        "maximum independent sets: 16",
+    ]
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert (payload["independent_sets"], payload["maximum_independent_sets"]) == (
+        2178309,
+        16,
+    )
+    code, _, err = run(capsys, *argv[:-1])
+    assert code == 3 and "n <= 24" in err
+
+
 def test_normalize_subcommand(capsys):
     code, out, _ = run(capsys, "normalize", "--family", "A", "--n", "3", "--json")
     payload = json.loads(out)

@@ -1,7 +1,8 @@
-"""The coloring three ways, its stability, and the dimension lemmas."""
+"""The coloring four ways, its stability, and the dimension lemmas."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,9 @@ from treecount.coloring import (
     dimension,
     minimum_vertex_covers,
 )
-from treecount.trees import Tree, remove_vertices
+from treecount.families import linear_tree, star_tree
+from treecount.oracles import coloring_by_fixpoint
+from treecount.trees import Tree, enumerate_free_trees, prufer_decode, remove_vertices
 from conftest import colored, trees_up_to
 from test_trees import random_tree
 
@@ -93,11 +96,32 @@ def test_local_description_holds():
 
 
 def test_order_independence():
+    """The fixpoint oracle's result does not depend on its queue order."""
     rng = random.Random(11)
     for t in trees_up_to(9):
-        base = canonical_coloring(t)
+        base = coloring_by_fixpoint(t)
         for _ in range(20):
-            assert canonical_coloring(t, rng=rng) == base
+            assert coloring_by_fixpoint(t, rng=rng) == base
+
+
+def _prufer_tree(n, seed):
+    rng = random.Random(seed)
+    return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+
+
+def test_gallai_edmonds_equals_the_fixpoint():
+    """Colors and dominoes read off the greedy matching equal the recoloring
+    fixpoint, which never looks at a matching: on every free tree with
+    n <= 16, on random trees past a thousand vertices, a wide star and a
+    long path."""
+    free = (t for n in range(1, 17) for t in enumerate_free_trees(n))
+    large = (_prufer_tree(1200, 1200), _prufer_tree(2000, 2000))
+    large += (star_tree(1000), linear_tree(1201))
+    checked = 0
+    for t in itertools.chain(free, large):
+        assert canonical_coloring(t) == coloring_by_fixpoint(t), t.edges
+        checked += 1
+    assert checked == 32508 + 4
 
 
 @given(random_tree())

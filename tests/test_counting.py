@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treecount.counting
-from treecount.coloring import dimension
+from treecount.coloring import _gallai_edmonds, _greedy_mates, canonical_coloring, dimension
 from treecount.counting import (
     CensusClass,
     CensusReport,
@@ -34,18 +34,13 @@ from treecount.counting import (
 )
 from treecount.families import d_tree, e_tree, linear_tree, star_tree
 from treecount.groupoid import rank_profile
-from treecount.matchings import (
-    _matching_deficiency,
-    _postorder,
-    count_maximum_independent_sets,
-    independent_set_size_counts,
-)
+from treecount.matchings import count_maximum_independent_sets, independent_set_size_counts
 from treecount.oracles import CountEngine, orange_unimodal_chain
 from treecount.polynomials import Q
 from treecount.trees import (
     Tree,
     _free_tree_parents,
-    _tree_from_parents,
+    _postorder,
     emit_graph6,
     enumerate_free_trees,
     parse_graph6,
@@ -257,10 +252,15 @@ def test_reciprocity_large_random_tree():
     assert rep.divisible and rep.reciprocal
 
 
+def _tree_of(parent):
+    n = len(parent)
+    return Tree(n, tuple(zip(parent[1:], range(1, n))))
+
+
 def _census_trees(n, dim):
     for parent in _free_tree_parents(n):
-        if _matching_deficiency(parent) == dim:
-            yield _tree_from_parents(parent)
+        if _greedy_mates(range(n - 1, -1, -1), parent).count(-1) == dim:
+            yield _tree_of(parent)
 
 
 def test_size_vector_is_the_independence_polynomial():
@@ -285,7 +285,7 @@ def test_kernel_takes_any_rooting():
     pairs = 0
     for n in range(1, 12):
         for parent in _free_tree_parents(n):
-            t = _tree_from_parents(parent)
+            t = _tree_of(parent)
             _, partition = colored(t)
             for phi in all_phi_assignments(partition):
                 resolved = resolve_tree_phi(t, phi)
@@ -302,15 +302,47 @@ def test_kernel_takes_any_rooting():
     assert pairs == 1186
 
 
-def test_census_colors_only_generic_trees(coloring_calls):
-    """Orange and versal unimodal trees are counted off the parent array with
-    no coloring; a unimodal-generic tree is colored once."""
-    census(12, CensusClass.ORANGE)
-    census(11, CensusClass.UNIMODAL_VERSAL)
+def test_census_colors_through_canonical_coloring_in_no_class(
+    coloring_calls, monkeypatch
+):
+    """Every census tree is counted, and a unimodal-generic one colored, off
+    its parent array: no class calls :func:`canonical_coloring`, and a
+    :class:`Tree` is built only for each tree of a collision bucket."""
+    built = []
+
+    def counted_tree(n, edges):
+        built.append(n)
+        return Tree(n, edges)
+
+    monkeypatch.setattr(treecount.counting, "Tree", counted_tree)
+    reports = [
+        census(12, CensusClass.ORANGE),
+        census(11, CensusClass.UNIMODAL_VERSAL),
+        census(11, CensusClass.UNIMODAL_GENERIC),
+    ]
+    assert reports[2].tree_count == 76
     assert coloring_calls == []
-    generic = census(11, CensusClass.UNIMODAL_GENERIC)
-    assert coloring_calls == [11] * generic.tree_count
-    assert generic.tree_count == 76
+    assert len(built) == sum(len(b) for rep in reports for b in rep.collisions) > 0
+
+
+def test_census_colors_equal_canonical_coloring(monkeypatch):
+    """The colors the unimodal-generic census reads off each parent array
+    are those of :func:`canonical_coloring` on the tree, for every tree it
+    keeps with n <= 15."""
+    seen = []
+
+    def recorded(parent, mate):
+        colors = _gallai_edmonds(parent, mate)
+        seen.append((tuple(parent), colors))
+        return colors
+
+    monkeypatch.setattr(treecount.counting, "_gallai_edmonds", recorded)
+    for n in range(1, 16):
+        seen.clear()
+        rep = census(n, CensusClass.UNIMODAL_GENERIC)
+        assert len(seen) == rep.tree_count
+        for parent, colors in seen:
+            assert tuple(colors) == canonical_coloring(_tree_of(parent)).colors
 
 
 def test_versal_by_independent_sets_examples(figure_tree):

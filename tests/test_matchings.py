@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from treecount.coloring import (
     Color,
     SizeGuardError,
+    _greedy_mates,
     all_maximum_matchings,
-    canonical_coloring,
     dimension,
 )
 from treecount.matchings import (
-    _matching_deficiency,
     admissible_sets,
     count_maximum_independent_sets,
     grow_admissible,
@@ -21,11 +20,14 @@ from treecount.matchings import (
     independent_sets,
     is_admissible,
     maximum_matching,
-    maximum_matching_avoiding,
-    maximum_matching_containing,
     maximum_matching_size,
     shared_green_blocks,
     uncovered_vertices,
+)
+from treecount.oracles import (
+    coloring_by_fixpoint,
+    maximum_matching_avoiding,
+    maximum_matching_containing,
 )
 from treecount.trees import Tree, _free_tree_parents, enumerate_free_trees
 from conftest import colored, trees_up_to
@@ -48,10 +50,16 @@ def test_matching_size_law():
 
 
 def test_parent_array_deficiency_is_the_dimension():
+    """The unmatched vertices of the greedy matching of a pre-order parent
+    array, as the census walks it, number the dimension: r - g of the
+    fixpoint coloring, which reads no matching."""
     for n in range(1, 17):
         walk = zip(_free_tree_parents(n), enumerate_free_trees(n), strict=True)
         for parent, t in walk:
-            assert _matching_deficiency(parent) == dimension(t)
+            unmatched = _greedy_mates(range(n - 1, -1, -1), parent).count(-1)
+            fixpoint = coloring_by_fixpoint(t)
+            assert unmatched == dimension(t)
+            assert unmatched == fixpoint.red_count - fixpoint.green_count
 
 
 def test_avoiding_examples(figure_tree):

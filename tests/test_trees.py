@@ -26,7 +26,6 @@ from treecount.trees import (
     relabel,
     remove_vertices,
     _free_tree_parents,
-    _tree_from_parents,
 )
 from conftest import trees_of_size, trees_up_to
 
@@ -211,16 +210,6 @@ def test_walk_counts_past_the_tree_builds():
     """The walk alone, with no Tree built, still gives A000055 at n = 17, 18."""
     for n in (17, 18):
         assert sum(1 for _ in _free_tree_parents(n)) == EXPECTED_COUNTS[n - 1]
-
-
-def test_trusted_trees_equal_validated_trees():
-    for n in range(1, 13):
-        for parent in _free_tree_parents(n):
-            fast = _tree_from_parents(parent)
-            slow = Tree(n, tuple((parent[v], v) for v in range(1, n)))
-            assert (fast.n, fast.edges, fast.neighbors) == (
-                slow.n, slow.edges, slow.neighbors
-            )
 
 
 def test_free_tree_counts_vs_prufer_oracle_small():
