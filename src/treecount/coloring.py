@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .trees import Edge, SizeGuardError, Tree, _postorder
+from .trees import Edge, SizeGuardError, Tree, _greedy_mates, _postorder
 
 
 class Color(enum.Enum):
@@ -48,26 +48,6 @@ class Coloring:
     @property
     def green_count(self) -> int:
         return sum(1 for c in self.colors if c is Color.GREEN)
-
-
-def _greedy_mates(order: Sequence[int], parent: Sequence[int]) -> list[int]:
-    """The greedy leaf-up matching as a mate array: ``mate[v]`` is the vertex
-    matched to v, -1 when v is unmatched.
-
-    ``order`` lists the vertices children first and ``parent`` gives each
-    one's parent (-1 at the root).  When v's turn comes every child of v is
-    matched, or v would already be taken, so v is a leaf of what is left;
-    matching a leaf to its free neighbour keeps the matching extendable to a
-    maximum one, so the result is a maximum matching.
-    """
-    mate = [-1] * len(parent)
-    for v in order:
-        if mate[v] < 0:
-            p = parent[v]
-            if p >= 0 and mate[p] < 0:
-                mate[p] = v
-                mate[v] = p
-    return mate
 
 
 def _gallai_edmonds(parent: Sequence[int], mate: Sequence[int]) -> list[Color]:

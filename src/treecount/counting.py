@@ -34,14 +34,13 @@ from .coloring import (
     Coloring,
     RedGreenPartition,
     _gallai_edmonds,
-    _greedy_mates,
     canonical_coloring,
     dimension,
     red_green_components,
 )
 from .matchings import count_maximum_independent_sets, independent_set_size_counts
 from .polynomials import Poly, Q
-from .trees import Tree, _free_tree_parents, _postorder, emit_graph6
+from .trees import Tree, _free_tree_parents, _graph6, _greedy_mates, _postorder
 
 
 class PhiKind(enum.Enum):
@@ -457,24 +456,30 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     component.  Collisions list the graph6 strings of trees sharing one
     polynomial.
 
-    The free-tree walk hands out parent arrays, numbered in pre-order, so
-    vertices n-1 down to 0 put children first.  The greedy matching of each
-    array (:func:`_greedy_mates`) gives its dimension as the number of
-    unmatched vertices, and trees of the class are counted straight off the
-    array.  An orange or all-versal tree excludes no independent set, so it
-    is counted with no coloring.  A unimodal-generic tree is colored off the
-    same matching (:func:`_gallai_edmonds`); with dimension 1 it has one
-    red-green component, so every red or green vertex is generic.  No
-    :class:`Tree` is built to count or color a tree.
+    The dimension of a tree is the number of vertices its greedy leaf-up
+    matching (:func:`_greedy_mates`) leaves unmatched, so the free-tree walk
+    is asked for the class's deficiency, 0 or 1, and hands out only those
+    parent arrays.  It skips whole runs of level sequences on the way: an
+    unmatched vertex depends only on its parent's subtree, and that subtree
+    is closed at a fixed position of the sequence, so once too many
+    unmatched vertices are closed no later sequence with the same prefix
+    can reach the class (:func:`_free_tree_parents`).  The arrays are
+    numbered in pre-order, so vertices n-1 down to 0 put children first,
+    and trees are counted straight off them.  An orange or all-versal tree
+    excludes no independent set, so it is counted with no coloring.  A
+    unimodal-generic tree is colored off its greedy matching
+    (:func:`_gallai_edmonds`); with dimension 1 it has one red-green
+    component, so every red or green vertex is generic.
 
     Trees are bucketed on their size vector c (:func:`_count_sets_by_size`),
     which is the same as bucketing on N: within a class n and the versal
     rank vr (1 for unimodal-versal, 0 otherwise) are fixed, and
     c -> N = sum_k c_k (q-1)**(n+vr-2k) q**k is injective: the k-th term has
     lowest power q**k, so N determines c_0, c_1, ... in turn.  Each bucket
-    is weighed into N once, and only the trees of buckets holding more than
-    one become a :class:`Tree`, for their graph6 strings: the same
-    representatives, in the same order, as :func:`enumerate_free_trees`.
+    is weighed into N once, and the trees of buckets holding more than one
+    are written as graph6 straight from their parent arrays
+    (:func:`_graph6`): the same representatives, in the same order, as
+    :func:`enumerate_free_trees`.  No :class:`Tree` is built.
     """
     target = 0 if census_class is CensusClass.ORANGE else 1
     generic = census_class is CensusClass.UNIMODAL_GENERIC
@@ -483,14 +488,11 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     no_kinds = (None,) * n
     tree_count = 0
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for parent in _free_tree_parents(n):
-        mate = _greedy_mates(order, parent)
-        if mate.count(-1) != target:
-            continue
+    for parent in _free_tree_parents(n, target):
         tree_count += 1
         colors, kinds = None, no_kinds
         if generic:
-            colors = _gallai_edmonds(parent, mate)
+            colors = _gallai_edmonds(parent, _greedy_mates(order, parent))
             kinds = [None if col is Color.ORANGE else PhiKind.GENERIC for col in colors]
         c = _count_sets_by_size(order, parent, colors, kinds)
         buckets.setdefault(tuple(c), []).append(tuple(parent))
@@ -499,7 +501,7 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
         key=lambda kv: kv[0].coeffs,
     )
     collisions = tuple(
-        tuple(emit_graph6(Tree(n, tuple(zip(a[1:], range(1, n))))) for a in arrays)
+        tuple(_graph6(n, zip(a[1:], range(1, n))) for a in arrays)
         for _, arrays in ordered
         if len(arrays) > 1
     )

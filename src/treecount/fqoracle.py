@@ -194,10 +194,12 @@ def jump_alpha(
     t: Tree, alpha: Sequence[int], u: int, v: int, q: int
 ) -> list[int]:
     """Numeric coefficient jump of u over v: divide every neighbor of v
-    (u included) by the old value at u."""
+    (u included) by the old value at u, which must be a unit mod q."""
     if not t.has_edge(u, v):
         raise ValueError(f"{u}-{v} is not an edge")
-    inv = pow(alpha[u] % q, q - 2, q)
+    if alpha[u] % q == 0:
+        raise ValueError(f"coefficient at {u} is 0 mod {q}, so it has no inverse")
+    inv = pow(alpha[u], q - 2, q)
     out = [a % q for a in alpha]
     for w in t.neighbors[v]:
         out[w] = out[w] * inv % q

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coloring import RedGreenComponent, SizeGuardError, _greedy_mates
-from .trees import Edge, Tree, _postorder
+from .coloring import RedGreenComponent, SizeGuardError
+from .trees import Edge, Tree, _greedy_mates, _postorder
 
 INDEPENDENT_SET_MAX_VERTICES = 24
 

@@ -6,11 +6,13 @@ the graph6 codec (short and long form, n <= 258047), an AHU-style canonical
 key for labelled trees (used for isomorphism tests and, with vertex labels,
 as the memo key of the leaf/domino recursion in :mod:`treecount.oracles`),
 vertex removal into :class:`Forest`, the post-order and parent array of a
-rooting, and the Wright-Richmond-Odlyzko-McKay generator of free trees up
-to isomorphism (n <= 20).  The generator walks one level sequence per class
-and needs no key.  :func:`enumerate_free_trees` builds a :class:`Tree` from
-each parent array it yields; the census matches, colors and counts the
-arrays themselves and builds a :class:`Tree` only for a tree it prints.
+rooting, the greedy leaf-up maximum matching of a parent array, and the
+Wright-Richmond-Odlyzko-McKay generator of free trees up to isomorphism
+(n <= 20).  The generator walks one level sequence per class and needs no
+key; asked for a matching deficiency, it yields only the trees that have
+it and skips the sequences that cannot.  :func:`enumerate_free_trees`
+builds a :class:`Tree` from each parent array it yields; the census colors,
+counts and prints the arrays themselves and builds no :class:`Tree`.
 """
 
 from __future__ import annotations
@@ -181,6 +183,26 @@ def _postorder(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
     return order, parent
 
 
+def _greedy_mates(order: Sequence[int], parent: Sequence[int]) -> list[int]:
+    """The greedy leaf-up matching as a mate array: ``mate[v]`` is the vertex
+    matched to v, -1 when v is unmatched.
+
+    ``order`` lists the vertices children first and ``parent`` gives each
+    one's parent (-1 at the root).  When v's turn comes every child of v is
+    matched, or v would already be taken, so v is a leaf of what is left;
+    matching a leaf to its free neighbour keeps the matching extendable to a
+    maximum one, so the result is a maximum matching.
+    """
+    mate = [-1] * len(parent)
+    for v in order:
+        if mate[v] < 0:
+            p = parent[v]
+            if p >= 0 and mate[p] < 0:
+                mate[p] = v
+                mate[v] = p
+    return mate
+
+
 def relabel(t: Tree, perm: Sequence[int]) -> Tree:
     """Apply the permutation ``perm`` (old label -> new label) to a tree."""
     if sorted(perm) != list(range(t.n)):
@@ -251,15 +273,19 @@ _GRAPH6_CHARS = bytes((b + 63) % 256 for b in range(256))
 
 def emit_graph6(t: Tree) -> str:
     """Standard graph6 encoding (bit-exact, upper triangle by columns), with
-    the long-form size header above 62 vertices.
+    the long-form size header above 62 vertices."""
+    return _graph6(t.n, t.edges)
 
-    Edge u < v is bit v(v-1)/2 + u of the upper triangle, so only the n - 1
-    edge bits are set, six to a character, high bit first."""
-    n = t.n
+
+def _graph6(n: int, edges: Iterable[Edge]) -> str:
+    """graph6 of the graph on n vertices with the given edges u-v, u < v.
+
+    Edge u-v is bit v(v-1)/2 + u of the upper triangle, so only the edge
+    bits are set, six to a character, high bit first."""
     if n > MAX_GRAPH6_VERTICES:
         raise Graph6Error(f"graph6 supports n <= {MAX_GRAPH6_VERTICES}")
     groups = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for u, v in t.edges:
+    for u, v in edges:
         k = v * (v - 1) // 2 + u
         groups[k // 6] |= 32 >> k % 6
     if n <= 62:
@@ -453,7 +479,7 @@ def check_enumeration_size(n: int) -> None:
         )
 
 
-def _free_tree_parents(n: int) -> Iterator[list[int]]:
+def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[int]]:
     """Parent array of one rooted representative per free tree on n vertices.
 
     Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15 (1986) 540-548:
@@ -464,13 +490,33 @@ def _free_tree_parents(n: int) -> Iterator[list[int]]:
     greater when the sizes tie too.  An invalid sequence jumps past every
     rooted tree that keeps the same invalid ``left``.  Vertices are numbered
     in pre-order, so ``parent[0] == -1`` and ``parent[v] < v`` otherwise.
+
+    With a ``deficiency`` d, only the trees whose greedy leaf-up matching
+    (:func:`_greedy_mates`, vertices n-1 down to 0) leaves exactly d vertices
+    unmatched are yielded, and the walk skips sequences that cannot have d.
+    The subtree of a vertex p is the range [p, end(p)) of the sequence,
+    where end(p) is the first later position whose level is at most p's (n
+    if none).  A non-root vertex v is left unmatched exactly when a
+    higher-numbered sibling has taken its parent p first, which depends on
+    p's subtree alone; so v's fate is closed at end(p), and an unmatched
+    root's at n.  Sequences come in decreasing lexicographic order, so a
+    later one that keeps the prefix before a closing position has the level
+    there no higher, keeps the closed subtree and leaves its vertex
+    unmatched too.  When a valid sequence leaves more than d vertices
+    unmatched, let E be the (d+1)-th smallest closing position: every later
+    sequence that keeps the prefix before E has too many.  The walk steps
+    at the last position before E whose level is not 1, as after a yield,
+    which skips exactly those; level-1 positions cannot decrease, and the
+    root ends the walk.
     """
     if n < 1:
         raise ValueError("a tree has at least one vertex")
     check_enumeration_size(n)
     if n == 1:
-        yield [-1]
+        if deficiency in (None, 1):
+            yield [-1]
         return
+    order = range(n - 1, -1, -1)
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     parent = list(range(-1, n - 1))
     if n > 2:
@@ -485,8 +531,19 @@ def _free_tree_parents(n: int) -> Iterator[list[int]]:
             left == rest and [x - 1 for x in levels[1:m]] <= [0] + levels[m:]
         )
         if valid:
-            yield parent
             p = n - 1
+            if deficiency is None:
+                yield parent
+            else:
+                mate = _greedy_mates(order, parent)
+                unmatched = [v for v in order if mate[v] < 0]
+                if len(unmatched) == deficiency:
+                    yield parent
+                elif len(unmatched) > deficiency:
+                    closing = sorted(
+                        _subtree_end(levels, parent[v]) if v else n for v in unmatched
+                    )
+                    p = closing[deficiency] - 1
             while levels[p] == 1:
                 p -= 1
             state = _next_rooted(levels, parent, p)
@@ -499,6 +556,17 @@ def _free_tree_parents(n: int) -> Iterator[list[int]]:
                 height = max(nxt[1 : _second_child(nxt)])
                 nxt[n - height :] = range(1, height + 1)
                 par[n - height :] = [0, *range(n - height, n - 1)]
+
+
+def _subtree_end(levels: list[int], p: int) -> int:
+    """End of the subtree of pre-order vertex p: the first later position
+    whose level is at most p's, or the length of the sequence."""
+    n = len(levels)
+    lp = levels[p]
+    k = p + 1
+    while k < n and levels[k] > lp:
+        k += 1
+    return k
 
 
 def enumerate_free_trees(n: int) -> Iterator[Tree]:

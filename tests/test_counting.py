@@ -306,15 +306,16 @@ def test_census_colors_through_canonical_coloring_in_no_class(
     coloring_calls, monkeypatch
 ):
     """Every census tree is counted, and a unimodal-generic one colored, off
-    its parent array: no class calls :func:`canonical_coloring`, and a
-    :class:`Tree` is built only for each tree of a collision bucket."""
+    its parent array: no class calls :func:`canonical_coloring`, and no
+    :class:`Tree` is built, not even for the graph6 of a collision bucket."""
     built = []
+    post_init = Tree.__post_init__
 
-    def counted_tree(n, edges):
-        built.append(n)
-        return Tree(n, edges)
+    def counted_post_init(self):
+        built.append(self.n)
+        post_init(self)
 
-    monkeypatch.setattr(treecount.counting, "Tree", counted_tree)
+    monkeypatch.setattr(Tree, "__post_init__", counted_post_init)
     reports = [
         census(12, CensusClass.ORANGE),
         census(11, CensusClass.UNIMODAL_VERSAL),
@@ -322,7 +323,8 @@ def test_census_colors_through_canonical_coloring_in_no_class(
     ]
     assert reports[2].tree_count == 76
     assert coloring_calls == []
-    assert len(built) == sum(len(b) for rep in reports for b in rep.collisions) > 0
+    assert sum(len(b) for rep in reports for b in rep.collisions) > 0
+    assert built == []
 
 
 def test_census_colors_equal_canonical_coloring(monkeypatch):
@@ -425,6 +427,10 @@ def test_census_spot_checks():
     assert rep.tree_count == 20 and rep.distinct_polynomial_count == 19
     rep = census(7, CensusClass.UNIMODAL_GENERIC)
     assert rep.tree_count == 6 and rep.distinct_polynomial_count == 5
+    # the deficiency n - 2|M| has the parity of n, so the pruned walk must
+    # find nothing in these classes
+    for rep in (census(12, CensusClass.UNIMODAL_VERSAL), census(13, CensusClass.ORANGE)):
+        assert (rep.tree_count, rep.distinct_polynomial_count, rep.collisions) == (0, 0, ())
 
 
 def test_census_guard():
@@ -477,6 +483,13 @@ def test_census_past_sixteen():
     123,867 trees; this test pins them."""
     orange = census(18, CensusClass.ORANGE)
     assert (orange.tree_count, orange.distinct_polynomial_count) == (2891, 1852)
+
+
+def test_census_at_the_guard():
+    """census(20, orange).  These are the numbers the unpruned walk of all
+    823,065 trees gave; this test pins them for the pruned walk."""
+    orange = census(20, CensusClass.ORANGE)
+    assert (orange.tree_count, orange.distinct_polynomial_count) == (12371, 7530)
 
 
 def test_quoted_collision_pairs_have_equal_polynomials():

@@ -154,6 +154,14 @@ def test_jump_invariance_of_counts():
                 assert count_fixed(t, FqContext(q), alpha) == base
 
 
+def test_jump_alpha_rejects_a_zero_coefficient():
+    """pow(0, q - 2, q) is 0, so a zero at u would map v's neighbours to 0."""
+    assert jump_alpha(linear_tree(3), [2, 1, 1], 0, 1, 5) == [1, 1, 3]
+    for alpha in ([0, 1, 1], [5, 1, 1]):
+        with pytest.raises(ValueError, match="0 mod 5"):
+            jump_alpha(linear_tree(3), alpha, 0, 1, 5)
+
+
 def test_edge_cover_property():
     """No solution has both ends of an edge at zero (n <= 5 sweep)."""
     rng = random.Random(13)

@@ -26,6 +26,7 @@ from treecount.trees import (
     relabel,
     remove_vertices,
     _free_tree_parents,
+    _greedy_mates,
 )
 from conftest import trees_of_size, trees_up_to
 
@@ -210,6 +211,20 @@ def test_walk_counts_past_the_tree_builds():
     """The walk alone, with no Tree built, still gives A000055 at n = 17, 18."""
     for n in (17, 18):
         assert sum(1 for _ in _free_tree_parents(n)) == EXPECTED_COUNTS[n - 1]
+
+
+def test_walk_pruned_on_deficiency_equals_filtered_walk():
+    """Asked for a deficiency d, the walk yields, in the same order, exactly
+    the arrays of the full walk whose greedy matching leaves d vertices
+    unmatched."""
+    for n in range(1, 17):
+        full = list(_free_tree_parents(n))
+        unmatched = [_greedy_mates(range(n - 1, -1, -1), p).count(-1) for p in full]
+        for d in (0, 1, 2):
+            want = [p for p, u in zip(full, unmatched) if u == d]
+            assert list(_free_tree_parents(n, d)) == want, (n, d)
+    assert list(_free_tree_parents(1, 1)) == [[-1]]
+    assert list(_free_tree_parents(1, 0)) == []
 
 
 def test_free_tree_counts_vs_prufer_oracle_small():
