@@ -11,7 +11,6 @@ work-budget guard, 4 verification mismatch.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
 from typing import Sequence
@@ -102,12 +101,17 @@ def phi_spec_parse(text: str | None) -> str | dict[int, str] | None:
         key, _, val = part.partition("=")
         if val not in ("generic", "versal"):
             raise PhiError(f"phi value must be generic or versal, got {val!r}")
-        out[int(key)] = val
+        try:
+            out[int(key)] = val
+        except ValueError:
+            raise PhiError(f"phi component index must be an integer, got {key!r}") from None
     return out
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
+        import datetime
+
         payload = {
             "command": args.command,
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -317,6 +321,8 @@ def _run_verify(args) -> int:
         from .counting import all_phi_assignments
         from .trees import check_enumeration_size, emit_graph6, enumerate_free_trees
 
+        if args.max_n < 1:
+            raise ValueError("a tree has at least one vertex")
         check_enumeration_size(args.max_n)
         failures = 0
         rows = []

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .trees import Edge, SizeGuardError, Tree, _greedy_mates, _postorder
@@ -309,6 +308,8 @@ def dimension(t: Tree) -> int:
 
 def adjacency_nullity(t: Tree) -> int:
     """Kernel dimension of the adjacency matrix, by exact elimination."""
+    from fractions import Fraction
+
     n = t.n
     m = [[Fraction(0)] * n for _ in range(n)]
     for u, v in t.edges:

@@ -8,7 +8,10 @@ one fixed-width slot per size (Kronecker substitution), so that a product of
 polynomials is a single big-integer product.  Every slot counts independent
 sets of the tree, so a slot one bit wider than the total number i(T) of
 independent sets needs can never carry into the next; i(T) comes from a
-scalar pass first.
+scalar pass first.  The weighing of the size vector into N(q) is packed the
+same way: N is evaluated at q = 2**s as one integer, by Horner steps of
+shifts and additions, and its signed coefficients are read back from s-bit
+slots (:func:`_weigh_by_size`).
 
 The pass takes a children-first vertex order and a parent array, not a
 :class:`Tree`, and reads colors only at generic vertices.  So the
@@ -260,7 +263,23 @@ def _weigh_by_size(counts: Sequence[int], exponent: int) -> Poly:
 
     The leading term is counts[0] * q**exponent, so the result is monic of
     degree ``exponent`` (n + vr for a count) exactly when the empty set is
-    counted once."""
+    counted once.
+
+    The polynomial is evaluated at q = X = 2**s as one integer, as the
+    kernel packs its size-polynomials: a Horner step acc * (X-1)**2 +
+    c_k X**k is two shifts and three additions, and the trailing factor
+    (q-1)**(exponent - 2*top) one shift and a subtraction per power.  The
+    coefficients a_j are signed, and |a_j| is at most the coefficient sum
+    sum_k c_k 2**(exponent-2k) of sum_k c_k q**k (q+1)**(exponent-2k), which
+    bounds every coefficient of (q-1)**m by that of (q+1)**m.  So s is the
+    bound's bit length plus a sign bit, rounded up to whole bytes, and every
+    a_j + 2**(s-1) lies in [0, 2**s).  Adding 2**(s-1) to every slot before
+    unpacking the bytes and subtracting it after therefore reads each a_j
+    off its own slot, with no carry between slots.  The result is checked
+    as the kernel checks its slot sums: monic of degree ``exponent``, with
+    N(1) = counts[top] when exponent = 2*top and 0 otherwise, every
+    other term keeping a factor q-1.
+    """
     if counts[0] != 1:
         raise AssertionError(f"the empty set must count once, not {counts[0]} times")
     top = len(counts) - 1
@@ -268,17 +287,29 @@ def _weigh_by_size(counts: Sequence[int], exponent: int) -> Poly:
         raise AssertionError(
             f"{counts[top]} sets of size {top} would need (q-1)^{exponent - 2 * top}"
         )
-    acc: list[int] = []
+    bound = sum(c << (exponent - 2 * k) for k, c in enumerate(counts))
+    width = (bound.bit_length() + 8) // 8  # bytes per slot
+    shift = 8 * width
+    acc = 0
     for k, c in enumerate(counts):
-        # acc <- acc * (q^2 - 2q + 1) + c q^k
-        acc = [
-            z - 2 * y + x
-            for x, y, z in zip(acc + [0, 0], [0] + acc + [0], [0, 0] + acc)
-        ]
-        acc[k] += c
+        # acc <- acc * (X-1)**2 + c X**k
+        acc = (acc << 2 * shift) - (acc << (shift + 1)) + acc + (c << k * shift)
     for _ in range(exponent - 2 * top):
-        acc = [y - x for x, y in zip(acc + [0], [0] + acc)]
-    return Poly(tuple(acc))
+        acc = (acc << shift) - acc
+    half = 1 << (shift - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * (exponent + 1), "little")
+    raw = (acc + bias).to_bytes((exponent + 1) * width, "little")
+    coeffs = [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, len(raw), width)
+    ]
+    at_one = counts[top] if exponent == 2 * top else 0
+    if coeffs[-1] != 1 or sum(coeffs) != at_one:
+        raise AssertionError(
+            f"weighed polynomial has leading coefficient {coeffs[-1]} and "
+            f"N(1) = {sum(coeffs)}, not 1 and {at_one}"
+        )
+    return Poly(tuple(coeffs))
 
 
 def count_polynomial(t: Tree, phi: PhiSpec = None) -> Poly:

@@ -187,6 +187,19 @@ def test_verify_max_n_guard_fails_fast(capsys, monkeypatch):
     assert code == 3 and "guard" in err
 
 
+def test_verify_max_n_below_one_is_rejected(capsys, monkeypatch):
+    """verify --max-n 0 would sweep no tree and pass vacuously."""
+    import treecount.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("verified a tree before checking --max-n")
+
+    monkeypatch.setattr(cli, "_verify_one", no_sweep)
+    for max_n in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--max-n", max_n, "--primes", "2")
+        assert code == 2 and "at least one vertex" in err and "PASS" not in out
+
+
 def test_exit_code_mismatch(capsys, monkeypatch):
     import treecount.fqoracle as fq
     import treecount.cli as cli
@@ -207,16 +220,21 @@ def test_phi_spec_parse():
         phi_spec_parse("0=purple")
     with pytest.raises(PhiError):
         phi_spec_parse("nonsense")
+    with pytest.raises(PhiError, match="'x'"):
+        phi_spec_parse("x=versal")
 
 
 def test_cli_import_does_not_load_numpy():
     """The package is pure Python; importing the CLI must not pull numpy in,
-    nor the test-only oracles."""
+    nor the test-only oracles, nor the stdlib modules that one function
+    each needs (``fractions`` for the nullity oracle, ``datetime`` for
+    ``--json``)."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, treecount.cli; "
-        "print('numpy' in sys.modules, 'treecount.oracles' in sys.modules)"
+        "print(*(m in sys.modules for m in "
+        "('numpy', 'treecount.oracles', 'fractions', 'datetime')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -225,4 +243,4 @@ def test_cli_import_does_not_load_numpy():
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False"] * 4

@@ -36,7 +36,7 @@ from treecount.families import d_tree, e_tree, linear_tree, star_tree
 from treecount.groupoid import rank_profile
 from treecount.matchings import count_maximum_independent_sets, independent_set_size_counts
 from treecount.oracles import CountEngine, orange_unimodal_chain
-from treecount.polynomials import Q
+from treecount.polynomials import Poly, Q
 from treecount.trees import (
     Tree,
     _free_tree_parents,
@@ -176,6 +176,48 @@ def test_weigh_by_size_requires_one_empty_set():
         _weigh_by_size((2, 1), 2)
     with pytest.raises(AssertionError):
         _weigh_by_size((1, 1), 1)
+
+
+def _weigh_by_poly(counts, exponent):
+    """The weighted sum in plain :class:`Poly` arithmetic."""
+    out = Poly()
+    for k, c in enumerate(counts):
+        out = out + c * (Q - 1) ** (exponent - 2 * k) * Q**k
+    return out
+
+
+@st.composite
+def counts_and_exponent(draw):
+    counts = [1] + draw(st.lists(st.integers(0, 2**300), max_size=40))
+    return counts, 2 * (len(counts) - 1) + draw(st.integers(0, 40))
+
+
+@given(counts_and_exponent())
+@settings(max_examples=60, deadline=None)
+def test_weigh_by_size_matches_poly_arithmetic(case):
+    """The packed Horner pass reads every signed coefficient off its slot."""
+    counts, exponent = case
+    assert _weigh_by_size(counts, exponent) == _weigh_by_poly(counts, exponent)
+
+
+def test_weigh_by_size_fixed_cases():
+    """Empty sums, a long trailing (q-1) power, and single large entries.
+
+    c_t = 2**m - 1 with e = 2t < m gives a_t = c_t + (-1)**t * C(2t, t) and
+    the width bound c_t + 2**e, which has m + 1 bits.  With m = 8w - 1 and t
+    even that is 8w bits and a_t >= 2**(8w - 1), so a slot of 8w bits with
+    no spare sign bit overflows.
+    """
+    assert _weigh_by_size([1], 0) == Poly.const(1)
+    assert _weigh_by_size([1], 5) == (Q - 1) ** 5
+    star = star_tree(1000)
+    resolved = resolve_tree_phi(star, "generic")
+    counts = _count_sets_by_size(*_postorder(star), resolved.coloring.colors, resolved.kinds)
+    assert _weigh_by_size(counts, star.n) == _weigh_by_poly(counts, star.n)
+    for m, t in ((8, 1), (16, 2), (16, 7), (7, 2), (15, 4), (23, 6), (63, 30)):
+        counts = [1] + [0] * t
+        counts[t] = 2**m - 1
+        assert _weigh_by_size(counts, 2 * t) == _weigh_by_poly(counts, 2 * t)
 
 
 def test_choice_independence():
