@@ -102,9 +102,12 @@ def phi_spec_parse(text: str | None) -> str | dict[int, str] | None:
         if val not in ("generic", "versal"):
             raise PhiError(f"phi value must be generic or versal, got {val!r}")
         try:
-            out[int(key)] = val
+            index = int(key)
         except ValueError:
             raise PhiError(f"phi component index must be an integer, got {key!r}") from None
+        if index in out:
+            raise PhiError(f"phi given twice for component index {index}")
+        out[index] = val
     return out
 
 
@@ -313,14 +316,27 @@ def _verify_one(t: Tree, spec, primes, force: bool) -> tuple[bool, list[dict], s
     return rep.passed, rows, text
 
 
-def _run_verify(args) -> int:
-    primes = [int(x) for x in args.primes.split(",") if x]
+def _parse_primes(text: str) -> list[int]:
+    primes = []
+    for entry in text.split(","):
+        if entry:
+            try:
+                primes.append(int(entry))
+            except ValueError:
+                raise ValueError(f"--primes entry must be an integer, got {entry!r}") from None
     if not primes:
-        raise PhiError("--primes needs at least one prime")
+        raise ValueError("--primes needs at least one prime")
+    return primes
+
+
+def _run_verify(args) -> int:
+    primes = _parse_primes(args.primes)
     if args.max_n is not None:
         from .counting import all_phi_assignments
         from .trees import check_enumeration_size, emit_graph6, enumerate_free_trees
 
+        if args.phi is not None or args.n is not None:
+            raise ValueError("--max-n sweeps every tree under every phi; drop --phi and --n")
         if args.max_n < 1:
             raise ValueError("a tree has at least one vertex")
         check_enumeration_size(args.max_n)

@@ -2,12 +2,13 @@
 
 The production path reads the coloring off one maximum matching, the greedy
 leaf-up matching, by the Gallai-Edmonds decomposition; the census calls the
-same two functions on the parent arrays of the free-tree walk.  Two
-independent exponential oracles live here too, a minimum-vertex-cover one
-and a maximum-matching one, both self-contained so they share no code with
-what they check (the recoloring fixpoint is a third, in
-:mod:`treecount.oracles`).  On top of the coloring sit the red-green
-components and the dimension invariant r(T) - g(T), which also equals the
+same two functions on the parent arrays of the free-tree walk and the
+adjacency lists built from them.  Two independent exponential oracles live
+here too, a minimum-vertex-cover one and a maximum-matching one, both
+self-contained so they share no code with what they check (the recoloring
+fixpoint is a third, in :mod:`treecount.oracles`).  On top of the coloring
+sit the red-green components, found in linear passes over the tree's
+adjacency, and the dimension invariant r(T) - g(T), which also equals the
 adjacency-matrix nullity and the number of vertices missed by any maximum
 matching.
 """
@@ -30,8 +31,6 @@ class Color(enum.Enum):
 
 ORACLE_MAX_VERTICES = 20
 
-_RED_GREEN = ((Color.RED, Color.GREEN), (Color.GREEN, Color.RED))
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -49,9 +48,9 @@ class Coloring:
         return sum(1 for c in self.colors if c is Color.GREEN)
 
 
-def _gallai_edmonds(parent: Sequence[int], mate: Sequence[int]) -> list[Color]:
-    """Colors of the tree with edges ``parent[v]-v`` (-1 at the root), read
-    off any maximum matching ``mate`` by the Gallai-Edmonds decomposition.
+def _gallai_edmonds(nbrs: Sequence[Sequence[int]], mate: Sequence[int]) -> list[Color]:
+    """Colors of the tree with adjacency lists ``nbrs``, read off any maximum
+    matching ``mate`` by the Gallai-Edmonds decomposition.
 
     Red vertices are those an even alternating path reaches from an
     unmatched vertex, which are the vertices some maximum matching misses;
@@ -59,23 +58,21 @@ def _gallai_edmonds(parent: Sequence[int], mate: Sequence[int]) -> list[Color]:
     maximum matching pairs them among themselves.  A green vertex is always
     matched, or the path reaching it would augment the matching, and the
     path goes on to its mate; a tree is bipartite, so no vertex is reached
-    both at even and at odd distance.
+    both at even and at odd distance.  The colors do not depend on the order
+    of the lists: :func:`canonical_coloring` passes ``t.neighbors``, the
+    census lists it builds from a parent array.
     """
-    nbrs: list[list[int]] = [[] for _ in parent]
-    for v, p in enumerate(parent):
-        if p >= 0:
-            nbrs[p].append(v)
-            nbrs[v].append(p)
-    colors = [Color.ORANGE] * len(parent)
+    orange, green, red = Color.ORANGE, Color.GREEN, Color.RED
+    colors = [orange] * len(mate)
     stack = [v for v, m in enumerate(mate) if m < 0]
     for v in stack:
-        colors[v] = Color.RED
+        colors[v] = red
     while stack:
         for y in nbrs[stack.pop()]:
-            if colors[y] is Color.ORANGE:
-                colors[y] = Color.GREEN
+            if colors[y] is orange:
+                colors[y] = green
                 z = mate[y]
-                colors[z] = Color.RED
+                colors[z] = red
                 stack.append(z)
     return colors
 
@@ -88,11 +85,11 @@ def canonical_coloring(t: Tree) -> Coloring:
     orange: the orange vertices span a forest with a perfect matching, and a
     forest has at most one.
     """
-    order, parent = _postorder(t)
-    mate = _greedy_mates(order, parent)
-    colors = _gallai_edmonds(parent, mate)
+    mate = _greedy_mates(*_postorder(t))
+    colors = _gallai_edmonds(t.neighbors, mate)
+    orange = Color.ORANGE
     dominoes = frozenset(
-        (v, m) for v, m in enumerate(mate) if v < m and colors[v] is Color.ORANGE
+        (v, m) for v, m in enumerate(mate) if v < m and colors[v] is orange
     )
     return Coloring(tuple(colors), dominoes)
 
@@ -254,48 +251,67 @@ def red_green_components(t: Tree, c: Coloring) -> RedGreenPartition:
     """Connected components of the graph kept from red-green edges only.
 
     Orange vertices belong to no component.  A 1-vertex tree is a single
-    all-red component.  Each component is checked to be bipartite with only
-    red leaves.
+    all-red component.  Components come in order of their smallest vertex;
+    each one lists its vertices, reds and greens in increasing order and its
+    edges in the order of ``t.edges``.
+
+    Three linear passes: a search over ``t.neighbors`` that follows
+    red-green edges only labels the components, one pass over ``t.edges``
+    fills in their edges and counts each vertex's red-green degree, and one
+    over the vertices fills in their vertices, reds and greens.  Orange
+    vertices are never labelled, so no component holds one.  Checked: every
+    green meets at least two red-green edges, so a component has only red
+    leaves, and when n > 1 every red meets one.
     """
     colors = c.colors
-    rg_edges = [e for e in t.edges if (colors[e[0]], colors[e[1]]) in _RED_GREEN]
-    adj: dict[int, list[int]] = {}
-    for u, v in rg_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    members = sorted(adj)
-    if t.n == 1:
-        members = [0]
-    seen: set[int] = set()
-    comps: list[RedGreenComponent] = []
-    for start in members:
-        if start in seen:
+    nbrs = t.neighbors
+    n = t.n
+    orange, red, green = Color.ORANGE, Color.RED, Color.GREEN
+    label = [-1] * n
+    count = 0
+    for start in range(n):
+        if label[start] >= 0 or colors[start] is orange:
             continue
-        stack, block = [start], {start}
-        seen.add(start)
+        label[start] = count
+        stack = [start]
         while stack:
             x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    block.add(y)
+            other = green if colors[x] is red else red
+            for y in nbrs[x]:
+                if label[y] < 0 and colors[y] is other:
+                    label[y] = count
                     stack.append(y)
-        vertices = tuple(sorted(block))
-        edges = tuple(e for e in rg_edges if e[0] in block)
-        reds = tuple(v for v in vertices if c.colors[v] is Color.RED)
-        greens = tuple(v for v in vertices if c.colors[v] is Color.GREEN)
-        if len(reds) + len(greens) != len(vertices):
-            raise AssertionError("orange vertex inside a red-green component")
-        for g in greens:
-            if sum(1 for x in adj[g] if x in block) < 2:
+        count += 1
+    edges: list[list[Edge]] = [[] for _ in range(count)]
+    degree = [0] * n
+    for e in t.edges:
+        u, v = e
+        cu, cv = colors[u], colors[v]
+        if cu is not cv and cu is not orange and cv is not orange:
+            edges[label[u]].append(e)
+            degree[u] += 1
+            degree[v] += 1
+    vertices: list[list[int]] = [[] for _ in range(count)]
+    reds: list[list[int]] = [[] for _ in range(count)]
+    greens: list[list[int]] = [[] for _ in range(count)]
+    for v, i in enumerate(label):
+        if i < 0:
+            continue
+        vertices[i].append(v)
+        if colors[v] is red:
+            if not degree[v] and n > 1:
+                raise AssertionError("red vertex missing from all components")
+            reds[i].append(v)
+        else:
+            if degree[v] < 2:
                 raise AssertionError("green leaf in a red-green component")
-        comps.append(RedGreenComponent(vertices, edges, reds, greens))
-    # every red or green vertex of a multi-vertex tree meets a red-green edge
-    colored = sum(len(comp.vertices) for comp in comps)
-    expected = sum(1 for col in c.colors if col is not Color.ORANGE)
-    if colored != expected:
-        raise AssertionError("red/green vertex missing from all components")
-    return RedGreenPartition(tuple(comps))
+            greens[i].append(v)
+    return RedGreenPartition(
+        tuple(
+            RedGreenComponent(tuple(vs), tuple(es), tuple(rs), tuple(gs))
+            for vs, es, rs, gs in zip(vertices, edges, reds, greens)
+        )
+    )
 
 
 def dimension(t: Tree) -> int:

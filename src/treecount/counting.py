@@ -204,9 +204,10 @@ def _count_sets_by_size(
     equal when no vertex is generic, at most i(T) otherwise.
     """
     n = len(parent)
+    generic, green = PhiKind.GENERIC, Color.GREEN
     # 0: neither, 1: generic red, 2: generic green
     role = [
-        0 if k is not PhiKind.GENERIC else 2 if colors[v] is Color.GREEN else 1
+        0 if k is not generic else 2 if colors[v] is green else 1
         for v, k in enumerate(kinds)
     ]
     # i(T): per vertex, the independent sets below it without / with it
@@ -253,7 +254,7 @@ def _count_sets_by_size(
         int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
     ]
     found = sum(counts)
-    if found > total or (found != total and PhiKind.GENERIC not in kinds):
+    if found > total or (found != total and generic not in kinds):
         raise AssertionError(f"{found} sets counted by size, {total} independent sets")
     return counts
 
@@ -498,9 +499,10 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     numbered in pre-order, so vertices n-1 down to 0 put children first,
     and trees are counted straight off them.  An orange or all-versal tree
     excludes no independent set, so it is counted with no coloring.  A
-    unimodal-generic tree is colored off its greedy matching
-    (:func:`_gallai_edmonds`); with dimension 1 it has one red-green
-    component, so every red or green vertex is generic.
+    unimodal-generic tree is colored off its greedy matching and the
+    adjacency lists of its parent array (:func:`_gallai_edmonds`); with
+    dimension 1 it has one red-green component, so every red or green
+    vertex is generic.
 
     Trees are bucketed on their size vector c (:func:`_count_sets_by_size`),
     which is the same as bucketing on N: within a class n and the versal
@@ -517,14 +519,20 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     versal_rank = 1 if census_class is CensusClass.UNIMODAL_VERSAL else 0
     order = range(n - 1, -1, -1)
     no_kinds = (None,) * n
+    orange, generic_kind = Color.ORANGE, PhiKind.GENERIC
     tree_count = 0
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for parent in _free_tree_parents(n, target):
         tree_count += 1
         colors, kinds = None, no_kinds
         if generic:
-            colors = _gallai_edmonds(parent, _greedy_mates(order, parent))
-            kinds = [None if col is Color.ORANGE else PhiKind.GENERIC for col in colors]
+            nbrs: list[list[int]] = [[] for _ in range(n)]
+            for v in range(1, n):
+                p = parent[v]
+                nbrs[p].append(v)
+                nbrs[v].append(p)
+            colors = _gallai_edmonds(nbrs, _greedy_mates(order, parent))
+            kinds = [None if col is orange else generic_kind for col in colors]
         c = _count_sets_by_size(order, parent, colors, kinds)
         buckets.setdefault(tuple(c), []).append(tuple(parent))
     ordered = sorted(

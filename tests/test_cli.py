@@ -200,6 +200,34 @@ def test_verify_max_n_below_one_is_rejected(capsys, monkeypatch):
         assert code == 2 and "at least one vertex" in err and "PASS" not in out
 
 
+def test_verify_max_n_rejects_phi_and_n(capsys, monkeypatch):
+    """verify --max-n sweeps every tree under every choice, so a --phi or
+    --n given with it would be ignored."""
+    import treecount.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("verified a tree before checking --phi and --n")
+
+    monkeypatch.setattr(cli, "_verify_one", no_sweep)
+    for extra in (["--phi", "nonsense"], ["--phi", "versal"], ["--n", "3"]):
+        code, out, err = run(capsys, "verify", "--max-n", "3", *extra, "--primes", "3")
+        assert code == 2 and "--max-n" in err and "PASS" not in out
+
+
+def test_verify_non_integer_prime_is_named(capsys):
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--n", "5", "--phi", "versal", "--primes", "2,x"
+    )
+    assert code == 2 and "'x'" in err and "invalid literal" not in err and out == ""
+
+
+def test_count_repeated_phi_index_is_rejected(capsys):
+    code, out, err = run(
+        capsys, "count", "--family", "A", "--n", "5", "--phi", "0=versal,0=generic"
+    )
+    assert code == 2 and "index 0" in err and out == ""
+
+
 def test_exit_code_mismatch(capsys, monkeypatch):
     import treecount.fqoracle as fq
     import treecount.cli as cli
@@ -222,6 +250,10 @@ def test_phi_spec_parse():
         phi_spec_parse("nonsense")
     with pytest.raises(PhiError, match="'x'"):
         phi_spec_parse("x=versal")
+    with pytest.raises(PhiError, match="twice for component index 0"):
+        phi_spec_parse("0=versal,0=generic")
+    with pytest.raises(PhiError, match="index 2"):
+        phi_spec_parse("2=versal,0=generic,2=versal")
 
 
 def test_cli_import_does_not_load_numpy():

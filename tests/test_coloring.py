@@ -19,6 +19,7 @@ from treecount.coloring import (
     coloring_by_vertex_covers,
     dimension,
     minimum_vertex_covers,
+    red_green_components,
 )
 from treecount.families import linear_tree, star_tree
 from treecount.oracles import coloring_by_fixpoint
@@ -201,6 +202,55 @@ def test_every_component_red_leaves_only():
             for v, d in degree.items():
                 if d == 1 and comp.vertices != (v,):
                     assert c.colors[v] is R
+
+
+def _components_by_union_find(t, colors):
+    """The red-green partition rebuilt independently: union-find over the
+    edges with one red and one green end, as (vertices, edges, reds,
+    greens) per component, in order of the smallest vertex."""
+    root = list(range(t.n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    rg_edges = [(u, v) for u, v in t.edges if {colors[u], colors[v]} == {R, G}]
+    for u, v in rg_edges:
+        root[find(u)] = find(v)
+    blocks = {}
+    for v in range(t.n):
+        if colors[v] is not O:
+            blocks.setdefault(find(v), []).append(v)
+    out = []
+    for vertices in sorted(blocks.values()):
+        members = set(vertices)
+        out.append((
+            tuple(vertices),
+            tuple(e for e in rg_edges if e[0] in members),
+            tuple(v for v in vertices if colors[v] is R),
+            tuple(v for v in vertices if colors[v] is G),
+        ))
+    return out
+
+
+def test_components_equal_union_find():
+    """Every field of every component, in order, equals a union-find
+    rebuild: on every free tree with n <= 12, seeded random trees up to 400
+    vertices with many components, the 1-vertex tree, a wide star and a
+    long path."""
+    free = (t for n in range(1, 13) for t in enumerate_free_trees(n))
+    large = [_prufer_tree(n, seed) for n in (40, 100, 200, 400) for seed in range(5)]
+    large += [Tree(1, ()), star_tree(1000), linear_tree(1201)]
+    most = 0
+    for t in itertools.chain(free, large):
+        c = canonical_coloring(t)
+        part = red_green_components(t, c)
+        got = [(p.vertices, p.edges, p.reds, p.greens) for p in part]
+        assert got == _components_by_union_find(t, c.colors), t.edges
+        most = max(most, len(part))
+    assert most >= 20
 
 
 # -- dimension -----------------------------------------------------------------

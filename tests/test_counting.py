@@ -375,9 +375,10 @@ def test_census_colors_equal_canonical_coloring(monkeypatch):
     keeps with n <= 15."""
     seen = []
 
-    def recorded(parent, mate):
-        colors = _gallai_edmonds(parent, mate)
-        seen.append((tuple(parent), colors))
+    def recorded(nbrs, mate):
+        colors = _gallai_edmonds(nbrs, mate)
+        edges = tuple((u, v) for u, vs in enumerate(nbrs) for v in vs if u < v)
+        seen.append((len(nbrs), edges, colors))
         return colors
 
     monkeypatch.setattr(treecount.counting, "_gallai_edmonds", recorded)
@@ -385,8 +386,9 @@ def test_census_colors_equal_canonical_coloring(monkeypatch):
         seen.clear()
         rep = census(n, CensusClass.UNIMODAL_GENERIC)
         assert len(seen) == rep.tree_count
-        for parent, colors in seen:
-            assert tuple(colors) == canonical_coloring(_tree_of(parent)).colors
+        for size, edges, colors in seen:
+            assert size == n
+            assert tuple(colors) == canonical_coloring(Tree(n, edges)).colors
 
 
 def test_versal_by_independent_sets_examples(figure_tree):
