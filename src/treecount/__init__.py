@@ -48,13 +48,11 @@ from .matchings import (
     AdmissibleSet,
     admissible_sets,
     count_maximum_independent_sets,
-    grow_admissible,
     independent_sets,
     maximum_matching,
 )
 from .polynomials import Poly
 from .trees import (
-    Forest,
     Graph6Error,
     NotATreeError,
     Tree,
@@ -63,7 +61,6 @@ from .trees import (
     enumerate_free_trees,
     parse_edge_list,
     parse_graph6,
-    remove_vertices,
 )
 
 __version__ = "0.1.0"

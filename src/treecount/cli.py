@@ -54,12 +54,15 @@ EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_MISMATCH = 4
 
+FORCE_HELP = "override the work-budget guard of the F_q oracle"
+
 
 class MismatchError(RuntimeError):
     """A verification run found a polynomial/oracle disagreement."""
 
 
-def _add_input_args(p: argparse.ArgumentParser) -> None:
+def _add_input_args(p: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
+    """The tree input options; returns their exclusive group."""
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph6", help="graph6 string of a tree")
     src.add_argument("--edges", help="path to a 'u v' per line edge list")
@@ -68,18 +71,28 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--indexing",
         choices=["auto", "0", "1"],
-        default="auto",
-        help="vertex numbering of --edges input",
+        help="vertex numbering of --edges input (default auto)",
     )
+    return src
+
+
+def _check_input_options(args: argparse.Namespace) -> None:
+    """Reject a size or numbering option given with an input it does not
+    apply to, rather than ignore it."""
+    if args.n is not None and args.family is None:
+        raise ValueError("--n applies only to --family")
+    if args.indexing is not None and args.edges is None:
+        raise ValueError("--indexing applies only to --edges")
 
 
 def _load_tree(args: argparse.Namespace) -> tuple[Tree, int]:
     """The input tree plus the numbering offset its report should echo."""
+    _check_input_options(args)
     if args.graph6 is not None:
         return parse_graph6(args.graph6), 0
     if args.edges is not None:
         with open(args.edges, "r", encoding="utf-8") as fh:
-            return _read_edge_list(fh.read(), args.indexing)
+            return _read_edge_list(fh.read(), args.indexing or "auto")
     if args.n is None:
         raise PhiError("--family needs --n")
     return family_tree(args.family, args.n), 0
@@ -337,6 +350,7 @@ def _run_verify(args) -> int:
 
         if args.phi is not None or args.n is not None:
             raise ValueError("--max-n sweeps every tree under every phi; drop --phi and --n")
+        _check_input_options(args)
         if args.max_n < 1:
             raise ValueError("a tree has at least one vertex")
         check_enumeration_size(args.max_n)
@@ -399,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--force", action="store_true", help="override work-budget guards")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, help: str) -> argparse.ArgumentParser:
@@ -433,18 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p_oracle)
     p_oracle.add_argument("--q", type=int, required=True)
     p_oracle.add_argument("--phi")
+    p_oracle.add_argument("--force", action="store_true", help=FORCE_HELP)
     p_oracle.set_defaults(run=_run_oracle)
 
     p_verify = add_parser("verify", help="polynomial vs the F_q point-count oracle")
-    src = p_verify.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph6")
-    src.add_argument("--edges")
-    src.add_argument("--family", choices=["A", "D", "E"])
+    src = _add_input_args(p_verify)
     src.add_argument("--max-n", type=int, help="sweep all trees up to this size")
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--indexing", choices=["auto", "0", "1"], default="auto")
     p_verify.add_argument("--phi")
     p_verify.add_argument("--primes", default="2,3,5,7")
+    p_verify.add_argument("--force", action="store_true", help=FORCE_HELP)
     p_verify.set_defaults(run=_run_verify)
 
     p_census = add_parser("census", help="polynomial coincidences at one size")

@@ -94,27 +94,6 @@ def canonical_coloring(t: Tree) -> Coloring:
     return Coloring(tuple(colors), dominoes)
 
 
-def check_local_description(t: Tree, c: Coloring) -> None:
-    """Assert the local characterization: orange dominoes perfectly match the
-    orange forest, greens have >= 2 red neighbors, reds have only green ones."""
-    matched: set[int] = set()
-    for u, v in c.dominoes:
-        if c.colors[u] is not Color.ORANGE or c.colors[v] is not Color.ORANGE:
-            raise AssertionError("domino endpoint is not orange")
-        if u in matched or v in matched:
-            raise AssertionError("dominoes overlap")
-        matched.update((u, v))
-    for v in range(t.n):
-        col = c.colors[v]
-        nbr_cols = [c.colors[w] for w in t.neighbors[v]]
-        if col is Color.ORANGE and v not in matched:
-            raise AssertionError("orange vertex not covered by a domino")
-        if col is Color.GREEN and nbr_cols.count(Color.RED) < 2:
-            raise AssertionError("green vertex with fewer than two red neighbors")
-        if col is Color.RED and any(x is not Color.GREEN for x in nbr_cols):
-            raise AssertionError("red vertex with a non-green neighbor")
-
-
 # ---------------------------------------------------------------------------
 # Exponential oracles.  Deliberately self-contained brute force.
 # ---------------------------------------------------------------------------

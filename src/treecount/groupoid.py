@@ -339,18 +339,3 @@ def genericity_check(
     if any(val == 0 for val in values.values()):
         raise ValueError("alpha values must be nonzero in F_q")
     return is_generic(genericity_patterns(component), values, q)
-
-
-def formal_genericity(component: RedGreenComponent, covered: set[int]) -> bool:
-    """Whether generic parameters exist formally (over a big enough field).
-
-    With the trivial value 1 on covered red vertices, the alternating
-    product over an admissible set is a monomial in the symbols of the
-    uncovered members; members are distinct symbols with exponents +-1, so
-    the monomial is non-constant exactly when the set meets the uncovered
-    reds.
-    """
-    return all(
-        any(v not in covered for v in adm.vertices)
-        for adm in admissible_sets(component)
-    )

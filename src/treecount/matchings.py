@@ -1,7 +1,7 @@
 """Matchings, independent sets, vertex covers and admissible sets.
 
 The combinatorial substrate under the variety constructions: the greedy
-maximum matching of a tree (the mate array of :mod:`treecount.coloring`,
+maximum matching of a tree (the mate array of :mod:`treecount.trees`,
 which also gives the coloring and the dimension), exact counting of
 maximum independent sets, enumeration of all independent sets, and the
 admissible sets of red vertices that carry the genericity condition, with
@@ -152,16 +152,6 @@ def _green_adjacency(component: RedGreenComponent) -> dict[int, tuple[int, ...]]
     return {g: tuple(sorted(ns)) for g, ns in adj.items()}
 
 
-def is_admissible(component: RedGreenComponent, s: frozenset[int]) -> bool:
-    if not s or not s <= set(component.reds):
-        return False
-    for ns in _green_adjacency(component).values():
-        k = sum(1 for x in ns if x in s)
-        if k not in (0, 2):
-            return False
-    return True
-
-
 def shared_green_blocks(
     component: RedGreenComponent, s: frozenset[int]
 ) -> list[list[int]]:
@@ -240,28 +230,3 @@ def admissible_sets(component: RedGreenComponent) -> Iterator[AdmissibleSet]:
         sign = _canonical_signs(component, s)
         vertices = tuple(sorted(s))
         yield AdmissibleSet(vertices, tuple(sign[v] for v in vertices))
-
-
-def grow_admissible(component: RedGreenComponent, u: int) -> AdmissibleSet:
-    """An admissible set containing ``u``, by repeated completion: while some
-    green sees exactly one member, adopt its smallest other red neighbor."""
-    if u not in component.reds:
-        raise ValueError(f"vertex {u} is not a red vertex of the component")
-    greens = _green_adjacency(component)
-    s = {u}
-    while True:
-        grown = False
-        for g in sorted(greens):
-            inside = [x for x in greens[g] if x in s]
-            if len(inside) == 1:
-                extra = next(x for x in greens[g] if x not in s)
-                s.add(extra)
-                grown = True
-                break
-        if not grown:
-            break
-    if not is_admissible(component, frozenset(s)):
-        raise AssertionError("completion loop ended on a non-admissible set")
-    sign = _canonical_signs(component, frozenset(s))
-    vertices = tuple(sorted(s))
-    return AdmissibleSet(vertices, tuple(sign[v] for v in vertices))

@@ -4,7 +4,9 @@ this module.
 For :func:`treecount.coloring.canonical_coloring`: the recoloring fixpoint
 :func:`coloring_by_fixpoint`, which never looks at a matching, and the
 maximum matchings that avoid a red vertex or contain a red-green edge,
-built by matching what is left after removing them.
+built by matching what is left after removing them.  Both those matchings
+and the recursion below cut trees with :func:`remove_vertices`, which
+returns a :class:`Forest` with maps back to the original labels.
 
 For :func:`treecount.counting.count_polynomial`: the leaf/domino recursion
 of :class:`CountEngine` peels a red leaf (generic or versal case) or splits
@@ -18,13 +20,14 @@ pass they check.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .coloring import Color, Coloring, canonical_coloring, dimension, red_green_components
 from .counting import Mode, PhiError, PhiKind, PhiSpec, closed_form_a, resolve_tree_phi
 from .matchings import maximum_matching, maximum_matching_size
 from .polynomials import ONE, Poly, Q
-from .trees import Edge, Forest, Tree, canonical_key, normalize_edge, remove_vertices
+from .trees import Edge, Tree, canonical_key, normalize_edge
 
 # ---------------------------------------------------------------------------
 # The recoloring fixpoint
@@ -66,6 +69,70 @@ def coloring_by_fixpoint(t: Tree, rng: random.Random | None = None) -> Coloring:
         if colors[v] is Color.GREEN and red_nbrs[v] == 0:
             colors[v] = Color.ORANGE
     return Coloring(tuple(colors), frozenset(dominoes))
+
+
+# ---------------------------------------------------------------------------
+# Vertex removal
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Forest:
+    """Disjoint union of trees with maps back to the original labels.
+
+    ``orig[i][x]`` is the label, in the graph the forest was cut from, of
+    local vertex ``x`` of component ``i``.  Component vertex sets partition
+    the set of surviving original labels.
+    """
+
+    components: tuple[Tree, ...]
+    orig: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.components) != len(self.orig):
+            raise ValueError("one label map per component")
+        labels = [x for m in self.orig for x in m]
+        if len(labels) != len(set(labels)):
+            raise ValueError("label maps overlap")
+
+    @property
+    def n(self) -> int:
+        return sum(t.n for t in self.components)
+
+    def __iter__(self) -> Iterator[tuple[Tree, tuple[int, ...]]]:
+        return iter(zip(self.components, self.orig))
+
+
+def remove_vertices(t: Tree, drop: Iterable[int]) -> Forest:
+    """Induced forest on the complement of ``drop``, with label maps back."""
+    dropped = set(drop)
+    if not dropped <= set(range(t.n)):
+        raise ValueError("vertex to remove is not in the tree")
+    keep = [v for v in range(t.n) if v not in dropped]
+    comp_of: dict[int, int] = {}
+    comps: list[list[int]] = []
+    for start in keep:
+        if start in comp_of:
+            continue
+        idx = len(comps)
+        members = [start]
+        comp_of[start] = idx
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in t.neighbors[x]:
+                if y not in dropped and y not in comp_of:
+                    comp_of[y] = idx
+                    members.append(y)
+                    stack.append(y)
+        comps.append(sorted(members))
+    trees = []
+    for members in comps:
+        local = {x: i for i, x in enumerate(members)}
+        edges = tuple(
+            (local[u], local[v]) for u, v in t.edges if u in local and v in local
+        )
+        trees.append(Tree(len(members), edges))
+    return Forest(tuple(trees), tuple(tuple(m) for m in comps))
 
 
 # ---------------------------------------------------------------------------

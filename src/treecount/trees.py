@@ -1,24 +1,23 @@
-"""Trees, forests, graph6 I/O, canonical forms and exhaustive generation.
+"""Trees, graph6 I/O, canonical forms and exhaustive generation.
 
 Everything downstream works on the :class:`Tree` type defined here: a
 connected acyclic graph on vertices ``0..n-1``.  The module also provides
 the graph6 codec (short and long form, n <= 258047), an AHU-style canonical
 key for labelled trees (used for isomorphism tests and, with vertex labels,
 as the memo key of the leaf/domino recursion in :mod:`treecount.oracles`),
-vertex removal into :class:`Forest`, the post-order and parent array of a
-rooting, the greedy leaf-up maximum matching of a parent array, and the
-Wright-Richmond-Odlyzko-McKay generator of free trees up to isomorphism
-(n <= 20).  The generator walks one level sequence per class and needs no
-key; asked for a matching deficiency, it yields only the trees that have
-it and skips the sequences that cannot.  :func:`enumerate_free_trees`
-builds a :class:`Tree` from each parent array it yields; the census colors,
-counts and prints the arrays themselves and builds no :class:`Tree`.
+the post-order and parent array of a rooting, the greedy leaf-up maximum
+matching of a parent array, and the Wright-Richmond-Odlyzko-McKay generator
+of free trees up to isomorphism (n <= 20).  The generator walks one level
+sequence per class and needs no key; asked for a matching deficiency, it
+yields only the trees that have it and skips the sequences that cannot.
+:func:`enumerate_free_trees` builds a :class:`Tree` from each parent array
+it yields; the census colors, counts and prints the arrays themselves and
+builds no :class:`Tree`.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -100,68 +99,8 @@ class Tree:
         return v in self.neighbors[u]
 
 
-@dataclass(frozen=True)
-class Forest:
-    """Disjoint union of trees with maps back to the original labels.
-
-    ``orig[i][x]`` is the label, in the graph the forest was cut from, of
-    local vertex ``x`` of component ``i``.  Component vertex sets partition
-    the set of surviving original labels.
-    """
-
-    components: tuple[Tree, ...]
-    orig: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != len(self.orig):
-            raise ValueError("one label map per component")
-        labels = [x for m in self.orig for x in m]
-        if len(labels) != len(set(labels)):
-            raise ValueError("label maps overlap")
-
-    @property
-    def n(self) -> int:
-        return sum(t.n for t in self.components)
-
-    def __iter__(self) -> Iterator[tuple[Tree, tuple[int, ...]]]:
-        return iter(zip(self.components, self.orig))
-
-
 def single_vertex() -> Tree:
     return Tree(1, ())
-
-
-def remove_vertices(t: Tree, drop: Iterable[int]) -> Forest:
-    """Induced forest on the complement of ``drop``, with label maps back."""
-    dropped = set(drop)
-    if not dropped <= set(range(t.n)):
-        raise ValueError("vertex to remove is not in the tree")
-    keep = [v for v in range(t.n) if v not in dropped]
-    comp_of: dict[int, int] = {}
-    comps: list[list[int]] = []
-    for start in keep:
-        if start in comp_of:
-            continue
-        idx = len(comps)
-        members = [start]
-        comp_of[start] = idx
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in t.neighbors[x]:
-                if y not in dropped and y not in comp_of:
-                    comp_of[y] = idx
-                    members.append(y)
-                    stack.append(y)
-        comps.append(sorted(members))
-    trees = []
-    for members in comps:
-        local = {x: i for i, x in enumerate(members)}
-        edges = tuple(
-            (local[u], local[v]) for u, v in t.edges if u in local and v in local
-        )
-        trees.append(Tree(len(members), edges))
-    return Forest(tuple(trees), tuple(tuple(m) for m in comps))
 
 
 def _postorder(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
@@ -201,13 +140,6 @@ def _greedy_mates(order: Sequence[int], parent: Sequence[int]) -> list[int]:
                 mate[p] = v
                 mate[v] = p
     return mate
-
-
-def relabel(t: Tree, perm: Sequence[int]) -> Tree:
-    """Apply the permutation ``perm`` (old label -> new label) to a tree."""
-    if sorted(perm) != list(range(t.n)):
-        raise ValueError("not a permutation of the vertex set")
-    return Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -398,43 +330,6 @@ def canonical_key(t: Tree, labels: Mapping[int, int] | Sequence[int] | None = No
     if kb < ka:
         ka, kb = kb, ka
     return b"B" + ka + kb
-
-
-def _rooted_aut(t: Tree, root: int, banned: int) -> tuple[bytes, int]:
-    """Signature and automorphism-group order of the subtree at ``root`` when
-    the edge to ``banned`` is cut."""
-    done: dict[int, tuple[bytes, int]] = {}
-    for v, parent in reversed(_rooted_order(t, root, banned)):
-        sigs = sorted(done.pop(w) for w in t.neighbors[v] if w != parent)
-        aut = 1
-        for _, grp in itertools.groupby(sigs, key=lambda p: p[0]):
-            block = list(grp)
-            for _, sub in block:
-                aut *= sub
-            aut *= _factorial(len(block))
-        done[v] = (b"(" + b"".join(s for s, _ in sigs) + b")", aut)
-    return done[root]
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
-def automorphism_count(t: Tree) -> int:
-    """Order of the automorphism group of an unlabelled tree."""
-    centers = tree_centers(t)
-    if len(centers) == 1:
-        return _rooted_aut(t, centers[0], -1)[1]
-    a, b = centers
-    ka, auta = _rooted_aut(t, a, b)
-    kb, autb = _rooted_aut(t, b, a)
-    total = auta * autb
-    if ka == kb:
-        total *= 2
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,37 @@ def test_verify_max_n_rejects_phi_and_n(capsys, monkeypatch):
         assert code == 2 and "--max-n" in err and "PASS" not in out
 
 
+def test_input_option_without_its_input_is_rejected(capsys, monkeypatch):
+    """--n applies only to --family and --indexing only to --edges; given
+    with another input they would be ignored."""
+    import treecount.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("verified a tree before checking --indexing")
+
+    monkeypatch.setattr(cli, "_verify_one", no_sweep)
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--indexing", "1", "--primes", "3")
+    assert code == 2 and "--indexing" in err and "PASS" not in out
+    code, out, err = run(capsys, "count", "--graph6", "@", "--n", "5", "--phi", "versal")
+    assert code == 2 and "--n" in err and out == ""
+
+
+def test_force_is_an_option_of_oracle_and_verify_only(capsys):
+    """Only the F_q oracle has a work-budget guard that --force overrides."""
+    for argv in (
+        ["color", "--graph6", "A_", "--force"],
+        ["census", "--n", "21", "--class", "orange", "--force"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and "--force" in capsys.readouterr().err
+    code, out, _ = run(
+        capsys, "oracle", "--family", "A", "--n", "3", "--phi", "generic",
+        "--q", "5", "--force",
+    )
+    assert code == 0 and out.strip() == "q=5: 124 points"
+
+
 def test_verify_non_integer_prime_is_named(capsys):
     code, out, err = run(
         capsys, "verify", "--family", "A", "--n", "5", "--phi", "versal", "--primes", "2,x"

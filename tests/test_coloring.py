@@ -10,11 +10,11 @@ from hypothesis import given, settings
 
 from treecount.coloring import (
     Color,
+    Coloring,
     SizeGuardError,
     adjacency_nullity,
     all_maximum_matchings,
     canonical_coloring,
-    check_local_description,
     coloring_by_matchings,
     coloring_by_vertex_covers,
     dimension,
@@ -22,8 +22,8 @@ from treecount.coloring import (
     red_green_components,
 )
 from treecount.families import linear_tree, star_tree
-from treecount.oracles import coloring_by_fixpoint
-from treecount.trees import Tree, enumerate_free_trees, prufer_decode, remove_vertices
+from treecount.oracles import coloring_by_fixpoint, remove_vertices
+from treecount.trees import Tree, enumerate_free_trees, prufer_decode
 from conftest import colored, trees_up_to
 from test_trees import random_tree
 
@@ -32,6 +32,27 @@ R, O, G = Color.RED, Color.ORANGE, Color.GREEN
 
 def path(n: int) -> Tree:
     return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def check_local_description(t: Tree, c: Coloring) -> None:
+    """Assert the local characterization: orange dominoes perfectly match the
+    orange forest, greens have >= 2 red neighbors, reds have only green ones."""
+    matched: set[int] = set()
+    for u, v in c.dominoes:
+        if c.colors[u] is not Color.ORANGE or c.colors[v] is not Color.ORANGE:
+            raise AssertionError("domino endpoint is not orange")
+        if u in matched or v in matched:
+            raise AssertionError("dominoes overlap")
+        matched.update((u, v))
+    for v in range(t.n):
+        col = c.colors[v]
+        nbr_cols = [c.colors[w] for w in t.neighbors[v]]
+        if col is Color.ORANGE and v not in matched:
+            raise AssertionError("orange vertex not covered by a domino")
+        if col is Color.GREEN and nbr_cols.count(Color.RED) < 2:
+            raise AssertionError("green vertex with fewer than two red neighbors")
+        if col is Color.RED and any(x is not Color.GREEN for x in nbr_cols):
+            raise AssertionError("red vertex with a non-green neighbor")
 
 
 def test_figure_tree(figure_tree):

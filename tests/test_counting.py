@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -117,20 +121,72 @@ def test_a7_e7_coincidence():
     assert count_polynomial(e_tree(7), "generic") == expected
 
 
+# Names that only the oracles or the tests call; they live in
+# treecount.oracles or next to the tests that use them.
+TEST_ONLY_NAMES = (
+    "Forest",
+    "remove_vertices",
+    "relabel",
+    "automorphism_count",
+    "_rooted_aut",
+    "_factorial",
+    "check_local_description",
+    "formal_genericity",
+    "grow_admissible",
+    "is_admissible",
+)
+
+
 def test_counting_holds_only_the_production_path():
     """The recursion and chain oracles live in treecount.oracles, apart from
-    the count they check."""
-    names = vars(treecount.counting)
-    for name in (
-        "CountEngine",
-        "ChainEngine",
-        "orange_unimodal_chain",
-        "branch_length",
-        "Forest",
-        "remove_vertices",
-        "canonical_key",
-    ):
-        assert name not in names
+    the count they check, and no production module or the package defines
+    a test-only name."""
+    table = {
+        treecount.counting: (
+            "CountEngine",
+            "ChainEngine",
+            "orange_unimodal_chain",
+            "branch_length",
+            "canonical_key",
+        ),
+        treecount.trees: (),
+        treecount.coloring: (),
+        treecount.matchings: (),
+        treecount.groupoid: (),
+        treecount: (),
+    }
+    for module, names in table.items():
+        defined = vars(module)
+        for name in (*names, *TEST_ONLY_NAMES):
+            assert name not in defined, (module.__name__, name)
+
+
+def test_cli_import_loads_no_test_only_code():
+    """A fresh ``import treecount.cli``, with the tests importable as well,
+    loads neither the oracles nor a test module, and none of the modules it
+    loads defines a test-only name."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, treecount.cli\n"
+        "for name, mod in sorted(sys.modules.items()):\n"
+        "    if name.split('.')[0] == 'treecount' or name.startswith('test_')"
+        " or name == 'conftest':\n"
+        "        print(name, *sorted(set(vars(mod)) & set(sys.argv[1:])))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *TEST_ONLY_NAMES],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = out.stdout.splitlines()
+    assert "treecount.cli" in loaded and "treecount.oracles" not in loaded
+    for line in loaded:
+        assert line.startswith("treecount") and " " not in line, line
 
 
 def test_recursion_matches_closed_forms():

@@ -25,8 +25,9 @@ from treecount.fqoracle import (
 )
 from treecount.groupoid import genericity_check
 from treecount.matchings import maximum_matching, uncovered_vertices
-from treecount.trees import Tree, relabel
+from treecount.trees import Tree
 from conftest import colored, trees_up_to
+from test_trees import relabel
 
 
 def test_context_requires_prime():

@@ -7,11 +7,15 @@ import random
 
 import pytest
 
-from treecount.coloring import Color, all_maximum_matchings, canonical_coloring
+from treecount.coloring import (
+    Color,
+    RedGreenComponent,
+    all_maximum_matchings,
+    canonical_coloring,
+)
 from treecount.groupoid import (
     CoefficientState,
     JumpError,
-    formal_genericity,
     generic_tuples,
     genericity_check,
     genericity_patterns,
@@ -34,6 +38,21 @@ from conftest import colored, trees_up_to
 
 def path(n: int) -> Tree:
     return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def formal_genericity(component: RedGreenComponent, covered: set[int]) -> bool:
+    """Whether generic parameters exist formally (over a big enough field).
+
+    With the trivial value 1 on covered red vertices, the alternating
+    product over an admissible set is a monomial in the symbols of the
+    uncovered members; members are distinct symbols with exponents +-1, so
+    the monomial is non-constant exactly when the set meets the uncovered
+    reds.
+    """
+    return all(
+        any(v not in covered for v in adm.vertices)
+        for adm in admissible_sets(component)
+    )
 
 
 # -- jumps ---------------------------------------------------------------------

@@ -7,22 +7,24 @@ from hypothesis import given, settings
 
 from treecount.coloring import (
     Color,
+    RedGreenComponent,
     SizeGuardError,
     _greedy_mates,
     all_maximum_matchings,
     dimension,
 )
 from treecount.matchings import (
+    AdmissibleSet,
     admissible_sets,
     count_maximum_independent_sets,
-    grow_admissible,
     independent_set_size_counts,
     independent_sets,
-    is_admissible,
     maximum_matching,
     maximum_matching_size,
     shared_green_blocks,
     uncovered_vertices,
+    _canonical_signs,
+    _green_adjacency,
 )
 from treecount.oracles import (
     coloring_by_fixpoint,
@@ -32,6 +34,41 @@ from treecount.oracles import (
 from treecount.trees import Tree, _free_tree_parents, enumerate_free_trees
 from conftest import colored, trees_up_to
 from test_trees import random_tree
+
+
+def is_admissible(component: RedGreenComponent, s: frozenset[int]) -> bool:
+    if not s or not s <= set(component.reds):
+        return False
+    for ns in _green_adjacency(component).values():
+        k = sum(1 for x in ns if x in s)
+        if k not in (0, 2):
+            return False
+    return True
+
+
+def grow_admissible(component: RedGreenComponent, u: int) -> AdmissibleSet:
+    """An admissible set containing ``u``, by repeated completion: while some
+    green sees exactly one member, adopt its smallest other red neighbor."""
+    if u not in component.reds:
+        raise ValueError(f"vertex {u} is not a red vertex of the component")
+    greens = _green_adjacency(component)
+    s = {u}
+    while True:
+        grown = False
+        for g in sorted(greens):
+            inside = [x for x in greens[g] if x in s]
+            if len(inside) == 1:
+                extra = next(x for x in greens[g] if x not in s)
+                s.add(extra)
+                grown = True
+                break
+        if not grown:
+            break
+    if not is_admissible(component, frozenset(s)):
+        raise AssertionError("completion loop ended on a non-admissible set")
+    sign = _canonical_signs(component, frozenset(s))
+    vertices = tuple(sorted(s))
+    return AdmissibleSet(vertices, tuple(sign[v] for v in vertices))
 
 
 def path(n: int) -> Tree:

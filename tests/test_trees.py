@@ -5,17 +5,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecount.oracles import remove_vertices
 from treecount.trees import (
     Graph6Error,
     NotATreeError,
     SizeGuardError,
     Tree,
-    automorphism_count,
     canonical_key,
     emit_graph6,
     enumerate_free_trees,
@@ -23,10 +24,10 @@ from treecount.trees import (
     parse_graph6,
     prufer_decode,
     read_graph6,
-    relabel,
-    remove_vertices,
+    tree_centers,
     _free_tree_parents,
     _greedy_mates,
+    _rooted_order,
 )
 from conftest import trees_of_size, trees_up_to
 
@@ -38,6 +39,43 @@ def random_tree(draw, max_n=10):
         return Tree(n, tuple([(0, 1)][: n - 1]))
     seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return prufer_decode(seq, n)
+
+
+def relabel(t: Tree, perm: Sequence[int]) -> Tree:
+    """Apply the permutation ``perm`` (old label -> new label) to a tree."""
+    if sorted(perm) != list(range(t.n)):
+        raise ValueError("not a permutation of the vertex set")
+    return Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
+
+
+def _rooted_aut(t: Tree, root: int, banned: int) -> tuple[bytes, int]:
+    """Signature and automorphism-group order of the subtree at ``root`` when
+    the edge to ``banned`` is cut."""
+    done: dict[int, tuple[bytes, int]] = {}
+    for v, parent in reversed(_rooted_order(t, root, banned)):
+        sigs = sorted(done.pop(w) for w in t.neighbors[v] if w != parent)
+        aut = 1
+        for _, grp in itertools.groupby(sigs, key=lambda p: p[0]):
+            block = list(grp)
+            for _, sub in block:
+                aut *= sub
+            aut *= math.factorial(len(block))
+        done[v] = (b"(" + b"".join(s for s, _ in sigs) + b")", aut)
+    return done[root]
+
+
+def automorphism_count(t: Tree) -> int:
+    """Order of the automorphism group of an unlabelled tree."""
+    centers = tree_centers(t)
+    if len(centers) == 1:
+        return _rooted_aut(t, centers[0], -1)[1]
+    a, b = centers
+    ka, auta = _rooted_aut(t, a, b)
+    kb, autb = _rooted_aut(t, b, a)
+    total = auta * autb
+    if ka == kb:
+        total *= 2
+    return total
 
 
 # -- graph6 ------------------------------------------------------------------
