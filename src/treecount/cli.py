@@ -26,6 +26,7 @@ from .counting import (
     PhiError,
     PhiKind,
     _count_resolved,
+    _count_sets_by_size,
     census,
     resolve_tree_phi,
 )
@@ -41,8 +42,6 @@ from .fqoracle import (
 from .groupoid import CoefficientState, normalize_to_matching, rank_profile
 from .matchings import (
     admissible_sets,
-    count_maximum_independent_sets,
-    independent_set_size_counts,
     independent_sets,
     maximum_matching,
 )
@@ -201,8 +200,9 @@ def _run_sets(args) -> int:
             )
     if args.independent:
         if args.count_only:
-            total = sum(independent_set_size_counts(t))
-            maximum = count_maximum_independent_sets(t)
+            # with no generic vertex c is the independence polynomial
+            c = _count_sets_by_size(t.order, t.parent, None, (None,) * t.n)
+            total, maximum = sum(c), c[-1]
             payload["independent_sets"] = total
             payload["maximum_independent_sets"] = maximum
             lines.append(f"independent sets: {total}")

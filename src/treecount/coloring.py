@@ -1,16 +1,16 @@
 """The canonical red-orange-green coloring of trees and its invariants.
 
 The production path reads the coloring off one maximum matching, the greedy
-leaf-up matching, by the Gallai-Edmonds decomposition; the census calls the
-same two functions on the parent arrays of the free-tree walk and the
-adjacency lists built from them.  Two independent exponential oracles live
-here too, a minimum-vertex-cover one and a maximum-matching one, both
-self-contained so they share no code with what they check (the recoloring
-fixpoint is a third, in :mod:`treecount.oracles`).  On top of the coloring
-sit the red-green components, found in linear passes over the tree's
-adjacency, and the dimension invariant r(T) - g(T), which also equals the
-adjacency-matrix nullity and the number of vertices missed by any maximum
-matching.
+leaf-up matching ``t.mate`` that every tree carries, by the Gallai-Edmonds
+decomposition; the census runs the same two steps on the parent arrays of
+the free-tree walk and the adjacency lists built from them.  Two
+independent exponential oracles live here too, a minimum-vertex-cover one
+and a maximum-matching one, both self-contained so they share no code with
+what they check (the recoloring fixpoint is a third, in
+:mod:`treecount.oracles`).  On top of the coloring sit the red-green
+components, found in linear passes over the tree's adjacency, and the
+dimension invariant r(T) - g(T), which also equals the adjacency-matrix
+nullity and the number of vertices missed by any maximum matching.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .trees import Edge, SizeGuardError, Tree, _greedy_mates, _postorder
+from .trees import Edge, SizeGuardError, Tree
 
 
 class Color(enum.Enum):
@@ -80,12 +80,12 @@ def _gallai_edmonds(nbrs: Sequence[Sequence[int]], mate: Sequence[int]) -> list[
 def canonical_coloring(t: Tree) -> Coloring:
     """Compute the canonical coloring from one maximum matching.
 
-    The greedy leaf-up matching gives the colors by Gallai-Edmonds
-    (:func:`_gallai_edmonds`).  The dominoes are its edges with both ends
-    orange: the orange vertices span a forest with a perfect matching, and a
-    forest has at most one.
+    The tree's greedy leaf-up matching ``t.mate`` gives the colors by
+    Gallai-Edmonds (:func:`_gallai_edmonds`).  The dominoes are its edges
+    with both ends orange: the orange vertices span a forest with a perfect
+    matching, and a forest has at most one.
     """
-    mate = _greedy_mates(*_postorder(t))
+    mate = t.mate
     colors = _gallai_edmonds(t.neighbors, mate)
     orange = Color.ORANGE
     dominoes = frozenset(
@@ -295,10 +295,10 @@ def red_green_components(t: Tree, c: Coloring) -> RedGreenPartition:
 
 def dimension(t: Tree) -> int:
     """The invariant r(T) - g(T) of the canonical coloring, counted as the
-    vertices the greedy maximum matching leaves unmatched: each green vertex
-    is matched to a red one, and the red vertices left over are exactly the
-    unmatched ones."""
-    return _greedy_mates(*_postorder(t)).count(-1)
+    vertices the tree's greedy maximum matching ``t.mate`` leaves unmatched:
+    each green vertex is matched to a red one, and the red vertices left
+    over are exactly the unmatched ones."""
+    return t.mate.count(-1)
 
 
 def adjacency_nullity(t: Tree) -> int:

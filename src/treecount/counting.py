@@ -14,10 +14,11 @@ shifts and additions, and its signed coefficients are read back from s-bit
 slots (:func:`_weigh_by_size`).
 
 The pass takes a children-first vertex order and a parent array, not a
-:class:`Tree`, and reads colors only at generic vertices.  So the
-coincidence census counts every tree straight off the parent arrays of the
-free-tree walk, colors only the unimodal-generic ones, off the same arrays,
-and buckets them on their size vector.
+:class:`Tree`, and reads colors only at generic vertices.  A tree hands it
+its own rooting at 0 (``t.order``, ``t.parent``); the coincidence census
+counts every tree straight off the parent arrays of the free-tree walk,
+colors only the unimodal-generic ones, off the same arrays, and buckets
+them on their size vector.
 
 Also here: closed forms for the linear, D- and E-shaped families (checked
 by exact division), the all-versal independent-set formula, Euler
@@ -43,7 +44,7 @@ from .coloring import (
 )
 from .matchings import count_maximum_independent_sets, independent_set_size_counts
 from .polynomials import Poly, Q
-from .trees import Tree, _free_tree_parents, _graph6, _greedy_mates, _postorder
+from .trees import Tree, _free_tree_parents, _graph6, _greedy_mates
 
 
 class PhiKind(enum.Enum):
@@ -337,8 +338,8 @@ def _count_resolved(t: Tree, resolved: ResolvedPhi) -> Poly:
         for comp, kind in zip(resolved.partition, resolved.assignment.kinds)
         if kind is PhiKind.VERSAL
     )
-    order, parent = _postorder(t)
-    counts = _count_sets_by_size(order, parent, resolved.coloring.colors, resolved.kinds)
+    colors = resolved.coloring.colors
+    counts = _count_sets_by_size(t.order, t.parent, colors, resolved.kinds)
     return _weigh_by_size(counts, t.n + versal_rank)
 
 

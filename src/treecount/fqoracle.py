@@ -30,8 +30,7 @@ from typing import Sequence
 from .coloring import Color
 from .counting import PhiKind, PhiSpec, ResolvedPhi, _count_resolved, resolve_tree_phi
 from .groupoid import GenericityPattern, generic_tuples, genericity_patterns
-from .matchings import maximum_matching, uncovered_vertices
-from .trees import Tree, _postorder
+from .trees import Tree
 
 WORK_BUDGET = 10**9
 
@@ -109,9 +108,9 @@ def _versal_factor(q: int) -> Factor:
 
 
 def _walk(t: Tree) -> Walk:
-    order, parent = _postorder(t)
+    parent = t.parent
     return tuple(
-        (v, tuple(c for c in t.neighbors[v] if c != parent[v])) for v in order
+        (v, tuple(c for c in t.neighbors[v] if c != parent[v])) for v in t.order
     )
 
 
@@ -218,12 +217,11 @@ class _Plan:
 
 
 def _plan(t: Tree, resolved: ResolvedPhi) -> _Plan:
-    """Fix a maximum matching and collect the free vertices of every
-    component with its patterns."""
+    """Fix the tree's maximum matching and collect the free vertices of
+    every component with its patterns."""
     coloring, partition, assignment, kinds = resolved
-    uncovered = uncovered_vertices(t, maximum_matching(t))
-    free = [v for v in uncovered if coloring.colors[v] is Color.RED]
-    if len(free) != len(uncovered):
+    free = [v for v, m in enumerate(t.mate) if m < 0]
+    if any(coloring.colors[v] is not Color.RED for v in free):
         raise AssertionError("a non-red vertex escaped the maximum matching")
     generic = []
     for comp, kind in zip(partition, assignment.kinds):

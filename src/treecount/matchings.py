@@ -14,19 +14,19 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .coloring import RedGreenComponent, SizeGuardError
-from .trees import Edge, Tree, _greedy_mates, _postorder
+from .trees import Edge, Tree
 
 INDEPENDENT_SET_MAX_VERTICES = 24
 
 
 def maximum_matching(t: Tree) -> frozenset[Edge]:
-    """One maximum matching, by greedy leaf elimination up the tree."""
-    mate = _greedy_mates(*_postorder(t))
-    return frozenset((v, m) for v, m in enumerate(mate) if v < m)
+    """One maximum matching, by greedy leaf elimination up the tree: the
+    edges of ``t.mate``."""
+    return frozenset((v, m) for v, m in enumerate(t.mate) if v < m)
 
 
 def maximum_matching_size(t: Tree) -> int:
-    return len(maximum_matching(t))
+    return (t.n - t.mate.count(-1)) // 2
 
 
 def uncovered_vertices(t: Tree, m: frozenset[Edge]) -> list[int]:
@@ -62,10 +62,10 @@ def independent_sets(t: Tree) -> Iterator[frozenset[int]]:
 
 def _independent_dp(t: Tree) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Per-vertex (max size, count) pairs for 'v excluded' / 'v included'."""
-    order, parent = _postorder(t)
+    parent = t.parent
     out: list[tuple[int, int]] = [(0, 1)] * t.n
     inn: list[tuple[int, int]] = [(1, 1)] * t.n
-    for v in order:
+    for v in t.order:
         children = [w for w in t.neighbors[v] if parent[w] == v]
         size_out, cnt_out = 0, 1
         size_in, cnt_in = 1, 1
@@ -94,7 +94,7 @@ def count_maximum_independent_sets(t: Tree) -> int:
 
 def independent_set_size_counts(t: Tree) -> list[int]:
     """``counts[s]`` = number of independent sets of size ``s``."""
-    order, parent = _postorder(t)
+    parent = t.parent
     out: list[list[int]] = [[1] for _ in range(t.n)]
     inn: list[list[int]] = [[0, 1] for _ in range(t.n)]
 
@@ -106,7 +106,7 @@ def independent_set_size_counts(t: Tree) -> list[int]:
                     res[i + j] += x * y
         return res
 
-    for v in order:
+    for v in t.order:
         children = [w for w in t.neighbors[v] if parent[w] == v]
         for w in children:
             both = [x + y for x, y in zip(out[w] + [0] * len(inn[w]), inn[w] + [0] * len(out[w]))]

@@ -1,24 +1,25 @@
 """Trees, graph6 I/O, canonical forms and exhaustive generation.
 
 Everything downstream works on the :class:`Tree` type defined here: a
-connected acyclic graph on vertices ``0..n-1``.  The module also provides
-the graph6 codec (short and long form, n <= 258047), an AHU-style canonical
-key for labelled trees (used for isomorphism tests and, with vertex labels,
-as the memo key of the leaf/domino recursion in :mod:`treecount.oracles`),
-the post-order and parent array of a rooting, the greedy leaf-up maximum
-matching of a parent array, and the Wright-Richmond-Odlyzko-McKay generator
-of free trees up to isomorphism (n <= 20).  The generator walks one level
-sequence per class and needs no key; asked for a matching deficiency, it
-yields only the trees that have it and skips the sequences that cannot.
-:func:`enumerate_free_trees` builds a :class:`Tree` from each parent array
-it yields; the census colors, counts and prints the arrays themselves and
-builds no :class:`Tree`.
+connected acyclic graph on vertices ``0..n-1`` that carries its rooting at
+vertex 0 and the greedy leaf-up maximum matching of that rooting.  The
+module also provides the graph6 codec (short and long form, n <= 258047),
+an AHU-style canonical key for labelled trees (used for isomorphism tests
+and, with vertex labels, as the memo key of the leaf/domino recursion in
+:mod:`treecount.oracles`), the greedy matching of any parent array, and the
+Wright-Richmond-Odlyzko-McKay generator of free trees up to isomorphism
+(n <= 20).  The generator walks one level sequence per class and needs no
+key; asked for a matching deficiency, it yields only the trees that have it
+and skips the sequences that cannot.  :func:`enumerate_free_trees` builds a
+:class:`Tree` from each parent array it yields; the census colors, counts
+and prints the arrays themselves and builds no :class:`Tree`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 MAX_GRAPH6_VERTICES = 258047
@@ -49,8 +50,9 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Tree:
     """Immutable tree on vertices ``0..n-1``.
 
-    Construction validates connectivity and acyclicity; adjacency lists are
-    precomputed.
+    Construction validates the tree and roots it at 0 by a depth-first
+    search over the sorted adjacency lists: ``order`` lists the vertices
+    children first, ``parent`` gives each one's parent (-1 at the root).
     """
 
     n: int
@@ -58,6 +60,8 @@ class Tree:
     neighbors: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    parent: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -75,22 +79,31 @@ class Tree:
                 raise ValueError("vertex label out of range")
             adj[u].append(v)
             adj[v].append(u)
-        # n-1 edges + reachability of every vertex from 0 == tree
-        seen = [False] * self.n
+        # edges come sorted with u < v, so every list fills in increasing order
+        neighbors = tuple(map(tuple, adj))
+        # n-1 edges + reachability of every vertex from 0 == tree (-2: unreached)
+        parent = [-1] + [-2] * (self.n - 1)
+        order = []
         stack = [0]
-        seen[0] = True
-        count = 1
         while stack:
             x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
+            order.append(x)
+            for y in neighbors[x]:
+                if parent[y] == -2:
+                    parent[y] = x
                     stack.append(y)
-        if count != self.n:
+        if len(order) != self.n:
             raise NotATreeError("graph is not connected")
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "neighbors", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "neighbors", neighbors)
+        object.__setattr__(self, "order", tuple(reversed(order)))
+        object.__setattr__(self, "parent", tuple(parent))
+
+    @cached_property
+    def mate(self) -> tuple[int, ...]:
+        """The greedy matching of the rooting (:func:`_greedy_mates`), built
+        on first use: ``mate[v]`` is v's partner, -1 if none."""
+        return tuple(_greedy_mates(self.order, self.parent))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
@@ -101,25 +114,6 @@ class Tree:
 
 def single_vertex() -> Tree:
     return Tree(1, ())
-
-
-def _postorder(t: Tree, root: int = 0) -> tuple[list[int], list[int]]:
-    """Vertices in post-order plus the parent array of the rooting."""
-    parent = [-1] * t.n
-    order = []
-    stack = [root]
-    seen = [False] * t.n
-    seen[root] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in t.neighbors[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                stack.append(w)
-    order.reverse()
-    return order, parent
 
 
 def _greedy_mates(order: Sequence[int], parent: Sequence[int]) -> list[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,9 @@ import pytest
 
 from treecount.cli import main, phi_spec_parse
 from treecount.counting import PhiError
+from treecount.families import d_tree, e_tree, linear_tree, star_tree
+from treecount.matchings import count_maximum_independent_sets, independent_set_size_counts
+from treecount.trees import Tree, emit_graph6, prufer_decode
 
 
 def run(capsys, *argv):
@@ -120,6 +124,27 @@ def test_sets_subcommand(capsys):
     assert "maximum matchings: 2" in out
     assert "independent sets: 5" in out
     assert "admissible sets: 1" in out
+
+
+def test_sets_count_only_matches_the_oracles(capsys):
+    """``sets --independent --count-only`` reads i(T) and vc(T) off one
+    size vector; the list DPs of :mod:`treecount.matchings` agree."""
+    rng = random.Random(200)
+    trees = [
+        Tree(1, ()),
+        star_tree(30),
+        linear_tree(40),
+        *(d_tree(n) for n in range(4, 13)),
+        *(e_tree(n) for n in range(5, 13)),
+        prufer_decode([rng.randrange(200) for _ in range(198)], 200),
+    ]
+    for t in trees:
+        argv = ("sets", "--graph6", emit_graph6(t), "--independent", "--count-only")
+        code, out, _ = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["independent_sets"] == sum(independent_set_size_counts(t))
+        assert payload["maximum_independent_sets"] == count_maximum_independent_sets(t)
 
 
 def test_sets_count_only_past_the_enumeration_guard(capsys):

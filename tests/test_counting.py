@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treecount.counting
-from treecount.coloring import _gallai_edmonds, _greedy_mates, canonical_coloring, dimension
+from treecount.coloring import _gallai_edmonds, canonical_coloring, dimension
 from treecount.counting import (
     CensusClass,
     CensusReport,
@@ -44,13 +44,14 @@ from treecount.polynomials import Poly, Q
 from treecount.trees import (
     Tree,
     _free_tree_parents,
-    _postorder,
+    _greedy_mates,
     emit_graph6,
     enumerate_free_trees,
     parse_graph6,
     prufer_decode,
 )
 from conftest import colored, trees_up_to
+from test_trees import relabel
 
 
 def test_base_cases():
@@ -268,7 +269,8 @@ def test_weigh_by_size_fixed_cases():
     assert _weigh_by_size([1], 5) == (Q - 1) ** 5
     star = star_tree(1000)
     resolved = resolve_tree_phi(star, "generic")
-    counts = _count_sets_by_size(*_postorder(star), resolved.coloring.colors, resolved.kinds)
+    colors = resolved.coloring.colors
+    counts = _count_sets_by_size(star.order, star.parent, colors, resolved.kinds)
     assert _weigh_by_size(counts, star.n) == _weigh_by_poly(counts, star.n)
     for m, t in ((8, 1), (16, 2), (16, 7), (7, 2), (15, 4), (23, 6), (63, 30)):
         counts = [1] + [0] * t
@@ -372,14 +374,15 @@ def test_size_vector_is_the_independence_polynomial():
     cases += [(star_tree(600), "versal"), (_seeded_prufer_tree(400, 2014), "versal")]
     for t, phi in cases:
         resolved = resolve_tree_phi(t, phi)
-        c = _count_sets_by_size(*_postorder(t), resolved.coloring.colors, resolved.kinds)
+        c = _count_sets_by_size(t.order, t.parent, resolved.coloring.colors, resolved.kinds)
         assert c == independent_set_size_counts(t), emit_graph6(t)
 
 
 def test_kernel_takes_any_rooting():
     """The size vector of every (tree, phi) pair with n <= 11 is the same
     from the pre-order parent array the census walks, vertices n-1..0, as
-    from :func:`_postorder` at every root."""
+    from the tree's own rooting at every root: the tree is relabelled so
+    that the root becomes vertex 0, with its colors and kinds."""
     pairs = 0
     for n in range(1, 12):
         for parent in _free_tree_parents(n):
@@ -390,8 +393,15 @@ def test_kernel_takes_any_rooting():
                 colors, kinds = resolved.coloring.colors, resolved.kinds
                 c = _count_sets_by_size(range(n - 1, -1, -1), parent, colors, kinds)
                 for root in range(n):
-                    order, rooted = _postorder(t, root)
-                    assert _count_sets_by_size(order, rooted, colors, kinds) == c, (
+                    perm = list(range(n))
+                    perm[0], perm[root] = root, 0  # an involution
+                    rooted = relabel(t, perm)
+                    moved = [colors[perm[v]] for v in range(n)]
+                    moved_kinds = [kinds[perm[v]] for v in range(n)]
+                    got = _count_sets_by_size(
+                        rooted.order, rooted.parent, moved, moved_kinds
+                    )
+                    assert got == c, (
                         emit_graph6(t),
                         phi,
                         root,

@@ -9,7 +9,6 @@ from treecount.coloring import (
     Color,
     RedGreenComponent,
     SizeGuardError,
-    _greedy_mates,
     all_maximum_matchings,
     dimension,
 )
@@ -31,7 +30,7 @@ from treecount.oracles import (
     maximum_matching_avoiding,
     maximum_matching_containing,
 )
-from treecount.trees import Tree, _free_tree_parents, enumerate_free_trees
+from treecount.trees import Tree, _free_tree_parents, _greedy_mates, enumerate_free_trees
 from conftest import colored, trees_up_to
 from test_trees import random_tree
 

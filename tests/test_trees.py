@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecount.coloring import adjacency_nullity
 from treecount.oracles import remove_vertices
 from treecount.trees import (
     Graph6Error,
@@ -315,6 +316,42 @@ def test_enumeration_guard():
         list(enumerate_free_trees(21))
     with pytest.raises(ValueError):
         list(enumerate_free_trees(0))
+
+
+# -- the rooting and matching a Tree carries -----------------------------------
+
+def test_tree_carries_its_rooting_and_matching():
+    """Every free tree with n <= 10 and 20 seeded Prufer trees with n from
+    40 to 400: the adjacency lists are sorted; ``order`` lists each vertex
+    once, children before parents, ending at the root 0; ``mate`` is a
+    matching of tree edges that leaves as many vertices unmatched as the
+    adjacency matrix has nullity."""
+    rng = random.Random(16)
+    sizes = [round(40 * 10 ** (i / 19)) for i in range(20)]
+    prufer = [prufer_decode([rng.randrange(n) for _ in range(n - 2)], n) for n in sizes]
+    for t in [*trees_up_to(10), *prufer]:
+        assert all(list(ns) == sorted(ns) for ns in t.neighbors)
+        where = {v: i for i, v in enumerate(t.order)}
+        assert sorted(where) == list(range(t.n)) and len(t.order) == t.n
+        assert t.order[-1] == 0 and t.parent[0] == -1
+        for v in range(1, t.n):
+            p = t.parent[v]
+            assert t.has_edge(v, p) and where[v] < where[p], (emit_graph6(t), v)
+        for v, m in enumerate(t.mate):
+            assert m < 0 or (t.mate[m] == v and t.has_edge(v, m)), (emit_graph6(t), v)
+        assert t.mate.count(-1) == adjacency_nullity(t), emit_graph6(t)
+
+
+def test_tree_identity_ignores_the_rooting():
+    a = Tree(3, ((0, 1), (1, 2)))
+    b = Tree(3, ((2, 1), (1, 0)))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "Tree(n=3, edges=((0, 1), (1, 2)))"
+    assert a.mate == b.mate == (-1, 2, 1)  # 2 takes its parent 1 first
+    with pytest.raises(NotATreeError, match="not connected"):
+        Tree(4, ((0, 1), (1, 2), (2, 0)))
+    with pytest.raises(NotATreeError, match="not connected"):
+        Tree(5, ((0, 1), (1, 2), (2, 0), (3, 4)))
 
 
 # -- canonical keys ------------------------------------------------------------
