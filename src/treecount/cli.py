@@ -179,8 +179,6 @@ def _run_color(args) -> int:
 
 def _run_sets(args) -> int:
     t, off = _load_tree(args)
-    c = canonical_coloring(t)
-    part = red_green_components(t, c)
     lines: list[str] = []
     payload: dict = {}
     if args.matchings:
@@ -200,9 +198,10 @@ def _run_sets(args) -> int:
             )
     if args.independent:
         if args.count_only:
-            # with no generic vertex c is the independence polynomial
-            c = _count_sets_by_size(t.order, t.parent, None, (None,) * t.n)
-            total, maximum = sum(c), c[-1]
+            # with no generic vertex the size vector is the independence
+            # polynomial
+            sizes = _count_sets_by_size(t.order, t.parent, None, (None,) * t.n)
+            total, maximum = sum(sizes), sizes[-1]
             payload["independent_sets"] = total
             payload["maximum_independent_sets"] = maximum
             lines.append(f"independent sets: {total}")
@@ -219,7 +218,7 @@ def _run_sets(args) -> int:
                 "vertices": [v + off for v in a.vertices],
                 "signs": list(a.signs),
             }
-            for comp in part
+            for comp in red_green_components(t, canonical_coloring(t))
             for a in admissible_sets(comp)
         ]
         payload["admissible_sets"] = len(adm) if args.count_only else adm

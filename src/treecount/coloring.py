@@ -302,26 +302,27 @@ def dimension(t: Tree) -> int:
 
 
 def adjacency_nullity(t: Tree) -> int:
-    """Kernel dimension of the adjacency matrix, by exact elimination."""
+    """Kernel dimension of the adjacency matrix, by exact elimination over Q
+    on sparse rows (column -> nonzero entry)."""
     from fractions import Fraction
 
-    n = t.n
-    m = [[Fraction(0)] * n for _ in range(n)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(t.n)]
     for u, v in t.edges:
-        m[u][v] = m[v][u] = Fraction(1)
+        rows[u][v] = rows[v][u] = Fraction(1)
     rank = 0
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if m[r][col]), None)
-        if pivot is None:
+    for col in range(t.n):
+        hits = [i for i, r in enumerate(rows) if col in r]
+        if not hits:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivot = rows.pop(hits[0])
+        for i in hits[1:]:
+            r = rows[i - 1]  # shifted down by the pop
+            factor = r[col] / pivot[col]
+            for k, x in pivot.items():
+                y = r.get(k, 0) - factor * x
+                if y:
+                    r[k] = y
+                else:
+                    r.pop(k, None)
         rank += 1
-        row += 1
-    return n - rank
+    return t.n - rank

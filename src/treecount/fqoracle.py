@@ -13,11 +13,16 @@ each depending on x_i and the product P of its neighbors' values.  Away
 from x_i = 0 a factor does not depend on P, so it is stored as a pair
 ``(zero_row, w)``: the factor at x_i = 0 as a function of P, and the one
 constant it takes at every x_i != 0.  The sum factors along the tree and is
-computed exactly by a transfer sum in O(n * q**2), never by visiting the
-q**n points.  Summing the factor of a versal vertex over its parameter
-gives a closed form, so versal components cost nothing extra; generic
-components are swept over every tuple passing the genericity condition,
-one transfer sum per tuple, with the count asserted identical across them.
+computed exactly by a transfer sum, never by visiting the q**n points: it
+costs O(n * q), plus O(q**2) for each multiplicative convolution, which
+only a vertex whose children all have children of their own needs (see
+:func:`_tree_sum` for the exact shortcuts that skip the rest).
+The only table is the O(q) inverse table of :class:`FqContext`; a fixed
+factor is built when a tuple uses its coefficient, so memory is O(n * q).
+Summing the factor of a versal vertex over its parameter gives a closed
+form, so versal components cost nothing extra; generic components are swept
+over every tuple passing the genericity condition, one transfer sum per
+tuple, with the count asserted identical across them.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ def _is_prime(q: int) -> bool:
 
 @dataclass(frozen=True)
 class FqContext:
-    """A prime field F_q with the arithmetic tables the transfer sum reads,
+    """A prime field F_q with the inverse table the transfer sum reads,
     built on first use."""
 
     q: int
@@ -85,11 +90,6 @@ class FqContext:
             raise ValueError(f"{self.q} is not prime")
 
     @cached_property
-    def mul(self) -> tuple[tuple[int, ...], ...]:
-        q = self.q
-        return tuple(tuple(a * b % q for b in range(q)) for a in range(q))
-
-    @cached_property
     def inv(self) -> tuple[int, ...]:
         """Multiplicative inverses, with 0 at 0."""
         q = self.q
@@ -97,9 +97,13 @@ class FqContext:
 
 
 def _fixed_factor(q: int, a: int) -> Factor:
-    """Choices of x'_v for the fixed coefficient ``a``: q at x_v = 0 when
-    1 + a P = 0, none at other P, one at every x_v != 0."""
-    return [q if (1 + a * p) % q == 0 else 0 for p in range(q)], 1
+    """Choices of x'_v for the fixed coefficient ``a`` (reduced mod q): q at
+    x_v = 0 when 1 + a P = 0, that is at P = -1/a, none at other P, one at
+    every x_v != 0."""
+    zero_row = [0] * q
+    if a:
+        zero_row[-pow(a, q - 2, q) % q] = q
+    return zero_row, 1
 
 
 def _versal_factor(q: int) -> Factor:
@@ -121,46 +125,82 @@ def _tree_sum(walk: Walk, ctx: FqContext, factor: Sequence[Factor]) -> int:
     In post-order each vertex v keeps ``nz[v][y]``, its subtree summed at
     x_v = y != 0, and ``z[v][xp]``, its subtree summed at x_v = 0 with the
     parent at xp.  At y != 0 the factor is the constant w, so nz[v][y] does
-    not depend on the parent: it is w times a product of per-child totals.
-    Every zero row vanishes at P = 0 (x_v x'_v = 1 has no solution with
-    x_v = 0), so at x_v = 0 only children at nonzero values count; the
-    distribution of their product over F_q^* is a multiplicative
-    convolution of their nz rows, O(q**2) per edge.  The zero row is then
-    read only at its nonzero entries P, each met at the children's product
-    P / xp.  The root sees a parent fixed at 1, the empty product.
+    not depend on the parent: it is w times a product of per-child totals,
+    O(q) per edge.  Every zero row vanishes at P = 0 (x_v x'_v = 1 has no
+    solution with x_v = 0), so at x_v = 0 only children at nonzero values
+    count; the distribution ``dist`` of their product over F_q^* is a
+    multiplicative convolution of their nz rows, starting from the delta at
+    P = 1, and its total is the product of the children's totals.  The zero
+    row is then read only at its nonzero entries P, each met at the
+    children's product P / xp.  The root sees a parent fixed at 1, the
+    empty product.
+
+    The O(q**2) convolution runs only at a vertex whose children all have
+    children of their own; these shortcuts are exact:
+
+    * childless vertex: its nz row is w on every unit, so only its total
+      w (q - 1) is kept, and ``dist`` is the delta at 1, so z[v] is the
+      zero row itself;
+    * childless child: convolving anything with a row that is constant on
+      the units gives a constant row, so ``dist`` is constant, at the
+      product of the children's totals over q - 1, and z[v] is that times
+      the sum of the zero row on every unit, O(q);
+    * flat zero row (constant on the units, as the versal factor is): z[v]
+      is that constant times the total of ``dist``, the product of the
+      children's totals, on every unit, O(q);
+    * first child: the delta convolved with its nz row is that row, taken
+      as it is (no row is mutated once stored).
+
+    A tuple thus costs O(n * q), plus O(q**2) for each child after the
+    first at a vertex whose children all have children and whose zero row
+    is not flat.
     """
-    q, mul, inv = ctx.q, ctx.mul, ctx.inv
+    q, inv = ctx.q, ctx.inv
     units = range(1, q)
-    nz: list[list[int]] = [[] for _ in factor]
-    z: list[list[int]] = [[] for _ in factor]
+    # nz[v] stays None for a childless v, whose nz row is w on every unit
+    nz: list[list[int] | None] = [None] * len(factor)
+    z: list[Sequence[int]] = [()] * len(factor)
     nz_sum = [0] * len(factor)
     for v, children in walk:
         zero_row, w = factor[v]
         if zero_row[0]:
             raise ValueError(f"zero row of vertex {v} is nonzero at P = 0")
+        if not children:
+            z[v], nz_sum[v] = zero_row, w * (q - 1)
+            continue
         row = [0] + [w] * (q - 1)
-        # dist[p]: children of v weighted at x_v = 0, with value product p
-        dist = [0] * q
-        dist[1] = 1
+        total = 1
+        flat_dist = False
         for c in children:
-            zc, nzc, sc = z[c], nz[c], nz_sum[c]
-            for y in units:
-                row[y] *= zc[y] + sc
-            merged = [0] * q
+            sc = nz_sum[c]
+            row = [r * (zy + sc) for r, zy in zip(row, z[c])]
+            total *= sc
+            flat_dist = flat_dist or nz[c] is None
+        flat = zero_row[1]
+        # zero_row[0] == 0, so it is flat iff every unit holds `flat`
+        if zero_row.count(flat) == q - 1 + (flat == 0):
+            zv: Sequence[int] = [0] + [flat * total] * (q - 1)
+        elif flat_dist:
+            zv = [0] + [total // (q - 1) * sum(zero_row)] * (q - 1)
+        else:
+            dist = nz[children[0]]
+            for c in children[1:]:
+                nzc = nz[c]
+                # merged[x] sums dist[p] * nzc[x / p] over the units p
+                merged = [0] * q
+                for p in units:
+                    weight, over_p = dist[p], inv[p]
+                    if weight:
+                        merged = [
+                            m + weight * nzc[x * over_p % q]
+                            for x, m in enumerate(merged)
+                        ]
+                dist = merged
+            zv = [0] * q
             for p in units:
-                weight = dist[p]
-                if weight:
-                    mp = mul[p]
-                    for y in units:
-                        merged[mp[y]] += weight * nzc[y]
-            dist = merged
-        zv = [0] * q
-        for p in units:
-            choices = zero_row[p]
-            if choices:
-                mp = mul[p]
-                for xp in units:
-                    zv[xp] += choices * dist[mp[inv[xp]]]
+                choices = zero_row[p]
+                if choices:
+                    zv = [s + choices * dist[p * i % q] for s, i in zip(zv, inv)]
         nz[v], z[v], nz_sum[v] = row, zv, sum(row)
     root = walk[-1][0]
     return nz_sum[root] + z[root][1]
@@ -258,8 +298,7 @@ def count_points(
         raise GuardError(
             f"q**(n + versal parameters) = {size} exceeds the work budget"
         )
-    tables = [_fixed_factor(q, a) for a in range(q)]
-    factor = [tables[1]] * plan.n
+    factor = [_fixed_factor(q, 1)] * plan.n
     for v in plan.versal:
         factor[v] = _versal_factor(q)
     sweeps = []
@@ -272,7 +311,7 @@ def count_points(
     for combo in itertools.product(*sweeps):
         for (vertices, _), values in zip(plan.generic, combo):
             for v, a in zip(vertices, values):
-                factor[v] = tables[a]
+                factor[v] = _fixed_factor(q, a)
         counts.add(_tree_sum(plan.walk, ctx, factor))
     if len(counts) != 1:
         raise ConstancyError(

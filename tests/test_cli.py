@@ -167,6 +167,17 @@ def test_sets_count_only_past_the_enumeration_guard(capsys):
     assert code == 3 and "n <= 24" in err
 
 
+def test_sets_colors_only_for_admissible(capsys, coloring_calls):
+    """Only ``--admissible`` reads the coloring, so the other flags never
+    compute it."""
+    argv = ("sets", "--family", "A", "--n", "30", "--independent", "--count-only")
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "sets", "--family", "A", "--n", "8", "--matchings")[0] == 0
+    assert coloring_calls == []
+    assert run(capsys, *argv, "--admissible")[0] == 0
+    assert coloring_calls == [30]
+
+
 def test_normalize_subcommand(capsys):
     code, out, _ = run(capsys, "normalize", "--family", "A", "--n", "3", "--json")
     payload = json.loads(out)

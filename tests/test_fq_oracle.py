@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,15 +88,21 @@ def test_tree_sum_matches_naive_on_every_factor_shape():
     arbitrary ones, on every tree rooted at every vertex (the walk roots at
     vertex 0).  Point counts barely depend on the coefficients, so a kernel
     reading a zero row at the wrong P shows only with arbitrary rows on
-    trees deep enough below the root."""
+    trees deep enough below the root.  The other vertices are labelled in
+    both orders, so children come in both orders.  At q = 7 the n = 4
+    trees meet every shortcut of the transfer sum: a childless vertex and
+    child, a flat zero row and a first child with children; the full
+    convolution needs n >= 5 (next test)."""
     rng = random.Random(8)
     for base in trees_up_to(5):
-        for root in range(base.n):
-            perm = list(range(base.n))
-            perm[0], perm[root] = root, 0
+        for root, ascending in itertools.product(range(base.n), (True, False)):
+            rest = sorted(set(range(base.n)) - {root}, reverse=not ascending)
+            perm = [0] * base.n
+            for new, old in enumerate(rest, 1):
+                perm[old] = new
             t = relabel(base, perm)
             walk = fqoracle._walk(t)
-            for q in (2, 3, 5, 7) if t.n <= 3 else (2, 3, 5):
+            for q in (2, 3, 5, 7) if t.n <= 4 else (2, 3, 5):
                 ctx = FqContext(q)
                 for _ in range(4):
                     factor = []
@@ -114,6 +121,46 @@ def test_tree_sum_matches_naive_on_every_factor_shape():
                     ), (t.edges, q, factor)
     with pytest.raises(ValueError):
         fqoracle._tree_sum(fqoracle._walk(Tree(1, ())), FqContext(3), [([1, 0, 0], 1)])
+
+
+def test_tree_sum_convolves_branching_children():
+    """Arbitrary rows at q = 7 on the trees where the full convolution runs:
+    a vertex, the root or one below it, with two children that both have a
+    child.  Reading a child's row at x * p instead of x / p shows only
+    here."""
+    rng = random.Random(17)
+    q = 7
+    ctx = FqContext(q)
+    for edges, branching in (
+        (((0, 1), (1, 2), (0, 3), (3, 4)), (0, (1, 3))),
+        (((0, 1), (1, 2), (1, 4), (2, 3), (4, 5)), (1, (2, 4))),
+    ):
+        t = Tree(len(edges) + 1, edges)
+        walk = fqoracle._walk(t)
+        assert branching in walk
+        for _ in range(3):
+            factor = [
+                ([0] + [rng.randrange(4) for _ in range(1, q)], rng.randrange(1, 4))
+                for _ in range(t.n)
+            ]
+            assert fqoracle._tree_sum(walk, ctx, factor) == naive_tree_sum(
+                t, q, factor
+            ), (edges, factor)
+
+
+def test_large_field_memory_is_linear_in_q():
+    """The oracle keeps no q x q table: the 1-vertex generic count at
+    q = 1009 allocates well under the 8 MB that one table of q rows of q
+    entries would take."""
+    ctx = FqContext(1009)
+    tracemalloc.start()
+    try:
+        got = count_points(Tree(1, ()), "generic", ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == 1008
+    assert peak < 5 * 2**20, peak
 
 
 def test_count_points_examples():
