@@ -19,6 +19,7 @@ from .coloring import (
     SizeGuardError,
     all_maximum_matchings,
     canonical_coloring,
+    dimension,
     red_green_components,
 )
 from .counting import (
@@ -157,7 +158,8 @@ def _run_color(args) -> int:
     lines.append(
         "dominoes: " + (", ".join(f"{u + off}-{v + off}" for u, v in sorted(c.dominoes)) or "none")
     )
-    lines.append(f"dimension: {c.red_count - c.green_count}")
+    d = dimension(t)
+    lines.append(f"dimension: {d}")
     lines.append(
         "components: "
         + (
@@ -170,7 +172,7 @@ def _run_color(args) -> int:
     payload = {
         "colors": [c.colors[v].value for v in range(t.n)],
         "dominoes": [[u + off, v + off] for u, v in sorted(c.dominoes)],
-        "dimension": c.red_count - c.green_count,
+        "dimension": d,
         "components": [[x + off for x in comp.vertices] for comp in part],
     }
     _emit(args, payload, "\n".join(lines))

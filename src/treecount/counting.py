@@ -357,10 +357,6 @@ class InconsistentModeError(ValueError):
     """Mode does not exist for that family member (wrong parity)."""
 
 
-def _qp(k: int) -> Poly:
-    return Poly.q_power(k)
-
-
 def closed_form_a(n: int, mode: Mode) -> Poly:
     """Counts for the linear tree on n vertices."""
     if n < 1:
@@ -368,11 +364,11 @@ def closed_form_a(n: int, mode: Mode) -> Poly:
     if n % 2 == 0:
         if mode is not Mode.ORANGE:
             raise InconsistentModeError("even linear trees are orange")
-        return (_qp(n + 2) - 1).divexact(Q * Q - 1)
+        return (Poly.q_power(n + 2) - 1).divexact(Q * Q - 1)
     if mode is Mode.VERSAL:
-        return (_qp(n + 2) + 1).divexact(Q + 1)
+        return (Poly.q_power(n + 2) + 1).divexact(Q + 1)
     if mode is Mode.GENERIC:
-        num = (_qp((n + 1) // 2) - 1) * (_qp((n + 3) // 2) - 1)
+        num = (Poly.q_power((n + 1) // 2) - 1) * (Poly.q_power((n + 3) // 2) - 1)
         return num.divexact(Q * Q - 1)
     raise InconsistentModeError("odd linear trees are unimodal, not orange")
 
@@ -385,13 +381,19 @@ def closed_form_d(n: int, mode: Mode) -> Poly:
         raise InconsistentModeError("D-shaped trees are never orange")
     if n % 2 == 0:
         if mode is Mode.VERSAL:
-            num = _qp(n + 3) - _qp(n + 2) + _qp(n) + _qp(3) - Q + 1
+            num = (
+                Poly.q_power(n + 3) - Poly.q_power(n + 2) + Poly.q_power(n)
+                + Poly.q_power(3) - Q + 1
+            )
             return num.divexact(Q + 1)
-        return (_qp(n // 2) - 1) ** 2
+        return (Poly.q_power(n // 2) - 1) ** 2
     if mode is Mode.VERSAL:
-        num = _qp(n + 3) - _qp(n + 2) + _qp(n) - _qp(3) + Q - 1
+        num = (
+            Poly.q_power(n + 3) - Poly.q_power(n + 2) + Poly.q_power(n)
+            - Poly.q_power(3) + Q - 1
+        )
         return num.divexact(Q * Q - 1)
-    return _qp(n) - 1
+    return Poly.q_power(n) - 1
 
 
 def closed_form_e(n: int, mode: Mode) -> Poly:
@@ -401,16 +403,16 @@ def closed_form_e(n: int, mode: Mode) -> Poly:
     if n % 2 == 0:
         if mode is not Mode.ORANGE:
             raise InconsistentModeError("even E-shaped trees are orange")
-        return ((Q * Q - Q + 1) * (_qp(n - 1) - 1)).divexact(Q - 1)
+        return ((Q * Q - Q + 1) * (Poly.q_power(n - 1) - 1)).divexact(Q - 1)
     if mode is Mode.VERSAL:
-        return (Q * Q - Q + 1) * (_qp(n - 1) + 1)
+        return (Q * Q - Q + 1) * (Poly.q_power(n - 1) + 1)
     if mode is Mode.GENERIC:
         num = (
-            _qp(n + 1)
-            - _qp(n)
-            + _qp(n - 1)
-            - _qp((n + 3) // 2)
-            - _qp((n - 1) // 2)
+            Poly.q_power(n + 1)
+            - Poly.q_power(n)
+            + Poly.q_power(n - 1)
+            - Poly.q_power((n + 3) // 2)
+            - Poly.q_power((n - 1) // 2)
             + Q * Q
             - Q
             + 1

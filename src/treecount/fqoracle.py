@@ -80,8 +80,9 @@ def _is_prime(q: int) -> bool:
 
 @dataclass(frozen=True)
 class FqContext:
-    """A prime field F_q with the inverse table the transfer sum reads,
-    built on first use."""
+    """A prime field F_q with its inverse table, built on first use: the one
+    table the transfer sum, the fixed factors and
+    :func:`treecount.groupoid.generic_tuples` read."""
 
     q: int
 
@@ -96,13 +97,14 @@ class FqContext:
         return (0,) + tuple(pow(a, q - 2, q) for a in range(1, q))
 
 
-def _fixed_factor(q: int, a: int) -> Factor:
+def _fixed_factor(ctx: FqContext, a: int) -> Factor:
     """Choices of x'_v for the fixed coefficient ``a`` (reduced mod q): q at
     x_v = 0 when 1 + a P = 0, that is at P = -1/a, none at other P, one at
     every x_v != 0."""
+    q = ctx.q
     zero_row = [0] * q
     if a:
-        zero_row[-pow(a, q - 2, q) % q] = q
+        zero_row[-ctx.inv[a] % q] = q
     return zero_row, 1
 
 
@@ -213,14 +215,14 @@ def count_fixed(t: Tree, ctx: FqContext, alpha: Sequence[int], force: bool = Fal
     q = ctx.q
     if q**t.n > WORK_BUDGET and not force:
         raise GuardError(f"q**n = {q**t.n} exceeds the work budget")
-    return _tree_sum(_walk(t), ctx, [_fixed_factor(q, a % q) for a in alpha])
+    return _tree_sum(_walk(t), ctx, [_fixed_factor(ctx, a % q) for a in alpha])
 
 
 def assert_edge_cover(t: Tree, ctx: FqContext, alpha: Sequence[int]) -> None:
     """Check that no counted solution has both ends of an edge at zero."""
     q = ctx.q
     walk = _walk(t)
-    factor = [_fixed_factor(q, a % q) for a in alpha]
+    factor = [_fixed_factor(ctx, a % q) for a in alpha]
     for a, b in t.edges:
         forced = list(factor)
         for v in (a, b):
@@ -298,20 +300,24 @@ def count_points(
         raise GuardError(
             f"q**(n + versal parameters) = {size} exceeds the work budget"
         )
-    factor = [_fixed_factor(q, 1)] * plan.n
+    factor = [_fixed_factor(ctx, 1)] * plan.n
     for v in plan.versal:
         factor[v] = _versal_factor(q)
     sweeps = []
     for vertices, patterns in plan.generic:
-        passing = generic_tuples(patterns, vertices, q)
+        passing = generic_tuples(patterns, vertices, ctx)
         if not passing:
             return NO_GENERIC_PARAMETERS
         sweeps.append(passing)
+    # held[v]: the coefficient factor[v] was built for; consecutive tuples
+    # mostly differ in the last vertex only
+    held = [1] * plan.n
     counts = set()
     for combo in itertools.product(*sweeps):
         for (vertices, _), values in zip(plan.generic, combo):
             for v, a in zip(vertices, values):
-                factor[v] = _fixed_factor(q, a)
+                if held[v] != a:
+                    held[v], factor[v] = a, _fixed_factor(ctx, a)
         counts.add(_tree_sum(plan.walk, ctx, factor))
     if len(counts) != 1:
         raise ConstancyError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .coloring import (
     Color,
@@ -25,10 +25,12 @@ from .coloring import (
 from .matchings import (
     admissible_sets,
     maximum_matching_size,
-    shared_green_blocks,
     uncovered_vertices,
 )
 from .trees import Edge, Tree, normalize_edge
+
+if TYPE_CHECKING:
+    from .fqoracle import FqContext
 
 ExponentVector = dict[int, int]
 
@@ -231,32 +233,27 @@ def rank_profile(partition: RedGreenPartition, generic_flags: Sequence[bool]) ->
 # Genericity
 # ---------------------------------------------------------------------------
 
-def _sign_patterns(component: RedGreenComponent, vertices: tuple[int, ...], signs: tuple[int, ...]):
-    """All valid sign assignments of an admissible set, one per choice of
-    flips of its shared-green-neighbor blocks (the canonical signs only fix
-    each block up to a flip)."""
-    blocks = shared_green_blocks(component, frozenset(vertices))
-    base = dict(zip(vertices, signs))
-    for mask in range(1 << len(blocks)):
-        out = dict(base)
-        for i, block in enumerate(blocks):
-            if mask >> i & 1:
-                for v in block:
-                    out[v] = -out[v]
-        yield out
-
-
 GenericityPattern = tuple[int, tuple[tuple[int, int], ...]]
 
 
 def genericity_patterns(component: RedGreenComponent) -> list[GenericityPattern]:
     """The (|S| mod 2, signed members) pair of every admissible set S under
-    every valid sign assignment; they depend on the component only."""
-    return [
-        (len(adm) % 2, tuple(signed.items()))
-        for adm in admissible_sets(component)
-        for signed in _sign_patterns(component, adm.vertices, adm.signs)
-    ]
+    every valid sign assignment up to the global flip; they depend on the
+    component only."""
+    patterns = []
+    for adm in admissible_sets(component):
+        parity = len(adm) % 2
+        # the valid assignments flip any set of blocks; block 0 stays, since
+        # flipping every block inverts the alternating product and the
+        # target (-1)**|S| is its own inverse
+        for mask in range(1 << (len(adm.blocks) - 1)):
+            sign = dict(zip(adm.vertices, adm.signs))
+            for i, block in enumerate(adm.blocks[1:]):
+                if mask >> i & 1:
+                    for v in block:
+                        sign[v] = -sign[v]
+            patterns.append((parity, tuple(sign.items())))
+    return patterns
 
 
 def is_generic(
@@ -276,7 +273,7 @@ def is_generic(
 
 
 def generic_tuples(
-    patterns: Sequence[GenericityPattern], vertices: Sequence[int], q: int
+    patterns: Sequence[GenericityPattern], vertices: Sequence[int], ctx: FqContext
 ) -> list[tuple[int, ...]]:
     """The nonzero value tuples on ``vertices`` that pass :func:`is_generic`,
     in ``itertools.product(range(1, q), repeat=len(vertices))`` order.
@@ -286,9 +283,9 @@ def generic_tuples(
     as its last member has a value, which prunes every tuple extending a
     failing prefix.
     """
+    q, inv = ctx.q, ctx.inv
     k = len(vertices)
     position = {v: i for i, v in enumerate(vertices)}
-    inv = [0] + [pow(a, q - 2, q) for a in range(1, q)]
     # due[i]: (target, slots) of the patterns whose last member is at i;
     # slot 2i holds the value at position i and slot 2i + 1 its inverse
     due: list[list[tuple[int, list[int]]]] = [[] for _ in range(k)]

@@ -5,13 +5,13 @@ maximum matching of a tree (the mate array of :mod:`treecount.trees`,
 which also gives the coloring and the dimension), exact counting of
 maximum independent sets, enumeration of all independent sets, and the
 admissible sets of red vertices that carry the genericity condition, with
-their canonical sign assignment.
+their canonical signs and shared-green blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .coloring import RedGreenComponent, SizeGuardError
 from .trees import Edge, Tree
@@ -130,13 +130,14 @@ def independent_set_size_counts(t: Tree) -> list[int]:
 @dataclass(frozen=True)
 class AdmissibleSet:
     """Nonempty red set where every green of the component sees 0 or 2 of it,
-    signed so that reds sharing a green neighbor get opposite signs."""
+    signed so that reds sharing a green neighbor get opposite signs.
+
+    ``blocks`` are its connected blocks under 'shares a green neighbor', each
+    in BFS order from its smallest member, which carries sign +1."""
 
     vertices: tuple[int, ...]
     signs: tuple[int, ...]
-
-    def sign(self, v: int) -> int:
-        return self.signs[self.vertices.index(v)]
+    blocks: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -152,81 +153,57 @@ def _green_adjacency(component: RedGreenComponent) -> dict[int, tuple[int, ...]]
     return {g: tuple(sorted(ns)) for g, ns in adj.items()}
 
 
-def shared_green_blocks(
-    component: RedGreenComponent, s: frozenset[int]
-) -> list[list[int]]:
-    """Connected blocks of ``s`` under 'shares a green neighbor', each listed
-    in BFS order from its smallest member."""
-    return _shared_green(component, s)[1]
-
-
-def _shared_green(
-    component: RedGreenComponent, s: frozenset[int]
-) -> tuple[dict[int, set[int]], list[list[int]]]:
-    """The 'shares a green neighbor' graph on ``s`` and its blocks."""
-    adj: dict[int, set[int]] = {v: set() for v in s}
-    for ns in _green_adjacency(component).values():
-        inside = [x for x in ns if x in s]
-        for a in inside:
-            adj[a].update(b for b in inside if b != a)
-    blocks = []
-    seen: set[int] = set()
-    for start in sorted(s):
-        if start in seen:
-            continue
-        block = [start]
-        seen.add(start)
-        i = 0
-        while i < len(block):
-            for y in sorted(adj[block[i]]):
-                if y not in seen:
-                    seen.add(y)
-                    block.append(y)
-            i += 1
-        blocks.append(block)
-    return adj, blocks
-
-
-def _canonical_signs(component: RedGreenComponent, s: frozenset[int]) -> dict[int, int]:
-    """Two-color each shared-a-green-neighbor block, smallest member +1.
-
-    The auxiliary graph restricted to an admissible set of a tree component
-    is a forest, so the BFS never meets a parity conflict; a conflict would
-    mean an odd cycle in the tree.
+def _blocks_and_signs(
+    greens: Iterable[Sequence[int]], s: frozenset[int]
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]] | None:
+    """The blocks of ``s`` under 'shares a green neighbor', each in BFS order
+    from its smallest member, signed +1 there and alternating along the
+    links; None as soon as a green neighborhood in ``greens`` holds 1 or 3+
+    members of ``s``.  On an admissible set of a tree component the links
+    form a forest, so a parity conflict would mean an odd cycle in the tree.
     """
-    adj, blocks = _shared_green(component, s)
+    linked: dict[int, list[int]] = {}
+    for ns in greens:
+        inside = [x for x in ns if x in s]
+        if inside:
+            if len(inside) != 2:
+                return None
+            a, b = inside
+            linked.setdefault(a, []).append(b)
+            linked.setdefault(b, []).append(a)
+    blocks = []
     sign: dict[int, int] = {}
-    for block in blocks:
-        sign[block[0]] = 1
-        for v in block[1:]:
-            fixed = next(w for w in sorted(adj[v]) if w in sign)
-            sign[v] = -sign[fixed]
+    for start in sorted(s):
+        if start in sign:
+            continue
+        sign[start] = 1
+        block = [start]
         for v in block:
-            for w in adj[v]:
-                if sign[w] != -sign[v]:
+            for w in sorted(linked.get(v, ())):
+                if w not in sign:
+                    sign[w] = -sign[v]
+                    block.append(w)
+                elif sign[w] != -sign[v]:
                     raise AssertionError("sign parity conflict in admissible set")
-    return sign
+        blocks.append(tuple(block))
+    return tuple(blocks), sign
 
 
 def admissible_sets(component: RedGreenComponent) -> Iterator[AdmissibleSet]:
-    """Every admissible set of the component with its canonical signs.
+    """Every admissible set of the component with its canonical signs and
+    blocks, in lexicographic order of the underlying red subsets.
 
-    Emitted in lexicographic order of the underlying red subsets; the global
-    flip of any block is not emitted separately (the genericity predicate is
-    flip-invariant).
+    Each block's signs are fixed only up to a flip, so flipping some blocks
+    gives another valid assignment, which :func:`genericity_patterns` of
+    :mod:`treecount.groupoid` emits; only flipping every block together
+    leaves the genericity condition unchanged.
     """
     reds = sorted(component.reds)
-    greens = _green_adjacency(component)
+    greens = _green_adjacency(component).values()
     for mask in range(1, 1 << len(reds)):
         s = frozenset(reds[i] for i in range(len(reds)) if mask >> i & 1)
-        ok = True
-        for ns in greens.values():
-            k = sum(1 for x in ns if x in s)
-            if k not in (0, 2):
-                ok = False
-                break
-        if not ok:
-            continue
-        sign = _canonical_signs(component, s)
-        vertices = tuple(sorted(s))
-        yield AdmissibleSet(vertices, tuple(sign[v] for v in vertices))
+        found = _blocks_and_signs(greens, s)
+        if found is not None:
+            blocks, sign = found
+            vertices = tuple(sorted(s))
+            yield AdmissibleSet(vertices, tuple(sign[v] for v in vertices), blocks)

@@ -42,9 +42,9 @@ class Poly:
         return Poly((c,))
 
     @staticmethod
-    def q_power(k: int, c: int = 1) -> Poly:
-        """c * q**k."""
-        return Poly((0,) * k + (c,))
+    def q_power(k: int) -> Poly:
+        """q**k."""
+        return Poly((0,) * k + (1,))
 
     # -- structure ---------------------------------------------------------
 

@@ -114,7 +114,7 @@ def test_tree_sum_matches_naive_on_every_factor_shape():
                             zero_row = [0] + [rng.randrange(4) for _ in range(1, q)]
                             factor.append((zero_row, rng.randrange(4)))
                         else:
-                            zero_row, w = fqoracle._fixed_factor(q, rng.randrange(q))
+                            zero_row, w = fqoracle._fixed_factor(ctx, rng.randrange(q))
                             factor.append((zero_row, w if shape == "fixed" else 0))
                     assert fqoracle._tree_sum(walk, ctx, factor) == naive_tree_sum(
                         t, q, factor

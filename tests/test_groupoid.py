@@ -13,6 +13,7 @@ from treecount.coloring import (
     all_maximum_matchings,
     canonical_coloring,
 )
+from treecount.fqoracle import FqContext
 from treecount.groupoid import (
     CoefficientState,
     JumpError,
@@ -29,7 +30,6 @@ from treecount.groupoid import (
 from treecount.matchings import (
     admissible_sets,
     maximum_matching,
-    shared_green_blocks,
     uncovered_vertices,
 )
 from treecount.trees import Tree
@@ -252,7 +252,43 @@ def test_generic_tuples_match_filtered_product():
                     for values in itertools.product(range(1, q), repeat=len(vertices))
                     if is_generic(patterns, dict(zip(vertices, values)), q)
                 ]
-                assert generic_tuples(patterns, vertices, q) == expected
+                assert generic_tuples(patterns, vertices, FqContext(q)) == expected
+
+
+def _negated(pattern):
+    parity, signed = pattern
+    return parity, tuple((v, -sg) for v, sg in signed)
+
+
+def test_genericity_patterns_one_per_global_flip_class():
+    """An admissible set with b blocks has 2**b valid sign assignments, which
+    pair up under the global flip; one pattern is kept per pair."""
+    total = 0
+    for t in trees_up_to(9):
+        _, part = colored(t)
+        for comp in part:
+            patterns = genericity_patterns(comp)
+            assert len(patterns) == sum(
+                2 ** (len(a.blocks) - 1) for a in admissible_sets(comp)
+            )
+            assert len(set(patterns)) == len(patterns)
+            assert not {_negated(p) for p in patterns} & set(patterns)
+            total += len(patterns)
+    assert total == 447
+
+
+def test_genericity_patterns_imply_their_global_flips():
+    """Adding the sign-negated copy of every pattern changes no verdict on
+    any nonzero values of the component's reds."""
+    for t in trees_up_to(8):
+        _, part = colored(t)
+        for comp in part:
+            patterns = genericity_patterns(comp)
+            both = patterns + [_negated(p) for p in patterns]
+            for q in (2, 3, 5, 7):
+                for values in itertools.product(range(1, q), repeat=len(comp.reds)):
+                    point = dict(zip(comp.reds, values))
+                    assert is_generic(patterns, point, q) == is_generic(both, point, q)
 
 
 def test_genericity_flip_invariance():
@@ -310,8 +346,5 @@ def test_shared_green_blocks_can_disconnect():
     ds = Tree(7, ((0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)))
     c, part = colored(ds)
     comp = part.components[0]
-    blocks = {
-        tuple(map(tuple, shared_green_blocks(comp, frozenset(a.vertices))))
-        for a in admissible_sets(comp)
-    }
+    blocks = {a.blocks for a in admissible_sets(comp)}
     assert any(len(b) > 1 for b in blocks)

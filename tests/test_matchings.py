@@ -20,9 +20,8 @@ from treecount.matchings import (
     independent_sets,
     maximum_matching,
     maximum_matching_size,
-    shared_green_blocks,
     uncovered_vertices,
-    _canonical_signs,
+    _blocks_and_signs,
     _green_adjacency,
 )
 from treecount.oracles import (
@@ -65,9 +64,9 @@ def grow_admissible(component: RedGreenComponent, u: int) -> AdmissibleSet:
             break
     if not is_admissible(component, frozenset(s)):
         raise AssertionError("completion loop ended on a non-admissible set")
-    sign = _canonical_signs(component, frozenset(s))
+    blocks, sign = _blocks_and_signs(greens.values(), frozenset(s))
     vertices = tuple(sorted(s))
-    return AdmissibleSet(vertices, tuple(sign[v] for v in vertices))
+    return AdmissibleSet(vertices, tuple(sign[v] for v in vertices), blocks)
 
 
 def path(n: int) -> Tree:
@@ -224,12 +223,20 @@ def test_admissible_sign_consistency():
             }
             for a in admissible_sets(comp):
                 signs = dict(zip(a.vertices, a.signs))
+                classes = {v: frozenset({v}) for v in a.vertices}
                 for g, nbrs in green_nbrs.items():
                     inside = [x for x in nbrs if x in signs]
                     if inside:
                         assert len(inside) == 2
                         assert signs[inside[0]] == -signs[inside[1]]
-                for block in shared_green_blocks(comp, frozenset(a.vertices)):
+                        merged = classes[inside[0]] | classes[inside[1]]
+                        for x in merged:
+                            classes[x] = merged
+                # the blocks are the classes of 'shares a green neighbor'
+                assert set(map(frozenset, a.blocks)) == set(classes.values())
+                assert sum(map(len, a.blocks)) == len(a.vertices)
+                for block in a.blocks:
+                    assert block[0] == min(block)
                     assert signs[min(block)] == 1
 
 
