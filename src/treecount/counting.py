@@ -18,7 +18,8 @@ The pass takes a children-first vertex order and a parent array, not a
 its own rooting at 0 (``t.order``, ``t.parent``); the coincidence census
 counts every tree straight off the parent arrays of the free-tree walk,
 colors only the unimodal-generic ones, off the same arrays, and buckets
-them on their size vector.
+them on their size vector.  For the orange and unimodal-versal classes it
+carries the pass's states of closed subtrees from one array to the next.
 
 Also here: closed forms for the linear, D- and E-shaped families (checked
 by exact division), the all-versal independent-set formula, Euler
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence, TypeAlias
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
 
 from .coloring import (
     Color,
@@ -248,16 +249,86 @@ def _count_sets_by_size(
             if role[p]:
                 down[p] *= o1
         inn[v] = out[v] = down[v] = 0
-    packed = o0 + o1 + i0
-    slots = -(-packed.bit_length() // shift)
-    raw = packed.to_bytes(slots * width, "little")
-    counts = [
-        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-    ]
+    counts = _unpack(o0 + o1 + i0, width)
     found = sum(counts)
     if found > total or (found != total and generic not in kinds):
         raise AssertionError(f"{found} sets counted by size, {total} independent sets")
     return counts
+
+
+def _unpack(packed: int, width: int) -> list[int]:
+    """The slots of ``width`` bytes of a packed size-polynomial, lowest first,
+    up to its last nonzero one."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+    ]
+
+
+#: The open vertices of a pre-order parent array read up to some position,
+#: deepest first: (inn, out, without, with_, the rest of the chain), None
+#: below the root.
+_Fold = tuple[int, int, int, int, "_Fold"] | None
+
+
+def _carried_size_vectors(
+    n: int, arrays: Iterable[list[int]]
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Each pre-order parent array on n vertices with its size vector c, the
+    independence polynomial: :func:`_count_sets_by_size` with no generic
+    vertex, carried from one array to the next.
+
+    An array is read from left to right keeping a chain of its open
+    vertices, those whose subtree has not ended (the path from the root to
+    the last position read), deepest first.  Each carries the products over
+    its children closed so far of the kernel's packed states, ``inn`` (v in
+    S) and ``out`` (v not in S), and of the scalar counts ``without`` and
+    ``with_`` that give i(T).  A position at depth l closes every open
+    vertex at depth l or more, folding each into the one below it, and
+    opens a leaf; the end closes all of them but the root.  A vertex's
+    states depend on its subtree alone, so the chain before every position
+    is kept, and an array is read only from the first position where it
+    differs from the previous one.
+
+    One slot width serves every tree: i(T) is at most 2**(n-1) + 1, the
+    star's count (Prodinger and Tichy, Fibonacci Quart. 20 (1982)), so the
+    kernel's slot for that bound never carries.  The slot sum is checked
+    against the carried i(T).
+    """
+    bound = (1 << max(n - 1, 0)) + 1
+    width = (bound.bit_length() + 8) // 8  # bytes per slot, as in the kernel
+    shift = 8 * width
+    depth = [0] * n
+    # chain_at[k]: the chain before position k of the array read last
+    chain_at: list[_Fold] = [None, (1, 1, 1, 1, None), *[None] * n]
+    prev: list[int] = []
+    for parent in arrays:
+        k = 1
+        if prev:
+            while k < n and parent[k] == prev[k]:
+                k += 1
+        chain = chain_at[k]
+        for v in range(k, n):
+            dv = depth[v] = depth[parent[v]] + 1
+            chain = _close_deepest(chain, depth[v - 1] - dv + 1, shift)
+            chain = chain_at[v + 1] = (1, 1, 1, 1, chain)
+        inn, out, without, with_, _ = _close_deepest(chain, depth[n - 1], shift)
+        counts = _unpack(out + (inn << shift), width)
+        found, total = sum(counts), without + with_
+        if found != total:
+            raise AssertionError(f"{found} sets counted by size, {total} independent sets")
+        yield parent, counts
+        prev = parent
+
+
+def _close_deepest(chain: _Fold, count: int, shift: int) -> _Fold:
+    """Close the ``count`` deepest open vertices of a chain, folding each
+    into the one below it, its parent, as :func:`_count_sets_by_size` folds
+    a child with no generic vertex."""
+    for _ in range(count):
+        inn, out, wo, wi, (pinn, pout, pwo, pwi, below) = chain
+        chain = (pinn * out, pout * (out + (inn << shift)), pwo * (wo + wi), pwi * wo, below)
+    return chain
 
 
 def _weigh_by_size(counts: Sequence[int], exponent: int) -> Poly:
@@ -483,6 +554,23 @@ class CensusReport:
     polynomials: tuple[Poly, ...]
 
 
+def _generic_size_vector(parent: list[int]) -> list[int]:
+    """c of a unimodal-generic pre-order parent array: colored off its greedy
+    matching and adjacency lists (:func:`_gallai_edmonds`), every red or
+    green vertex generic, counted by :func:`_count_sets_by_size`."""
+    n = len(parent)
+    order = range(n - 1, -1, -1)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        p = parent[v]
+        nbrs[p].append(v)
+        nbrs[v].append(p)
+    colors = _gallai_edmonds(nbrs, _greedy_mates(order, parent))
+    orange, generic = Color.ORANGE, PhiKind.GENERIC
+    kinds = [None if col is orange else generic for col in colors]
+    return _count_sets_by_size(order, parent, colors, kinds)
+
+
 def census(n: int, census_class: CensusClass) -> CensusReport:
     """Bucket the n-vertex trees of a class by their polynomial.
 
@@ -494,56 +582,55 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     The dimension of a tree is the number of vertices its greedy leaf-up
     matching (:func:`_greedy_mates`) leaves unmatched, so the free-tree walk
     is asked for the class's deficiency, 0 or 1, and hands out only those
-    parent arrays.  It skips whole runs of level sequences on the way: an
-    unmatched vertex depends only on its parent's subtree, and that subtree
-    is closed at a fixed position of the sequence, so once too many
+    parent arrays.  It carries the matching of the subtrees already closed
+    from one level sequence to the next and skips whole runs of sequences:
+    an unmatched vertex depends only on its parent's subtree, and that
+    subtree is closed at a fixed position of the sequence, so once too many
     unmatched vertices are closed no later sequence with the same prefix
     can reach the class (:func:`_free_tree_parents`).  The arrays are
     numbered in pre-order, so vertices n-1 down to 0 put children first,
     and trees are counted straight off them.  An orange or all-versal tree
-    excludes no independent set, so it is counted with no coloring.  A
-    unimodal-generic tree is colored off its greedy matching and the
-    adjacency lists of its parent array (:func:`_gallai_edmonds`); with
-    dimension 1 it has one red-green component, so every red or green
-    vertex is generic.
+    excludes no independent set, so it is counted with no coloring, and its
+    kernel states, which depend on each subtree alone, are carried from one
+    kept array to the next: only the positions after the prefix it shares
+    with the previous array are folded again (:func:`_carried_size_vectors`).
+    A unimodal-generic tree is colored off its greedy matching and the
+    adjacency lists of its parent array (:func:`_gallai_edmonds`) and
+    counted afresh (:func:`_generic_size_vector`); with dimension 1 it has
+    one red-green component, so every red or green vertex is generic.
 
     Trees are bucketed on their size vector c (:func:`_count_sets_by_size`),
     which is the same as bucketing on N: within a class n and the versal
     rank vr (1 for unimodal-versal, 0 otherwise) are fixed, and
     c -> N = sum_k c_k (q-1)**(n+vr-2k) q**k is injective: the k-th term has
     lowest power q**k, so N determines c_0, c_1, ... in turn.  Each bucket
-    is weighed into N once, and the trees of buckets holding more than one
-    are written as graph6 straight from their parent arrays
-    (:func:`_graph6`): the same representatives, in the same order, as
+    is weighed into N once.  A bucket holds each tree's parent array as
+    bytes, the root's left out, and the trees of buckets holding more than
+    one are written as graph6 straight from those (:func:`_graph6`): the
+    same representatives, in the same order, as
     :func:`enumerate_free_trees`.  No :class:`Tree` is built.
     """
     target = 0 if census_class is CensusClass.ORANGE else 1
-    generic = census_class is CensusClass.UNIMODAL_GENERIC
     versal_rank = 1 if census_class is CensusClass.UNIMODAL_VERSAL else 0
-    order = range(n - 1, -1, -1)
-    no_kinds = (None,) * n
-    orange, generic_kind = Color.ORANGE, PhiKind.GENERIC
+    walk = _free_tree_parents(n, target)
+    if census_class is CensusClass.UNIMODAL_GENERIC:
+        counted: Iterable[tuple[list[int], list[int]]] = (
+            (parent, _generic_size_vector(parent)) for parent in walk
+        )
+    else:
+        counted = _carried_size_vectors(n, walk)
     tree_count = 0
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for parent in _free_tree_parents(n, target):
+    buckets: dict[tuple[int, ...], list[bytes]] = {}
+    for parent, c in counted:
         tree_count += 1
-        colors, kinds = None, no_kinds
-        if generic:
-            nbrs: list[list[int]] = [[] for _ in range(n)]
-            for v in range(1, n):
-                p = parent[v]
-                nbrs[p].append(v)
-                nbrs[v].append(p)
-            colors = _gallai_edmonds(nbrs, _greedy_mates(order, parent))
-            kinds = [None if col is orange else generic_kind for col in colors]
-        c = _count_sets_by_size(order, parent, colors, kinds)
-        buckets.setdefault(tuple(c), []).append(tuple(parent))
+        # every parent is below n <= 20, so one byte each; the root's is implied
+        buckets.setdefault(tuple(c), []).append(bytes(parent[1:]))
     ordered = sorted(
         ((_weigh_by_size(c, n + versal_rank), arrays) for c, arrays in buckets.items()),
         key=lambda kv: kv[0].coeffs,
     )
     collisions = tuple(
-        tuple(_graph6(n, zip(a[1:], range(1, n))) for a in arrays)
+        tuple(_graph6(n, zip(a, range(1, n))) for a in arrays)
         for _, arrays in ordered
         if len(arrays) > 1
     )

@@ -258,24 +258,36 @@ class _Plan:
     generic: tuple[tuple[tuple[int, ...], list[GenericityPattern]], ...]
 
 
-def _plan(t: Tree, resolved: ResolvedPhi) -> _Plan:
+def _check_budget(parameters: int, q: int, force: bool) -> None:
+    """Raise :class:`GuardError` when q**parameters exceeds the work budget,
+    unless ``force``."""
+    size = q**parameters
+    if size > WORK_BUDGET and not force:
+        raise GuardError(
+            f"q**(n + versal parameters) = {size} exceeds the work budget"
+        )
+
+
+def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) -> _Plan:
     """Fix the tree's maximum matching and collect the free vertices of
-    every component with its patterns."""
+    every component with its patterns.
+
+    The work budget is checked at every q in ``primes`` first: the patterns
+    walk every subset of each generic component's reds, which alone can
+    take longer than the budget allows."""
     coloring, partition, assignment, kinds = resolved
     free = [v for v, m in enumerate(t.mate) if m < 0]
     if any(coloring.colors[v] is not Color.RED for v in free):
         raise AssertionError("a non-red vertex escaped the maximum matching")
+    versal = tuple(v for v in free if kinds[v] is PhiKind.VERSAL)
+    for q in primes:
+        _check_budget(t.n + len(versal), q, force)
     generic = []
     for comp, kind in zip(partition, assignment.kinds):
         vertices = tuple(v for v in free if v in comp.vertices)
         if kind is PhiKind.GENERIC and vertices:
             generic.append((vertices, genericity_patterns(comp)))
-    return _Plan(
-        t.n,
-        _walk(t),
-        tuple(v for v in free if kinds[v] is PhiKind.VERSAL),
-        tuple(generic),
-    )
+    return _Plan(t.n, _walk(t), versal, tuple(generic))
 
 
 def count_points(
@@ -293,13 +305,12 @@ def count_points(
     tuple passes.  ``phi`` may also be the plan of ``t`` that
     :func:`verify_polynomial` builds once for all its primes.
     """
-    plan = phi if isinstance(phi, _Plan) else _plan(t, resolve_tree_phi(t, phi))
     q = ctx.q
-    size = q ** (plan.n + len(plan.versal))
-    if size > WORK_BUDGET and not force:
-        raise GuardError(
-            f"q**(n + versal parameters) = {size} exceeds the work budget"
-        )
+    if isinstance(phi, _Plan):
+        plan = phi
+        _check_budget(plan.n + len(plan.versal), q, force)
+    else:
+        plan = _plan(t, resolve_tree_phi(t, phi), (q,), force)
     factor = [_fixed_factor(ctx, 1)] * plan.n
     for v in plan.versal:
         factor[v] = _versal_factor(q)
@@ -354,14 +365,17 @@ def verify_polynomial(
     force: bool = False,
 ) -> VerifyReport:
     """Compare the counting polynomial against the F_q point-count oracle
-    (:func:`count_points` at each prime, with phi resolved once for both)."""
+    (:func:`count_points` at each prime, with phi resolved once for both).
+    The work budget is checked at every prime before any is counted."""
     resolved = resolve_tree_phi(t, phi)
     poly = _count_resolved(t, resolved)
-    plan = _plan(t, resolved)
+    contexts = [FqContext(q) for q in primes]
+    plan = _plan(t, resolved, primes, force)
     checks = []
-    for q in primes:
+    for ctx in contexts:
+        q = ctx.q
         expected = poly(q)
-        got = count_points(t, plan, FqContext(q), force=force)
+        got = count_points(t, plan, ctx, force=force)
         if isinstance(got, NoGenericParameters):
             checks.append(PrimeCheck(q, "skipped", None, expected))
         elif got == expected:

@@ -8,11 +8,15 @@ an AHU-style canonical key for labelled trees (used for isomorphism tests
 and, with vertex labels, as the memo key of the leaf/domino recursion in
 :mod:`treecount.oracles`), the greedy matching of any parent array, and the
 Wright-Richmond-Odlyzko-McKay generator of free trees up to isomorphism
-(n <= 20).  The generator walks one level sequence per class and needs no
-key; asked for a matching deficiency, it yields only the trees that have it
-and skips the sequences that cannot.  :func:`enumerate_free_trees` builds a
-:class:`Tree` from each parent array it yields; the census colors, counts
-and prints the arrays themselves and builds no :class:`Tree`.
+(n <= 20).  The generator walks one level sequence per class, stepping it
+in place, and needs no key.  Asked for a matching deficiency, it carries
+along the walk how the greedy matching treats every subtree already closed
+(a chain of the open vertices, each with its number of free children), so a
+step re-reads only the positions it rewrote; it yields only the trees that
+have the deficiency and skips the sequences that cannot.
+:func:`enumerate_free_trees` builds a :class:`Tree` from each parent array
+it yields; the census colors, counts and prints the arrays themselves, with
+a chain of its own for the counting, and builds no :class:`Tree`.
 """
 
 from __future__ import annotations
@@ -330,25 +334,22 @@ def canonical_key(t: Tree, labels: Mapping[int, int] | Sequence[int] | None = No
 # Exhaustive generation of free trees
 # ---------------------------------------------------------------------------
 
-def _next_rooted(
-    levels: list[int], parent: list[int], p: int
-) -> tuple[list[int], list[int]] | None:
-    """Beyer-Hedetniemi successor of a canonical level sequence (root at
-    level 0) and its parent array, taken at position ``p``: keep the prefix
-    before ``p`` and replay, from ``p`` on, the block that starts at the
-    parent ``q`` of ``p``.  Each copy of the block hangs from the parent of
-    ``q``; its other parents move with it."""
+def _next_rooted(levels: list[int], parent: list[int], p: int) -> bool:
+    """Step a canonical level sequence (root at level 0) and its parent
+    array in place to their Beyer-Hedetniemi successor at position ``p``:
+    keep the prefix before ``p`` and replay, from ``p`` on, the block that
+    starts at the parent ``q`` of ``p``.  Each copy of the block hangs from
+    the parent of ``q``; its other parents move with it.  False, with
+    nothing changed, when ``p`` is the root: the walk is over."""
     if p == 0:
-        return None
+        return False
     q = parent[p]
     d = p - q
-    out = levels[:p]
-    par = parent[:p]
-    for j in range(q, q + len(levels) - p):
-        out.append(out[j])
-        x = par[j]
-        par.append(x + d if x >= q else x)
-    return out, par
+    for j in range(p, len(levels)):
+        levels[j] = levels[j - d]
+        x = parent[j - d]
+        parent[j] = x + d if x >= q else x
+    return True
 
 
 def _second_child(levels: list[int]) -> int:
@@ -368,6 +369,12 @@ def check_enumeration_size(n: int) -> None:
         )
 
 
+#: The open vertices of a level sequence read up to some position, as
+#: nested pairs (free children of the deepest one, the rest of the chain);
+#: the root is at the bottom, above None.
+_Chain = tuple[int, "_Chain"] | None
+
+
 def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[int]]:
     """Parent array of one rooted representative per free tree on n vertices.
 
@@ -379,24 +386,34 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
     greater when the sizes tie too.  An invalid sequence jumps past every
     rooted tree that keeps the same invalid ``left``.  Vertices are numbered
     in pre-order, so ``parent[0] == -1`` and ``parent[v] < v`` otherwise.
+    Each step rewrites ``levels`` and ``parent`` in place from its position
+    on; every yielded array is a copy, which the caller may keep.
 
     With a ``deficiency`` d, only the trees whose greedy leaf-up matching
     (:func:`_greedy_mates`, vertices n-1 down to 0) leaves exactly d vertices
     unmatched are yielded, and the walk skips sequences that cannot have d.
-    The subtree of a vertex p is the range [p, end(p)) of the sequence,
-    where end(p) is the first later position whose level is at most p's (n
-    if none).  A non-root vertex v is left unmatched exactly when a
-    higher-numbered sibling has taken its parent p first, which depends on
-    p's subtree alone; so v's fate is closed at end(p), and an unmatched
-    root's at n.  Sequences come in decreasing lexicographic order, so a
-    later one that keeps the prefix before a closing position has the level
-    there no higher, keeps the closed subtree and leaves its vertex
-    unmatched too.  When a valid sequence leaves more than d vertices
-    unmatched, let E be the (d+1)-th smallest closing position: every later
-    sequence that keeps the prefix before E has too many.  The walk steps
-    at the last position before E whose level is not 1, as after a yield,
-    which skips exactly those; level-1 positions cannot decrease, and the
-    root ends the walk.
+    Whether a vertex is matched by one of its children depends on its
+    subtree alone, the range of positions up to the next one at its level
+    or lower, and so does which of its children stay unmatched.  The walk
+    therefore reads each sequence from left to right keeping a chain of the
+    open vertices (those whose subtree has not ended: the path from the
+    root to the last position read), each with its number of free children,
+    and the number of vertices left unmatched so far.  A position at level
+    l closes every open vertex at level l or deeper, and the end of the
+    sequence closes all of them.  A closing vertex with f > 0 free children
+    is matched to the last of them and leaves the other f - 1 unmatched;
+    one with none is free, for its parent, or unmatched if it is the root.
+    The chain and the count before every position are kept, so a sequence
+    is read again only from the lowest position that a step rewrote.
+
+    Sequences come in decreasing lexicographic order, so a later one that
+    keeps the prefix before a position where a vertex closed keeps that
+    subtree and the vertices it left unmatched.  When more than d vertices
+    are unmatched once the vertices closing at position E are closed, every
+    later sequence that keeps the prefix before E has too many.  The walk
+    stops reading there and steps at the last position before E whose level
+    is not 1, as after a yield, which skips exactly those; level-1 positions
+    cannot decrease, and the root ends the walk.
     """
     if n < 1:
         raise ValueError("a tree has at least one vertex")
@@ -405,14 +422,17 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
         if deficiency in (None, 1):
             yield [-1]
         return
-    order = range(n - 1, -1, -1)
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     parent = list(range(-1, n - 1))
     if n > 2:
         parent[n // 2 + 1] = 0  # the second arm of the path hangs from the root
-    state: tuple[list[int], list[int]] | None = (levels, parent)
-    while state is not None:
-        levels, parent = state
+    # chain_at[k], lost_at[k]: the open vertices and the unmatched count
+    # before position k, valid for every k up to ``read``
+    chain_at: list[_Chain] = [None] * (n + 1)
+    lost_at = [0] * (n + 1)
+    chain_at[1] = (0, None)
+    read = 1
+    while True:
         m = _second_child(levels)
         left = (max(levels[1:m]) - 1, m - 1)  # height and size
         rest = (max(levels[m:], default=0), n - m + 1)
@@ -422,40 +442,45 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
         if valid:
             p = n - 1
             if deficiency is None:
-                yield parent
+                yield parent[:]
             else:
-                mate = _greedy_mates(order, parent)
-                unmatched = [v for v in order if mate[v] < 0]
-                if len(unmatched) == deficiency:
-                    yield parent
-                elif len(unmatched) > deficiency:
-                    closing = sorted(
-                        _subtree_end(levels, parent[v]) if v else n for v in unmatched
-                    )
-                    p = closing[deficiency] - 1
+                k = read
+                chain, lost = chain_at[k], lost_at[k]
+                while True:
+                    # close the open vertices whose subtrees end at k
+                    for _ in range(levels[k - 1] - (levels[k] if k < n else 0) + 1):
+                        f, chain = chain
+                        if f:
+                            lost += f - 1  # matched to one free child
+                        elif chain is None:
+                            lost += 1  # a free root
+                        else:
+                            chain = (chain[0] + 1, chain[1])  # free for its parent
+                    if lost > deficiency or k == n:
+                        break
+                    k += 1
+                    chain = chain_at[k] = (0, chain)
+                    lost_at[k] = lost
+                read = k
+                if lost > deficiency:
+                    p = k - 1
+                elif lost == deficiency:
+                    yield parent[:]
             while levels[p] == 1:
                 p -= 1
-            state = _next_rooted(levels, parent, p)
+            if not _next_rooted(levels, parent, p):
+                return
         else:
             p = m - 1  # the last vertex of ``left``
-            state = _next_rooted(levels, parent, p)
-            if levels[p] > 2:
+            deep = levels[p] > 2
+            _next_rooted(levels, parent, p)
+            if deep:
                 # end with a path from the root as deep as the new ``left``
-                nxt, par = state
-                height = max(nxt[1 : _second_child(nxt)])
-                nxt[n - height :] = range(1, height + 1)
-                par[n - height :] = [0, *range(n - height, n - 1)]
-
-
-def _subtree_end(levels: list[int], p: int) -> int:
-    """End of the subtree of pre-order vertex p: the first later position
-    whose level is at most p's, or the length of the sequence."""
-    n = len(levels)
-    lp = levels[p]
-    k = p + 1
-    while k < n and levels[k] > lp:
-        k += 1
-    return k
+                height = max(levels[1 : _second_child(levels)])
+                levels[n - height :] = range(1, height + 1)
+                parent[n - height :] = [0, *range(n - height, n - 1)]
+                p = min(p, n - height)  # the tail may start before p
+        read = min(read, p)
 
 
 def enumerate_free_trees(n: int) -> Iterator[Tree]:

@@ -21,6 +21,7 @@ from treecount.counting import (
     Mode,
     PhiError,
     PhiKind,
+    _carried_size_vectors,
     _count_sets_by_size,
     _weigh_by_size,
     all_phi_assignments,
@@ -376,6 +377,24 @@ def test_size_vector_is_the_independence_polynomial():
         resolved = resolve_tree_phi(t, phi)
         c = _count_sets_by_size(t.order, t.parent, resolved.coloring.colors, resolved.kinds)
         assert c == independent_set_size_counts(t), emit_graph6(t)
+
+
+def test_carried_size_vectors_equal_the_kernel():
+    """The census's carried fold gives, for every tree it keeps with n <= 16
+    (deficiency 0 or 1), and for every array of the unpruned walk with
+    n <= 12, the size vector :func:`_count_sets_by_size` computes afresh on
+    the same array."""
+    arrays = 0
+    for n in range(1, 17):
+        walks = [_free_tree_parents(n, 0), _free_tree_parents(n, 1)]
+        if n <= 12:
+            walks.append(_free_tree_parents(n))
+        for walk in walks:
+            for parent, c in _carried_size_vectors(n, walk):
+                want = _count_sets_by_size(range(n - 1, -1, -1), parent, None, (None,) * n)
+                assert c == want, parent
+                arrays += 1
+    assert arrays == 2734 + 987  # kept, then unpruned
 
 
 def test_kernel_takes_any_rooting():

@@ -318,6 +318,21 @@ def test_guard_and_force():
     ) == count_polynomial(star_tree(6), "versal")(3)
 
 
+def test_guard_fires_before_the_genericity_patterns(monkeypatch):
+    """The work budget is checked at every requested q before the patterns,
+    which walk all 2**17 red subsets of this star, are built."""
+
+    def no_patterns(component):
+        raise AssertionError("genericity patterns built for a job over budget")
+
+    monkeypatch.setattr(fqoracle, "genericity_patterns", no_patterns)
+    with pytest.raises(GuardError):
+        count_points(star_tree(17), "generic", FqContext(5))
+    # 2**18 is within the budget, 5**18 is not
+    with pytest.raises(GuardError):
+        verify_polynomial(star_tree(17), "generic", [2, 5])
+
+
 def test_count_points_matches_count_fixed_per_tuple():
     """Versal counts sum count_fixed over every free-parameter tuple, and
     generic counts equal count_fixed at every tuple passing genericity."""

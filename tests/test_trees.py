@@ -252,6 +252,15 @@ def test_walk_counts_past_the_tree_builds():
         assert sum(1 for _ in _free_tree_parents(n)) == EXPECTED_COUNTS[n - 1]
 
 
+def test_walk_yields_arrays_it_keeps_no_hold_on():
+    """The walk steps its working list in place, so each yield must be a
+    copy: collected first and compared after, the arrays are still one per
+    class."""
+    for n in range(1, 13):
+        arrays = list(_free_tree_parents(n))
+        assert len({tuple(p) for p in arrays}) == EXPECTED_COUNTS[n - 1], n
+
+
 def test_walk_pruned_on_deficiency_equals_filtered_walk():
     """Asked for a deficiency d, the walk yields, in the same order, exactly
     the arrays of the full walk whose greedy matching leaves d vertices
@@ -259,7 +268,7 @@ def test_walk_pruned_on_deficiency_equals_filtered_walk():
     for n in range(1, 17):
         full = list(_free_tree_parents(n))
         unmatched = [_greedy_mates(range(n - 1, -1, -1), p).count(-1) for p in full]
-        for d in (0, 1, 2):
+        for d in (0, 1, 2, 3):
             want = [p for p, u in zip(full, unmatched) if u == d]
             assert list(_free_tree_parents(n, d)) == want, (n, d)
     assert list(_free_tree_parents(1, 1)) == [[-1]]
