@@ -10,15 +10,17 @@ x, each vertex contributes an independent factor of choices for x'_i::
 
 so the count is a sum over x in F_q**n of a product of per-vertex factors,
 each depending on x_i and the product P of its neighbors' values.  Away
-from x_i = 0 a factor does not depend on P, so it is stored as a pair
-``(zero_row, w)``: the factor at x_i = 0 as a function of P, and the one
-constant it takes at every x_i != 0.  The sum factors along the tree and is
-computed exactly by a transfer sum, never by visiting the q**n points: it
-costs O(n * q), plus O(q**2) for each multiplicative convolution, which
-only a vertex whose children all have children of their own needs (see
-:func:`_tree_sum` for the exact shortcuts that skip the rest).
-The only table is the O(q) inverse table of :class:`FqContext`; a fixed
-factor is built when a tuple uses its coefficient, so memory is O(n * q).
+from x_i = 0 a factor does not depend on P, and at x_i = 0 it is q at the
+one P = -1/alpha_i, or at every unit P once a versal alpha_i is summed out,
+or nowhere when alpha_i = 0.  So it is stored as a pair ``(at, w)``: the
+unit P where it is q at x_i = 0 (0 for every unit, None for none), and the
+one constant it takes at every x_i != 0.  The sum factors along the tree
+and is computed exactly by a transfer sum, never by visiting the q**n
+points: it costs O(n * q), plus O(q**2) for each multiplicative
+convolution, which only a vertex whose children all have children of their
+own needs (see :func:`_tree_sum` for the exact shortcuts that skip the
+rest).  The only table is the O(q) inverse table of :class:`FqContext`, so
+memory is O(n * q).
 Summing the factor of a versal vertex over its parameter gives a closed
 form, so versal components cost nothing extra; generic components are swept
 over every tuple passing the genericity condition, one transfer sum per
@@ -39,9 +41,10 @@ from .trees import Tree
 
 WORK_BUDGET = 10**9
 
-#: A vertex factor: the choices of x'_v at x_v = 0 as a function of the
-#: neighbor product P, and the constant number of choices at x_v != 0.
-Factor = tuple[Sequence[int], int]
+#: A vertex factor: the unit neighbor product P at which x_v = 0 leaves q
+#: choices of x'_v (0 for every unit P, None for no P), and the constant
+#: number of choices at x_v != 0.
+Factor = tuple[int | None, int]
 #: Vertices in post-order, each with its children; the root comes last.
 Walk = tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -101,16 +104,12 @@ def _fixed_factor(ctx: FqContext, a: int) -> Factor:
     """Choices of x'_v for the fixed coefficient ``a`` (reduced mod q): q at
     x_v = 0 when 1 + a P = 0, that is at P = -1/a, none at other P, one at
     every x_v != 0."""
-    q = ctx.q
-    zero_row = [0] * q
-    if a:
-        zero_row[-ctx.inv[a] % q] = q
-    return zero_row, 1
+    return (-ctx.inv[a] % ctx.q if a else None), 1
 
 
 def _versal_factor(q: int) -> Factor:
     """:func:`_fixed_factor` summed over every invertible coefficient."""
-    return [0] + [q] * (q - 1), q - 1
+    return 0, q - 1
 
 
 def _walk(t: Tree) -> Walk:
@@ -122,68 +121,69 @@ def _walk(t: Tree) -> Walk:
 
 def _tree_sum(walk: Walk, ctx: FqContext, factor: Sequence[Factor]) -> int:
     """Sum over x in F_q**n of prod_v factor[v] at (x_v, prod of the neighbor
-    x_w), with ``factor[v] = (zero_row, w)`` as in the module docstring.
+    x_w), with ``factor[v] = (at, w)`` as in the module docstring.
 
     In post-order each vertex v keeps ``nz[v][y]``, its subtree summed at
     x_v = y != 0, and ``z[v][xp]``, its subtree summed at x_v = 0 with the
     parent at xp.  At y != 0 the factor is the constant w, so nz[v][y] does
     not depend on the parent: it is w times a product of per-child totals,
-    O(q) per edge.  Every zero row vanishes at P = 0 (x_v x'_v = 1 has no
-    solution with x_v = 0), so at x_v = 0 only children at nonzero values
-    count; the distribution ``dist`` of their product over F_q^* is a
+    O(q) per edge.  A factor at x_v = 0 is never q at P = 0 (x_v x'_v = 1
+    has no solution with x_v = 0), so at x_v = 0 only children at nonzero
+    values count; the distribution ``dist`` of their product over F_q^* is a
     multiplicative convolution of their nz rows, starting from the delta at
-    P = 1, and its total is the product of the children's totals.  The zero
-    row is then read only at its nonzero entries P, each met at the
-    children's product P / xp.  The root sees a parent fixed at 1, the
+    P = 1, and its total is the product of the children's totals.  The
+    factor is q only at P = at, met at the children's product at / xp, so
+    z[v][xp] = q * dist[at / xp].  The root sees a parent fixed at 1, the
     empty product.
 
     The O(q**2) convolution runs only at a vertex whose children all have
     children of their own; these shortcuts are exact:
 
     * childless vertex: its nz row is w on every unit, so only its total
-      w (q - 1) is kept, and ``dist`` is the delta at 1, so z[v] is the
-      zero row itself;
+      w (q - 1) is kept, and ``dist`` is the delta at 1, so z[v] is q at
+      xp = at;
     * childless child: convolving anything with a row that is constant on
       the units gives a constant row, so ``dist`` is constant, at the
-      product of the children's totals over q - 1, and z[v] is that times
-      the sum of the zero row on every unit, O(q);
-    * flat zero row (constant on the units, as the versal factor is): z[v]
-      is that constant times the total of ``dist``, the product of the
+      product of the children's totals over q - 1, and z[v] is q times
+      that on every unit, O(q);
+    * flat factor (``at`` 0 or None, constant on the units): z[v] is that
+      constant, q or 0, times the total of ``dist``, the product of the
       children's totals, on every unit, O(q);
     * first child: the delta convolved with its nz row is that row, taken
       as it is (no row is mutated once stored).
 
     A tuple thus costs O(n * q), plus O(q**2) for each child after the
-    first at a vertex whose children all have children and whose zero row
+    first at a vertex whose children all have children and whose factor
     is not flat.
     """
     q, inv = ctx.q, ctx.inv
     units = range(1, q)
     # nz[v] stays None for a childless v, whose nz row is w on every unit
     nz: list[list[int] | None] = [None] * len(factor)
-    z: list[Sequence[int]] = [()] * len(factor)
+    z: list[list[int]] = [[]] * len(factor)
     nz_sum = [0] * len(factor)
     for v, children in walk:
-        zero_row, w = factor[v]
-        if zero_row[0]:
-            raise ValueError(f"zero row of vertex {v} is nonzero at P = 0")
-        if not children:
-            z[v], nz_sum[v] = zero_row, w * (q - 1)
-            continue
-        row = [0] + [w] * (q - 1)
-        total = 1
-        flat_dist = False
-        for c in children:
-            sc = nz_sum[c]
-            row = [r * (zy + sc) for r, zy in zip(row, z[c])]
-            total *= sc
-            flat_dist = flat_dist or nz[c] is None
-        flat = zero_row[1]
-        # zero_row[0] == 0, so it is flat iff every unit holds `flat`
-        if zero_row.count(flat) == q - 1 + (flat == 0):
-            zv: Sequence[int] = [0] + [flat * total] * (q - 1)
+        at, w = factor[v]
+        total, flat_dist = 1, False
+        if children:
+            row = [0] + [w] * (q - 1)
+            for c in children:
+                sc = nz_sum[c]
+                row = [r * (zy + sc) for r, zy in zip(row, z[c])]
+                total *= sc
+                flat_dist = flat_dist or nz[c] is None
+            nz[v], nz_sum[v] = row, sum(row)
+        else:
+            nz_sum[v] = w * (q - 1)
+        if at is None:
+            z[v] = [0] * q
+        elif at == 0:
+            z[v] = [0] + [q * total] * (q - 1)
+        elif not children:
+            z[v] = [0] * q
+            z[v][at] = q
         elif flat_dist:
-            zv = [0] + [total // (q - 1) * sum(zero_row)] * (q - 1)
+            z[v] = [0] + [total // (q - 1) * q] * (q - 1)
         else:
             dist = nz[children[0]]
             for c in children[1:]:
@@ -198,12 +198,8 @@ def _tree_sum(walk: Walk, ctx: FqContext, factor: Sequence[Factor]) -> int:
                             for x, m in enumerate(merged)
                         ]
                 dist = merged
-            zv = [0] * q
-            for p in units:
-                choices = zero_row[p]
-                if choices:
-                    zv = [s + choices * dist[p * i % q] for s, i in zip(zv, inv)]
-        nz[v], z[v], nz_sum[v] = row, zv, sum(row)
+            # inv[0] is 0 and dist[0] is 0, so z[v][0] is 0
+            z[v] = [q * dist[at * i % q] for i in inv]
     root = walk[-1][0]
     return nz_sum[root] + z[root][1]
 
@@ -212,10 +208,8 @@ def count_fixed(t: Tree, ctx: FqContext, alpha: Sequence[int], force: bool = Fal
     """Exact number of (x, x') solutions with every coefficient fixed."""
     if len(alpha) != t.n:
         raise ValueError("one alpha value per vertex")
-    q = ctx.q
-    if q**t.n > WORK_BUDGET and not force:
-        raise GuardError(f"q**n = {q**t.n} exceeds the work budget")
-    return _tree_sum(_walk(t), ctx, [_fixed_factor(ctx, a % q) for a in alpha])
+    _check_budget(t.n, ctx.q, force)
+    return _tree_sum(_walk(t), ctx, [_fixed_factor(ctx, a % ctx.q) for a in alpha])
 
 
 def assert_edge_cover(t: Tree, ctx: FqContext, alpha: Sequence[int]) -> None:
@@ -320,15 +314,11 @@ def count_points(
         if not passing:
             return NO_GENERIC_PARAMETERS
         sweeps.append(passing)
-    # held[v]: the coefficient factor[v] was built for; consecutive tuples
-    # mostly differ in the last vertex only
-    held = [1] * plan.n
     counts = set()
     for combo in itertools.product(*sweeps):
         for (vertices, _), values in zip(plan.generic, combo):
             for v, a in zip(vertices, values):
-                if held[v] != a:
-                    held[v], factor[v] = a, _fixed_factor(ctx, a)
+                factor[v] = _fixed_factor(ctx, a)
         counts.add(_tree_sum(plan.walk, ctx, factor))
     if len(counts) != 1:
         raise ConstancyError(
@@ -366,7 +356,10 @@ def verify_polynomial(
 ) -> VerifyReport:
     """Compare the counting polynomial against the F_q point-count oracle
     (:func:`count_points` at each prime, with phi resolved once for both).
-    The work budget is checked at every prime before any is counted."""
+    The work budget is checked at every prime before any is counted; an
+    empty ``primes`` is refused, since it would pass with no check."""
+    if not primes:
+        raise ValueError("verify_polynomial needs at least one prime")
     resolved = resolve_tree_phi(t, phi)
     poly = _count_resolved(t, resolved)
     contexts = [FqContext(q) for q in primes]

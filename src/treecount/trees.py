@@ -479,7 +479,10 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
                 height = max(levels[1 : _second_child(levels)])
                 levels[n - height :] = range(1, height + 1)
                 parent[n - height :] = [0, *range(n - height, n - 1)]
-                p = min(p, n - height)  # the tail may start before p
+                # The tail may start before p.  Up to n = 19 ``read`` was
+                # then already at or below its start, but nothing proves
+                # that, so the min keeps the chain restore correct anyway.
+                p = min(p, n - height)
         read = min(read, p)
 
 

@@ -67,32 +67,31 @@ def test_count_fixed_matches_naive_enumeration():
 
 def naive_tree_sum(t, q, factor):
     """Sum over x in F_q**n of prod_v factor[v] at (x_v, neighbor product),
-    reading each (zero_row, w) pair point by point."""
+    reading each (at, w) pair point by point: w at x_v != 0; at x_v = 0, q
+    at the unit product P = at, or at every unit P when at is 0, else 0."""
     total = 0
     for xs in itertools.product(range(q), repeat=t.n):
         term = 1
-        for v, (zero_row, w) in enumerate(factor):
+        for v, (at, w) in enumerate(factor):
             if xs[v]:
                 term *= w
             else:
                 prod = 1
                 for u in t.neighbors[v]:
                     prod = prod * xs[u] % q
-                term *= zero_row[prod]
+                term *= q if prod and at in (0, prod) else 0
         total += term
     return total
 
 
 def test_tree_sum_matches_naive_on_every_factor_shape():
     """Fixed, versal and edge-cover-forced factors mixed at random, plus
-    arbitrary ones, on every tree rooted at every vertex (the walk roots at
-    vertex 0).  Point counts barely depend on the coefficients, so a kernel
-    reading a zero row at the wrong P shows only with arbitrary rows on
-    trees deep enough below the root.  The other vertices are labelled in
-    both orders, so children come in both orders.  At q = 7 the n = 4
-    trees meet every shortcut of the transfer sum: a childless vertex and
-    child, a flat zero row and a first child with children; the full
-    convolution needs n >= 5 (next test)."""
+    random (at, w) pairs, on every tree rooted at every vertex (the walk
+    roots at vertex 0).  The other vertices are labelled in both orders,
+    so children come in both orders.  At q = 7 the n = 4 trees meet every
+    shortcut of the transfer sum: a childless vertex and child, a flat
+    factor and a first child with children; the full convolution needs
+    n >= 5 (next test)."""
     rng = random.Random(8)
     for base in trees_up_to(5):
         for root, ascending in itertools.product(range(base.n), (True, False)):
@@ -107,45 +106,48 @@ def test_tree_sum_matches_naive_on_every_factor_shape():
                 for _ in range(4):
                     factor = []
                     for _ in range(t.n):
-                        shape = rng.choice(("fixed", "versal", "forced", "arbitrary"))
+                        shape = rng.choice(("fixed", "versal", "forced", "random"))
                         if shape == "versal":
                             factor.append(fqoracle._versal_factor(q))
-                        elif shape == "arbitrary":
-                            zero_row = [0] + [rng.randrange(4) for _ in range(1, q)]
-                            factor.append((zero_row, rng.randrange(4)))
+                        elif shape == "random":
+                            at = rng.choice([None, *range(q)])
+                            factor.append((at, rng.randrange(4)))
                         else:
-                            zero_row, w = fqoracle._fixed_factor(ctx, rng.randrange(q))
-                            factor.append((zero_row, w if shape == "fixed" else 0))
+                            at, w = fqoracle._fixed_factor(ctx, rng.randrange(q))
+                            factor.append((at, w if shape == "fixed" else 0))
                     assert fqoracle._tree_sum(walk, ctx, factor) == naive_tree_sum(
                         t, q, factor
                     ), (t.edges, q, factor)
-    with pytest.raises(ValueError):
-        fqoracle._tree_sum(fqoracle._walk(Tree(1, ())), FqContext(3), [([1, 0, 0], 1)])
 
 
 def test_tree_sum_convolves_branching_children():
-    """Arbitrary rows at q = 7 on the trees where the full convolution runs:
-    a vertex, the root or one below it, with two children that both have a
-    child.  Reading a child's row at x * p instead of x / p shows only
-    here."""
+    """Factors with a unit ``at`` and w >= 1 on the trees where the full
+    convolution runs: a vertex, the root or one below it, with two children
+    that both have a child.  A flat or zero factor on the way would skip
+    the convolution or blank the rows it reads.  Reading a child's row at
+    x * p instead of x / p, or dist at at * xp instead of at / xp, shows
+    only here, and only at q >= 5, where some unit is not its own inverse.
+    A parent that sums the convolving vertex's z row over every unit cannot
+    tell at / xp from at * xp, so the last tree gives that vertex a
+    sibling, 6 below the root 0."""
     rng = random.Random(17)
-    q = 7
-    ctx = FqContext(q)
-    for edges, branching in (
-        (((0, 1), (1, 2), (0, 3), (3, 4)), (0, (1, 3))),
-        (((0, 1), (1, 2), (1, 4), (2, 3), (4, 5)), (1, (2, 4))),
+    for edges, branching, primes in (
+        (((0, 1), (1, 2), (0, 3), (3, 4)), (0, (1, 3)), (5, 7)),
+        (((0, 1), (1, 2), (1, 4), (2, 3), (4, 5)), (1, (2, 4)), (5,)),
+        (((0, 1), (1, 2), (1, 4), (2, 3), (4, 5), (0, 6)), (1, (2, 4)), (5,)),
     ):
         t = Tree(len(edges) + 1, edges)
         walk = fqoracle._walk(t)
         assert branching in walk
-        for _ in range(3):
-            factor = [
-                ([0] + [rng.randrange(4) for _ in range(1, q)], rng.randrange(1, 4))
-                for _ in range(t.n)
-            ]
-            assert fqoracle._tree_sum(walk, ctx, factor) == naive_tree_sum(
-                t, q, factor
-            ), (edges, factor)
+        for q in primes:
+            ctx = FqContext(q)
+            for _ in range(20):
+                factor = [
+                    (rng.randrange(1, q), rng.randrange(1, 4)) for _ in range(t.n)
+                ]
+                assert fqoracle._tree_sum(walk, ctx, factor) == naive_tree_sum(
+                    t, q, factor
+                ), (edges, q, factor)
 
 
 def test_large_field_memory_is_linear_in_q():
@@ -228,6 +230,9 @@ def test_verify_examples():
     assert rep.passed
     assert [c.status for c in rep.checks] == ["skipped", "ok"]
     assert rep.checks[1].oracle == 576
+    # with no prime there is no check, and the report would pass vacuously
+    with pytest.raises(ValueError, match="at least one prime"):
+        verify_polynomial(linear_tree(2), None, [])
 
 
 def test_verify_all_small_trees():
@@ -300,7 +305,7 @@ def test_constancy_error_fires(monkeypatch):
     monkeypatch.setattr(
         fqoracle,
         "_tree_sum",
-        lambda walk, ctx, factor: tuple(tuple(zero_row) for zero_row, _ in factor),
+        lambda walk, ctx, factor: tuple(factor),
     )
     with pytest.raises(ConstancyError):
         count_points(star_tree(4), "generic", FqContext(7))
