@@ -22,9 +22,14 @@ own needs (see :func:`_tree_sum` for the exact shortcuts that skip the
 rest).  The only table is the O(q) inverse table of :class:`FqContext`, so
 memory is O(n * q).
 Summing the factor of a versal vertex over its parameter gives a closed
-form, so versal components cost nothing extra; generic components are swept
-over every tuple passing the genericity condition, one transfer sum per
-tuple, with the count asserted identical across them.
+form, so versal components cost nothing extra.  Generic components are swept
+over the tuples passing the genericity condition, one transfer sum per orbit
+representative, with the count asserted identical across them.  Swapping two
+free leaves with one neighbor is an automorphism of the tree that fixes the
+matching, the coloring, the components, phi and the genericity patterns, so
+a tuple passes and counts exactly as its representative does, the one with
+non-decreasing values on every such set of siblings.  Skipping the rest of
+each orbit thus loses no check.
 """
 
 from __future__ import annotations
@@ -212,35 +217,6 @@ def count_fixed(t: Tree, ctx: FqContext, alpha: Sequence[int], force: bool = Fal
     return _tree_sum(_walk(t), ctx, [_fixed_factor(ctx, a % ctx.q) for a in alpha])
 
 
-def assert_edge_cover(t: Tree, ctx: FqContext, alpha: Sequence[int]) -> None:
-    """Check that no counted solution has both ends of an edge at zero."""
-    q = ctx.q
-    walk = _walk(t)
-    factor = [_fixed_factor(ctx, a % q) for a in alpha]
-    for a, b in t.edges:
-        forced = list(factor)
-        for v in (a, b):
-            forced[v] = (factor[v][0], 0)
-        if _tree_sum(walk, ctx, forced):
-            raise AssertionError(f"point with x_{a} = x_{b} = 0 on the edge {a}-{b}")
-
-
-def jump_alpha(
-    t: Tree, alpha: Sequence[int], u: int, v: int, q: int
-) -> list[int]:
-    """Numeric coefficient jump of u over v: divide every neighbor of v
-    (u included) by the old value at u, which must be a unit mod q."""
-    if not t.has_edge(u, v):
-        raise ValueError(f"{u}-{v} is not an edge")
-    if alpha[u] % q == 0:
-        raise ValueError(f"coefficient at {u} is 0 mod {q}, so it has no inverse")
-    inv = pow(alpha[u], q - 2, q)
-    out = [a % q for a in alpha]
-    for w in t.neighbors[v]:
-        out[w] = out[w] * inv % q
-    return out
-
-
 @dataclass(frozen=True)
 class _Plan:
     """What the oracle needs of one (tree, phi) at every q."""
@@ -248,8 +224,9 @@ class _Plan:
     n: int
     walk: Walk
     versal: tuple[int, ...]
-    # free vertices and genericity patterns of each generic component
-    generic: tuple[tuple[tuple[int, ...], list[GenericityPattern]], ...]
+    # free vertices, genericity patterns and tied positions (free leaves
+    # after a sibling) of each generic component
+    generic: tuple[tuple[tuple[int, ...], list[GenericityPattern], frozenset[int]], ...]
 
 
 def _check_budget(parameters: int, q: int, force: bool) -> None:
@@ -264,7 +241,8 @@ def _check_budget(parameters: int, q: int, force: bool) -> None:
 
 def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) -> _Plan:
     """Fix the tree's maximum matching and collect the free vertices of
-    every component with its patterns.
+    every generic component with its patterns, free leaves with one
+    neighbor next to each other and tied to the one before.
 
     The work budget is checked at every q in ``primes`` first: the patterns
     walk every subset of each generic component's reds, which alone can
@@ -278,9 +256,19 @@ def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) ->
         _check_budget(t.n + len(versal), q, force)
     generic = []
     for comp, kind in zip(partition, assignment.kinds):
-        vertices = tuple(v for v in free if v in comp.vertices)
+        vertices = [v for v in free if v in comp.vertices]
         if kind is PhiKind.GENERIC and vertices:
-            generic.append((vertices, genericity_patterns(comp)))
+            # a free leaf sorts by its neighbor, which is covered, so it
+            # joins its siblings and no other free vertex
+            anchor = {
+                v: t.neighbors[v][0] if len(t.neighbors[v]) == 1 else v for v in vertices
+            }
+            vertices.sort(key=anchor.__getitem__)
+            tied = frozenset(
+                i for i in range(1, len(vertices))
+                if anchor[vertices[i]] == anchor[vertices[i - 1]]
+            )
+            generic.append((tuple(vertices), genericity_patterns(comp), tied))
     return _Plan(t.n, _walk(t), versal, tuple(generic))
 
 
@@ -293,10 +281,13 @@ def count_points(
     """Exact point count for one generic/versal choice.
 
     Fixes a maximum matching, sums over all invertible values of the versal
-    parameters in closed form, and sweeps the generic parameters over every
-    tuple passing the genericity condition, asserting the count does not
-    depend on the tuple.  Returns :data:`NO_GENERIC_PARAMETERS` when no
-    tuple passes.  ``phi`` may also be the plan of ``t`` that
+    parameters in closed form, and sweeps the generic parameters over one
+    passing tuple per orbit of the swaps of sibling free leaves, asserting
+    the count does not depend on the tuple.  Those swaps are automorphisms
+    fixing everything the count and the genericity test read, so the tuples
+    of one orbit pass and count alike, and the check over representatives
+    is the check over every tuple.  Returns :data:`NO_GENERIC_PARAMETERS`
+    when no tuple passes.  ``phi`` may also be the plan of ``t`` that
     :func:`verify_polynomial` builds once for all its primes.
     """
     q = ctx.q
@@ -309,14 +300,14 @@ def count_points(
     for v in plan.versal:
         factor[v] = _versal_factor(q)
     sweeps = []
-    for vertices, patterns in plan.generic:
-        passing = generic_tuples(patterns, vertices, ctx)
+    for vertices, patterns, tied in plan.generic:
+        passing = generic_tuples(patterns, vertices, ctx, tied)
         if not passing:
             return NO_GENERIC_PARAMETERS
         sweeps.append(passing)
     counts = set()
     for combo in itertools.product(*sweeps):
-        for (vertices, _), values in zip(plan.generic, combo):
+        for (vertices, _, _), values in zip(plan.generic, combo):
             for v, a in zip(vertices, values):
                 factor[v] = _fixed_factor(ctx, a)
         counts.add(_tree_sum(plan.walk, ctx, factor))

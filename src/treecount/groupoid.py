@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
 from .coloring import (
     Color,
@@ -273,10 +273,16 @@ def is_generic(
 
 
 def generic_tuples(
-    patterns: Sequence[GenericityPattern], vertices: Sequence[int], ctx: FqContext
+    patterns: Sequence[GenericityPattern],
+    vertices: Sequence[int],
+    ctx: FqContext,
+    tied: Collection[int] = (),
 ) -> list[tuple[int, ...]]:
-    """The nonzero value tuples on ``vertices`` that pass :func:`is_generic`,
-    in ``itertools.product(range(1, q), repeat=len(vertices))`` order.
+    """The nonzero value tuples on ``vertices`` that pass :func:`is_generic`
+    and whose value at each position in ``tied`` (none is 0) is at least the
+    one before it, in ``itertools.product(range(1, q), repeat=len(vertices))``
+    order.  With interchangeable vertices tied, that is one tuple per orbit
+    representative.
 
     Each pattern is mapped onto the positions of ``vertices`` (other
     members carry the trivial value 1, so they drop out) and tested as soon
@@ -300,7 +306,7 @@ def generic_tuples(
     out: list[tuple[int, ...]] = []
 
     def extend(i: int, prefix: tuple[int, ...]) -> None:
-        for a in range(1, q):
+        for a in range(prefix[-1] if i in tied else 1, q):
             values[2 * i], values[2 * i + 1] = a, inv[a]
             for target, slots in due[i]:
                 prod = 1

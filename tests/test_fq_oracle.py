@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import tracemalloc
+from typing import Sequence
 
 import pytest
 
@@ -18,17 +19,47 @@ from treecount.fqoracle import (
     FqContext,
     GuardError,
     NoGenericParameters,
-    assert_edge_cover,
+    _fixed_factor,
+    _tree_sum,
+    _walk,
     count_fixed,
     count_points,
-    jump_alpha,
     verify_polynomial,
 )
-from treecount.groupoid import genericity_check
+from treecount.groupoid import genericity_check, genericity_patterns, is_generic
 from treecount.matchings import maximum_matching, uncovered_vertices
 from treecount.trees import Tree
 from conftest import colored, trees_up_to
 from test_trees import relabel
+
+
+def assert_edge_cover(t: Tree, ctx: FqContext, alpha: Sequence[int]) -> None:
+    """Check that no counted solution has both ends of an edge at zero."""
+    q = ctx.q
+    walk = _walk(t)
+    factor = [_fixed_factor(ctx, a % q) for a in alpha]
+    for a, b in t.edges:
+        forced = list(factor)
+        for v in (a, b):
+            forced[v] = (factor[v][0], 0)
+        if _tree_sum(walk, ctx, forced):
+            raise AssertionError(f"point with x_{a} = x_{b} = 0 on the edge {a}-{b}")
+
+
+def jump_alpha(
+    t: Tree, alpha: Sequence[int], u: int, v: int, q: int
+) -> list[int]:
+    """Numeric coefficient jump of u over v: divide every neighbor of v
+    (u included) by the old value at u, which must be a unit mod q."""
+    if not t.has_edge(u, v):
+        raise ValueError(f"{u}-{v} is not an edge")
+    if alpha[u] % q == 0:
+        raise ValueError(f"coefficient at {u} is 0 mod {q}, so it has no inverse")
+    inv = pow(alpha[u], q - 2, q)
+    out = [a % q for a in alpha]
+    for w in t.neighbors[v]:
+        out[w] = out[w] * inv % q
+    return out
 
 
 def test_context_requires_prime():
@@ -261,26 +292,51 @@ def test_generic_constancy_is_asserted():
     assert got == expected
 
 
-def _passing_combinations(t, phi, q):
-    """Product over the generic components of their passing tuples, from
-    itertools.product filtered by genericity_check."""
+def sibling_groups(t, vertices):
+    """Positions in ``vertices`` of its leaves, grouped by their one neighbor."""
+    groups = {}
+    for i, v in enumerate(vertices):
+        if len(t.neighbors[v]) == 1:
+            groups.setdefault(t.neighbors[v][0], []).append(i)
+    return list(groups.values())
+
+
+def representative(values, groups):
+    """``values`` with the values on each group's positions sorted."""
+    out = list(values)
+    for group in groups:
+        for i, a in zip(group, sorted(values[i] for i in group)):
+            out[i] = a
+    return tuple(out)
+
+
+def _passing_orbits(t, phi, q):
+    """Product over the generic components of the number of orbits of their
+    passing tuples under swaps of sibling free leaves: the distinct
+    representatives of itertools.product filtered by genericity_check."""
     _, part = colored(t)
     free = uncovered_vertices(t, maximum_matching(t))
-    combos = 1
+    orbits = 1
     for comp, kind in zip(part, phi.kinds):
         vertices = [v for v in free if v in comp.vertices]
         if kind is not PhiKind.GENERIC or not vertices:
             continue
-        combos *= sum(
-            genericity_check(comp, dict(zip(vertices, values)), q)
+        groups = sibling_groups(t, vertices)
+        orbits *= len({
+            representative(values, groups)
             for values in itertools.product(range(1, q), repeat=len(vertices))
-        )
-    return combos
+            if genericity_check(comp, dict(zip(vertices, values)), q)
+        })
+    return orbits
 
 
-def test_one_tree_sum_per_passing_tuple(monkeypatch):
-    """count_points skips no tuple: one transfer sum per combination of
-    passing tuples, none when a component has no passing tuple."""
+def test_one_tree_sum_per_orbit(monkeypatch):
+    """count_points sums once per orbit of the passing tuples under swaps of
+    sibling free leaves, and none when a component has no passing tuple.
+    Every tree also runs under a shuffled labelling, and the last tree puts
+    free vertex 3 between the sibling leaves 0 and 4 in label order (n = 7
+    is the first size at which a free vertex that is no sibling shares a
+    component with sibling leaves)."""
     calls = []
     tree_sum = fqoracle._tree_sum
 
@@ -289,15 +345,55 @@ def test_one_tree_sum_per_passing_tuple(monkeypatch):
         return tree_sum(walk, ctx, factor)
 
     monkeypatch.setattr(fqoracle, "_tree_sum", counted)
-    for t in trees_up_to(6):
+    rng = random.Random(21)
+    trees = []
+    for t in trees_up_to(7):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        trees += [t, relabel(t, perm)]
+    trees.append(Tree(7, ((3, 1), (3, 5), (1, 2), (1, 0), (1, 4), (5, 6))))
+    for t in trees:
         _, part = colored(t)
         for phi in all_phi_assignments(part):
             for q in (2, 3, 5):
                 calls.clear()
                 got = count_points(t, phi, FqContext(q))
-                combos = _passing_combinations(t, phi, q)
-                assert len(calls) == combos, (t.edges, phi, q)
-                assert (got is NO_GENERIC_PARAMETERS) == (combos == 0)
+                orbits = _passing_orbits(t, phi, q)
+                assert len(calls) == orbits, (t.edges, phi, q)
+                assert (got is NO_GENERIC_PARAMETERS) == (orbits == 0)
+
+
+def test_sibling_swaps_keep_genericity_and_count():
+    """What lets the sweep skip all but one tuple per orbit: a tuple passing
+    genericity on every component has a representative that passes too and
+    has the same count_fixed."""
+    for t in trees_up_to(7):
+        _, part = colored(t)
+        free = uncovered_vertices(t, maximum_matching(t))
+        groups = sibling_groups(t, free)
+        patterns = [genericity_patterns(comp) for comp in part]
+
+        def count_at(values, ctx):
+            alpha = [1] * t.n
+            for v, a in zip(free, values):
+                alpha[v] = a
+            return count_fixed(t, ctx, alpha)
+
+        for q in (3, 5, 7):
+            ctx = FqContext(q)
+            by_representative = {}
+            for values in itertools.product(range(1, q), repeat=len(free)):
+                alpha = dict(zip(free, values))
+                if not all(is_generic(p, alpha, q) for p in patterns):
+                    continue
+                rep = representative(values, groups)
+                if rep not in by_representative:
+                    rep_alpha = dict(zip(free, rep))
+                    assert all(is_generic(p, rep_alpha, q) for p in patterns)
+                    by_representative[rep] = count_at(rep, ctx)
+                assert count_at(values, ctx) == by_representative[rep], (
+                    t.edges, q, values
+                )
 
 
 def test_constancy_error_fires(monkeypatch):
@@ -309,6 +405,23 @@ def test_constancy_error_fires(monkeypatch):
     )
     with pytest.raises(ConstancyError):
         count_points(star_tree(4), "generic", FqContext(7))
+
+
+def test_constancy_error_fires_between_representatives(monkeypatch):
+    """A sum that is constant on every orbit but differs between
+    representatives must still be caught.  Free vertex 0 and the sibling
+    leaves 3 and 4 of vertex 1 share one generic component; the mutant adds
+    the unit at which vertex 0's factor is q, which swapping 3 and 4 leaves
+    as it is."""
+    t = Tree(7, ((0, 1), (0, 5), (1, 2), (1, 3), (1, 4), (5, 6)))
+    tree_sum = fqoracle._tree_sum
+    monkeypatch.setattr(
+        fqoracle,
+        "_tree_sum",
+        lambda walk, ctx, factor: tree_sum(walk, ctx, factor) + factor[0][0],
+    )
+    with pytest.raises(ConstancyError):
+        count_points(t, "generic", FqContext(7))
 
 
 def test_guard_and_force():

@@ -13,6 +13,8 @@ from treecount.coloring import (
     all_maximum_matchings,
     canonical_coloring,
 )
+from treecount.counting import resolve_tree_phi
+import treecount.fqoracle as fqoracle
 from treecount.fqoracle import FqContext
 from treecount.groupoid import (
     CoefficientState,
@@ -253,6 +255,25 @@ def test_generic_tuples_match_filtered_product():
                     if is_generic(patterns, dict(zip(vertices, values)), q)
                 ]
                 assert generic_tuples(patterns, vertices, FqContext(q)) == expected
+
+
+def test_generic_tuples_keep_tied_positions_non_decreasing():
+    """With the oracle's sibling groups (every component of the all-generic
+    phi with a free vertex), the walk yields exactly the filtered product
+    restricted to values that do not decrease at the tied positions, in
+    the same order."""
+    for t in trees_up_to(8):
+        plan = fqoracle._plan(t, resolve_tree_phi(t, "generic"), (), force=True)
+        for vertices, patterns, tied in plan.generic:
+            for q in (2, 3, 5, 7):
+                expected = [
+                    values
+                    for values in itertools.product(range(1, q), repeat=len(vertices))
+                    if all(values[i - 1] <= values[i] for i in tied)
+                    and is_generic(patterns, dict(zip(vertices, values)), q)
+                ]
+                got = generic_tuples(patterns, vertices, FqContext(q), tied)
+                assert got == expected, (t.edges, q)
 
 
 def _negated(pattern):
