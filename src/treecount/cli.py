@@ -111,7 +111,7 @@ def phi_spec_parse(text: str | None) -> str | dict[int, str] | None:
     for part in s.split(","):
         if "=" not in part:
             raise PhiError(f"bad phi component spec {part!r}")
-        key, _, val = part.partition("=")
+        key, _, val = (x.strip() for x in part.partition("="))
         if val not in ("generic", "versal"):
             raise PhiError(f"phi value must be generic or versal, got {val!r}")
         try:

@@ -6,8 +6,8 @@ decomposition; the census runs the same two steps on the parent arrays of
 the free-tree walk and the adjacency lists built from them.  Two
 independent exponential oracles live here too, a minimum-vertex-cover one
 and a maximum-matching one, both self-contained so they share no code with
-what they check (the recoloring fixpoint is a third, in
-:mod:`treecount.oracles`).  On top of the coloring sit the red-green
+what they check (the recoloring fixpoint is a third, in the test suite's
+``tests/oracles.py``).  On top of the coloring sit the red-green
 components, found in linear passes over the tree's adjacency, and the
 dimension invariant r(T) - g(T), which also equals the adjacency-matrix
 nullity and the number of vertices missed by any maximum matching.

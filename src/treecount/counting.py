@@ -25,7 +25,7 @@ Also here: closed forms for the linear, D- and E-shaped families (checked
 by exact division), the all-versal independent-set formula, Euler
 characteristics and the divisibility/reciprocity report.  The leaf/domino
 recursion and the orange/unimodal chain that check :func:`count_polynomial`
-live in :mod:`treecount.oracles`.
+live in the test suite's ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -396,7 +396,7 @@ def count_polynomial(t: Tree, phi: PhiSpec = None) -> Poly:
     N = sum_S (q-1)**(n + vr - 2|S|) * q**|S| over the independent sets S that
     contain no admissible set of a generic component, vr being the summed
     dimension of the versal components.  The sets are counted by size in one
-    bottom-up pass; the engines of :mod:`treecount.oracles`, the closed
+    bottom-up pass; the engines of ``tests/oracles.py``, the closed
     forms, :func:`versal_by_independent_sets` and the F_q oracle check it.
     """
     return _count_resolved(t, resolve_tree_phi(t, phi))

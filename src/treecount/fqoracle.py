@@ -20,7 +20,8 @@ points: it costs O(n * q), plus O(q**2) for each multiplicative
 convolution, which only a vertex whose children all have children of their
 own needs (see :func:`_tree_sum` for the exact shortcuts that skip the
 rest).  The only table is the O(q) inverse table of :class:`FqContext`, so
-memory is O(n * q).
+memory is O(n * q), and a job whose inverse table and rows would exceed
+:data:`TABLE_BUDGET` entries is refused up front.
 Summing the factor of a versal vertex over its parameter gives a closed
 form, so versal components cost nothing extra.  Generic components are swept
 over the tuples passing the genericity condition, one transfer sum per orbit
@@ -45,6 +46,12 @@ from .groupoid import GenericityPattern, generic_tuples, genericity_patterns
 from .trees import Tree
 
 WORK_BUDGET = 10**9
+#: Entries of the O(q) tables one count may hold: the inverse table and up
+#: to two rows of length q per vertex.  The work budget alone would let a
+#: one-vertex count reach q near 10**9, tens of GB of tables; this caps it
+#: at q = 33331, where the generic sweep of q - 2 transfer sums takes a
+#: few seconds.
+TABLE_BUDGET = 10**5
 
 #: A vertex factor: the unit neighbor product P at which x_v = 0 leaves q
 #: choices of x'_v (0 for every unit P, None for no P), and the constant
@@ -213,7 +220,7 @@ def count_fixed(t: Tree, ctx: FqContext, alpha: Sequence[int], force: bool = Fal
     """Exact number of (x, x') solutions with every coefficient fixed."""
     if len(alpha) != t.n:
         raise ValueError("one alpha value per vertex")
-    _check_budget(t.n, ctx.q, force)
+    _check_budget(t.n, 0, ctx.q, force)
     return _tree_sum(_walk(t), ctx, [_fixed_factor(ctx, a % ctx.q) for a in alpha])
 
 
@@ -229,13 +236,21 @@ class _Plan:
     generic: tuple[tuple[tuple[int, ...], list[GenericityPattern], frozenset[int]], ...]
 
 
-def _check_budget(parameters: int, q: int, force: bool) -> None:
-    """Raise :class:`GuardError` when q**parameters exceeds the work budget,
-    unless ``force``."""
-    size = q**parameters
-    if size > WORK_BUDGET and not force:
+def _check_budget(n: int, versal: int, q: int, force: bool) -> None:
+    """Raise :class:`GuardError`, unless ``force``, when q**(n + versal)
+    exceeds the work budget or the tables of an n-vertex count, the inverse
+    table and two rows of length q per vertex, exceed the table budget."""
+    if force:
+        return
+    size = q ** (n + versal)
+    if size > WORK_BUDGET:
         raise GuardError(
             f"q**(n + versal parameters) = {size} exceeds the work budget"
+        )
+    entries = (2 * n + 1) * q
+    if entries > TABLE_BUDGET:
+        raise GuardError(
+            f"(2n + 1) * q = {entries} table entries exceed the table budget"
         )
 
 
@@ -244,16 +259,16 @@ def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) ->
     every generic component with its patterns, free leaves with one
     neighbor next to each other and tied to the one before.
 
-    The work budget is checked at every q in ``primes`` first: the patterns
+    The budgets are checked at every q in ``primes`` first: the patterns
     walk every subset of each generic component's reds, which alone can
-    take longer than the budget allows."""
+    take longer than the work budget allows."""
     coloring, partition, assignment, kinds = resolved
     free = [v for v, m in enumerate(t.mate) if m < 0]
     if any(coloring.colors[v] is not Color.RED for v in free):
         raise AssertionError("a non-red vertex escaped the maximum matching")
     versal = tuple(v for v in free if kinds[v] is PhiKind.VERSAL)
     for q in primes:
-        _check_budget(t.n + len(versal), q, force)
+        _check_budget(t.n, len(versal), q, force)
     generic = []
     for comp, kind in zip(partition, assignment.kinds):
         vertices = [v for v in free if v in comp.vertices]
@@ -274,7 +289,7 @@ def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) ->
 
 def count_points(
     t: Tree,
-    phi: PhiSpec | _Plan,
+    phi: PhiSpec,
     ctx: FqContext,
     force: bool = False,
 ) -> int | NoGenericParameters:
@@ -287,15 +302,14 @@ def count_points(
     fixing everything the count and the genericity test read, so the tuples
     of one orbit pass and count alike, and the check over representatives
     is the check over every tuple.  Returns :data:`NO_GENERIC_PARAMETERS`
-    when no tuple passes.  ``phi`` may also be the plan of ``t`` that
-    :func:`verify_polynomial` builds once for all its primes.
+    when no tuple passes.
     """
+    return _count_plan(_plan(t, resolve_tree_phi(t, phi), (ctx.q,), force), ctx)
+
+
+def _count_plan(plan: _Plan, ctx: FqContext) -> int | NoGenericParameters:
+    """:func:`count_points` for a plan whose budgets were checked at ctx.q."""
     q = ctx.q
-    if isinstance(phi, _Plan):
-        plan = phi
-        _check_budget(plan.n + len(plan.versal), q, force)
-    else:
-        plan = _plan(t, resolve_tree_phi(t, phi), (q,), force)
     factor = [_fixed_factor(ctx, 1)] * plan.n
     for v in plan.versal:
         factor[v] = _versal_factor(q)
@@ -346,9 +360,10 @@ def verify_polynomial(
     force: bool = False,
 ) -> VerifyReport:
     """Compare the counting polynomial against the F_q point-count oracle
-    (:func:`count_points` at each prime, with phi resolved once for both).
-    The work budget is checked at every prime before any is counted; an
-    empty ``primes`` is refused, since it would pass with no check."""
+    (:func:`count_points` at each prime, with phi resolved and the plan
+    built once for all).  The budgets are checked at every prime before any
+    is counted; an empty ``primes`` is refused, since it would pass with no
+    check."""
     if not primes:
         raise ValueError("verify_polynomial needs at least one prime")
     resolved = resolve_tree_phi(t, phi)
@@ -359,7 +374,7 @@ def verify_polynomial(
     for ctx in contexts:
         q = ctx.q
         expected = poly(q)
-        got = count_points(t, plan, ctx, force=force)
+        got = _count_plan(plan, ctx)
         if isinstance(got, NoGenericParameters):
             checks.append(PrimeCheck(q, "skipped", None, expected))
         elif got == expected:

@@ -276,7 +276,7 @@ def generic_tuples(
     patterns: Sequence[GenericityPattern],
     vertices: Sequence[int],
     ctx: FqContext,
-    tied: Collection[int] = (),
+    tied: Collection[int],
 ) -> list[tuple[int, ...]]:
     """The nonzero value tuples on ``vertices`` that pass :func:`is_generic`
     and whose value at each position in ``tied`` (none is 0) is at least the

@@ -154,7 +154,6 @@ def _as_poly(x: Poly | int) -> Poly:
 
 #: The polynomial q itself, for readable formulas.
 Q = Poly.q_power(1)
-ONE = Poly.const(1)
 
 
 def format_poly(p: Poly, var: str = "q") -> str:

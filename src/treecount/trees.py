@@ -6,7 +6,7 @@ vertex 0 and the greedy leaf-up maximum matching of that rooting.  The
 module also provides the graph6 codec (short and long form, n <= 258047),
 an AHU-style canonical key for labelled trees (used for isomorphism tests
 and, with vertex labels, as the memo key of the leaf/domino recursion in
-:mod:`treecount.oracles`), the greedy matching of any parent array, and the
+the test suite's ``tests/oracles.py``), the greedy matching of any parent array, and the
 Wright-Richmond-Odlyzko-McKay generator of free trees up to isomorphism
 (n <= 20).  The generator walks one level sequence per class, stepping it
 in place, and needs no key.  Asked for a matching deficiency, it carries

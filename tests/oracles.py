@@ -1,5 +1,5 @@
-"""Independent oracles for the production paths; only the tests import
-this module.
+"""Independent oracles for the production paths, kept with the tests that
+use them and outside the installed package.
 
 For :func:`treecount.coloring.canonical_coloring`: the recoloring fixpoint
 :func:`coloring_by_fixpoint`, which never looks at a matching, and the
@@ -23,11 +23,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .coloring import Color, Coloring, canonical_coloring, dimension, red_green_components
-from .counting import Mode, PhiError, PhiKind, PhiSpec, closed_form_a, resolve_tree_phi
-from .matchings import maximum_matching, maximum_matching_size
-from .polynomials import ONE, Poly, Q
-from .trees import Edge, Tree, canonical_key, normalize_edge
+from treecount.coloring import Color, Coloring, canonical_coloring, dimension, red_green_components
+from treecount.counting import Mode, PhiError, PhiKind, PhiSpec, closed_form_a, resolve_tree_phi
+from treecount.matchings import maximum_matching, maximum_matching_size
+from treecount.polynomials import Poly, Q
+from treecount.trees import Edge, Tree, canonical_key, normalize_edge
+
+ONE = Poly.const(1)
 
 # ---------------------------------------------------------------------------
 # The recoloring fixpoint

@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 from treecount.cli import main, phi_spec_parse
-from treecount.counting import PhiError
+from treecount.counting import CensusClass, PhiError, all_phi_assignments, census
 from treecount.families import d_tree, e_tree, linear_tree, star_tree
 from treecount.matchings import count_maximum_independent_sets, independent_set_size_counts
+from treecount.fqoracle import PrimeCheck, VerifyReport
 from treecount.trees import Tree, emit_graph6, prufer_decode
+from conftest import colored, trees_up_to
 
 
 def run(capsys, *argv):
@@ -250,6 +252,45 @@ def test_verify_max_n_rejects_phi_and_n(capsys, monkeypatch):
         assert code == 2 and "--max-n" in err and "PASS" not in out
 
 
+def _pair_count(max_n: int) -> int:
+    """(tree, phi) pairs with n <= max_n, as verify --max-n sweeps them."""
+    return sum(len(all_phi_assignments(colored(t)[1])) for t in trees_up_to(max_n))
+
+
+def test_verify_max_n_sweeps_every_pair(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--primes", "2,3", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "PASS"
+    assert len(payload["results"]) == _pair_count(4) == 8
+    for row in payload["results"]:
+        assert [c["q"] for c in row["checks"]] == [2, 3]
+        assert all(c["status"] != "mismatch" for c in row["checks"])
+
+
+def test_verify_max_n_reports_each_mismatch(capsys, monkeypatch):
+    """A mismatch in the sweep prints one FAIL line per pair and exits 4."""
+    import treecount.cli as cli
+
+    def mismatch(t, phi, primes, force=False):
+        return VerifyReport(tuple(PrimeCheck(q, "mismatch", -1, 0) for q in primes))
+
+    monkeypatch.setattr(cli, "verify_polynomial", mismatch)
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--primes", "2")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ") and " phi=" in line]
+    assert code == 4 and "verification failure" in err
+    assert len(fails) == _pair_count(2) and "q=2:mismatch(-1)" in fails[0]
+
+
+def test_census_lists_collisions(capsys):
+    rep = census(7, CensusClass.UNIMODAL_GENERIC)
+    code, out, _ = run(
+        capsys, "census", "--n", "7", "--class", "unimodal-generic", "--list-collisions"
+    )
+    lines = [line for line in out.splitlines() if line.startswith("collision:")]
+    assert code == 0 and len(rep.collisions) == 1
+    assert lines == ["collision: " + " ".join(bucket) for bucket in rep.collisions]
+
+
 def test_input_option_without_its_input_is_rejected(capsys, monkeypatch):
     """--n applies only to --family and --indexing only to --edges; given
     with another input they would be ignored."""
@@ -297,10 +338,9 @@ def test_count_repeated_phi_index_is_rejected(capsys):
 
 def test_exit_code_mismatch(capsys, monkeypatch):
     import treecount.fqoracle as fq
-    import treecount.cli as cli
 
-    monkeypatch.setattr(cli, "count_points", lambda *a, **k: -1)
-    monkeypatch.setattr(fq, "count_points", lambda *a, **k: -1)
+    # verify_polynomial counts each prime through the private _count_plan
+    monkeypatch.setattr(fq, "_count_plan", lambda *a, **k: -1)
     code, out, err = run(
         capsys, "verify", "--family", "A", "--n", "2", "--primes", "2"
     )
@@ -311,6 +351,9 @@ def test_phi_spec_parse():
     assert phi_spec_parse("generic") == "generic"
     assert phi_spec_parse(None) is None
     assert phi_spec_parse("0=generic,2=versal") == {0: "generic", 2: "versal"}
+    # spaces around a key or a value are dropped alike
+    assert phi_spec_parse("0 = generic, 2= versal ") == {0: "generic", 2: "versal"}
+    assert phi_spec_parse(" 0 =generic") == {0: "generic"}
     with pytest.raises(PhiError):
         phi_spec_parse("0=purple")
     with pytest.raises(PhiError):
@@ -325,7 +368,7 @@ def test_phi_spec_parse():
 
 def test_cli_import_does_not_load_numpy():
     """The package is pure Python; importing the CLI must not pull numpy in,
-    nor the test-only oracles, nor the stdlib modules that one function
+    nor the test-side oracles, nor the stdlib modules that one function
     each needs (``fractions`` for the nullity oracle, ``datetime`` for
     ``--json``)."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -333,7 +376,7 @@ def test_cli_import_does_not_load_numpy():
     code = (
         "import sys, treecount.cli; "
         "print(*(m in sys.modules for m in "
-        "('numpy', 'treecount.oracles', 'fractions', 'datetime')))"
+        "('numpy', 'oracles', 'fractions', 'datetime')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

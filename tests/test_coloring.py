@@ -22,16 +22,12 @@ from treecount.coloring import (
     red_green_components,
 )
 from treecount.families import linear_tree, star_tree
-from treecount.oracles import coloring_by_fixpoint, remove_vertices
-from treecount.trees import Tree, enumerate_free_trees, prufer_decode
+from treecount.trees import Tree, enumerate_free_trees
 from conftest import colored, trees_up_to
-from test_trees import random_tree
+from oracles import coloring_by_fixpoint, remove_vertices
+from test_trees import random_tree, seeded_prufer_tree
 
 R, O, G = Color.RED, Color.ORANGE, Color.GREEN
-
-
-def path(n: int) -> Tree:
-    return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def check_local_description(t: Tree, c: Coloring) -> None:
@@ -66,7 +62,7 @@ def test_single_vertex_is_red():
 
 
 def test_even_paths_are_orange():
-    c = canonical_coloring(path(4))
+    c = canonical_coloring(linear_tree(4))
     assert c.colors == (O, O, O, O)
     assert c.dominoes == frozenset({(0, 1), (2, 3)})
 
@@ -89,12 +85,12 @@ def test_matching_oracle_examples(figure_tree):
     assert all(len(m) == 3 for m in all_maximum_matchings(figure_tree))
     single = coloring_by_matchings(Tree(2, ((0, 1),)))
     assert single.colors == (O, O)
-    p3 = coloring_by_matchings(path(3))
+    p3 = coloring_by_matchings(linear_tree(3))
     assert p3.colors == (R, G, R)
 
 
 def test_oracle_guard():
-    big = path(21)
+    big = linear_tree(21)
     with pytest.raises(SizeGuardError):
         coloring_by_vertex_covers(big)
     with pytest.raises(SizeGuardError):
@@ -126,18 +122,13 @@ def test_order_independence():
             assert coloring_by_fixpoint(t, rng=rng) == base
 
 
-def _prufer_tree(n, seed):
-    rng = random.Random(seed)
-    return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
-
-
 def test_gallai_edmonds_equals_the_fixpoint():
     """Colors and dominoes read off the greedy matching equal the recoloring
     fixpoint, which never looks at a matching: on every free tree with
     n <= 16, on random trees past a thousand vertices, a wide star and a
     long path."""
     free = (t for n in range(1, 17) for t in enumerate_free_trees(n))
-    large = (_prufer_tree(1200, 1200), _prufer_tree(2000, 2000))
+    large = (seeded_prufer_tree(1200, 1200), seeded_prufer_tree(2000, 2000))
     large += (star_tree(1000), linear_tree(1201))
     checked = 0
     for t in itertools.chain(free, large):
@@ -201,7 +192,7 @@ def test_components_examples(figure_tree):
     c, part = colored(figure_tree)
     assert len(part) == 1
     assert part.components[0].vertices == (2, 3, 4, 5, 6)
-    all_orange = path(4)
+    all_orange = linear_tree(4)
     assert len(colored(all_orange)[1]) == 0
     # two 3-leaf stars joined center to center: green-green bridge is dropped
     twostars = Tree(
@@ -262,7 +253,7 @@ def test_components_equal_union_find():
     vertices with many components, the 1-vertex tree, a wide star and a
     long path."""
     free = (t for n in range(1, 13) for t in enumerate_free_trees(n))
-    large = [_prufer_tree(n, seed) for n in (40, 100, 200, 400) for seed in range(5)]
+    large = [seeded_prufer_tree(n, seed) for n in (40, 100, 200, 400) for seed in range(5)]
     large += [Tree(1, ()), star_tree(1000), linear_tree(1201)]
     most = 0
     for t in itertools.chain(free, large):
@@ -277,9 +268,9 @@ def test_components_equal_union_find():
 # -- dimension -----------------------------------------------------------------
 
 def test_dimension_examples():
-    assert dimension(path(7)) == 1
+    assert dimension(linear_tree(7)) == 1
     assert dimension(Tree(4, ((0, 2), (1, 2), (2, 3)))) == 2
-    assert dimension(path(4)) == 0
+    assert dimension(linear_tree(4)) == 0
 
 
 def test_dimension_equals_nullity():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treecount.counting
+import treecount.polynomials
 from treecount.coloring import _gallai_edmonds, canonical_coloring, dimension
 from treecount.counting import (
     CensusClass,
@@ -40,7 +42,6 @@ from treecount.counting import (
 from treecount.families import d_tree, e_tree, linear_tree, star_tree
 from treecount.groupoid import rank_profile
 from treecount.matchings import count_maximum_independent_sets, independent_set_size_counts
-from treecount.oracles import CountEngine, orange_unimodal_chain
 from treecount.polynomials import Poly, Q
 from treecount.trees import (
     Tree,
@@ -52,7 +53,8 @@ from treecount.trees import (
     prufer_decode,
 )
 from conftest import colored, trees_up_to
-from test_trees import relabel
+from oracles import CountEngine, orange_unimodal_chain
+from test_trees import relabel, seeded_prufer_tree
 
 
 def test_base_cases():
@@ -124,11 +126,19 @@ def test_a7_e7_coincidence():
 
 
 # Names that only the oracles or the tests call; they live in
-# treecount.oracles or next to the tests that use them.
+# tests/oracles.py or next to the tests that use them.
 TEST_ONLY_NAMES = (
+    "coloring_by_fixpoint",
     "Forest",
     "remove_vertices",
+    "maximum_matching_avoiding",
+    "maximum_matching_containing",
+    "CountEngine",
+    "ChainEngine",
+    "branch_length",
+    "orange_unimodal_chain",
     "relabel",
+    "seeded_prufer_tree",
     "automorphism_count",
     "_rooted_aut",
     "_factorial",
@@ -140,21 +150,17 @@ TEST_ONLY_NAMES = (
 
 
 def test_counting_holds_only_the_production_path():
-    """The recursion and chain oracles live in treecount.oracles, apart from
-    the count they check, and no production module or the package defines
-    a test-only name."""
+    """The recursion and chain oracles live in tests/oracles.py, apart from
+    the count they check and outside the installed package, and no
+    production module or the package defines a test-only name."""
+    assert importlib.util.find_spec("treecount.oracles") is None
     table = {
-        treecount.counting: (
-            "CountEngine",
-            "ChainEngine",
-            "orange_unimodal_chain",
-            "branch_length",
-            "canonical_key",
-        ),
+        treecount.counting: ("canonical_key",),
         treecount.trees: (),
         treecount.coloring: (),
         treecount.matchings: (),
         treecount.groupoid: (),
+        treecount.polynomials: ("ONE",),
         treecount: (),
     }
     for module, names in table.items():
@@ -166,7 +172,9 @@ def test_counting_holds_only_the_production_path():
 def test_cli_import_loads_no_test_only_code():
     """A fresh ``import treecount.cli``, with the tests importable as well,
     loads neither the oracles nor a test module, and none of the modules it
-    loads defines a test-only name."""
+    loads defines a test-only name.  The test-side modules (``oracles``,
+    ``conftest``, ``test_*``) are listed like the package's, so loading any
+    of them fails the check."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(
         filter(None, [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")])
@@ -175,7 +183,7 @@ def test_cli_import_loads_no_test_only_code():
         "import sys, treecount.cli\n"
         "for name, mod in sorted(sys.modules.items()):\n"
         "    if name.split('.')[0] == 'treecount' or name.startswith('test_')"
-        " or name == 'conftest':\n"
+        " or name in ('conftest', 'oracles'):\n"
         "        print(name, *sorted(set(vars(mod)) & set(sys.argv[1:])))\n"
     )
     out = subprocess.run(
@@ -186,7 +194,7 @@ def test_cli_import_loads_no_test_only_code():
         check=True,
     )
     loaded = out.stdout.splitlines()
-    assert "treecount.cli" in loaded and "treecount.oracles" not in loaded
+    assert "treecount.cli" in loaded
     for line in loaded:
         assert line.startswith("treecount") and " " not in line, line
 
@@ -326,11 +334,6 @@ def test_count_long_path():
     assert count_polynomial(linear_tree(1201), "versal") == closed_form_a(1201, Mode.VERSAL)
 
 
-def _seeded_prufer_tree(n, seed):
-    rng = random.Random(seed)
-    return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
-
-
 @pytest.mark.parametrize("n", [301, 302])
 def test_count_matches_closed_forms_at_large_n(n):
     """The packed size-polynomials at a few hundred vertices."""
@@ -346,7 +349,7 @@ def test_count_matches_closed_forms_at_large_n(n):
 
 
 def test_reciprocity_large_random_tree():
-    t = _seeded_prufer_tree(400, 2014)
+    t = seeded_prufer_tree(400, 2014)
     _, part = colored(t)
     p = count_polynomial(t, "generic")
     rep = reciprocity_report(p, rank_profile(part, [True] * len(part)).rank)
@@ -372,7 +375,7 @@ def test_size_vector_is_the_independence_polynomial():
     cases += [(t, "versal") for n in range(1, 14) for t in _census_trees(n, 1)]
     assert len(cases) == 253 + 419
     # the widest slots: i(star) = 2**600 + 1
-    cases += [(star_tree(600), "versal"), (_seeded_prufer_tree(400, 2014), "versal")]
+    cases += [(star_tree(600), "versal"), (seeded_prufer_tree(400, 2014), "versal")]
     for t, phi in cases:
         resolved = resolve_tree_phi(t, phi)
         c = _count_sets_by_size(t.order, t.parent, resolved.coloring.colors, resolved.kinds)

@@ -451,6 +451,40 @@ def test_guard_fires_before_the_genericity_patterns(monkeypatch):
         verify_polynomial(star_tree(17), "generic", [2, 5])
 
 
+def test_table_budget_fires_before_any_table(monkeypatch):
+    """q**n passes the work budget for one vertex at q = 999999937, but its
+    inverse table and rows would take tens of GB: every entry point refuses
+    the job before it reads ``FqContext.inv``."""
+
+    def no_table(ctx):
+        raise AssertionError("built a table for a job over the table budget")
+
+    q = 999999937
+    single = Tree(1, ())
+    monkeypatch.setattr(FqContext, "inv", property(no_table))
+    with pytest.raises(GuardError):
+        count_points(single, "generic", FqContext(q))
+    with pytest.raises(GuardError):
+        count_fixed(single, FqContext(q), [1])
+    with pytest.raises(GuardError):
+        verify_polynomial(single, "generic", [q])
+
+
+def test_table_budget_bound(monkeypatch):
+    """(2n + 1) * q entries at the budget still run; one prime more does not,
+    unless forced."""
+    monkeypatch.setattr(fqoracle, "TABLE_BUDGET", 3 * 1009)
+    single = Tree(1, ())
+    assert count_points(single, "generic", FqContext(1009)) == 1008
+    with pytest.raises(GuardError):
+        count_points(single, "generic", FqContext(1013))
+    assert count_points(single, "generic", FqContext(1013), force=True) == 1012
+    # two vertices hold five rows: 5 * 601 is within 3 * 1009, 5 * 607 is not
+    assert count_fixed(linear_tree(2), FqContext(601), [1, 1]) == 601**2 + 1
+    with pytest.raises(GuardError):
+        count_fixed(linear_tree(2), FqContext(607), [1, 1])
+
+
 def test_count_points_matches_count_fixed_per_tuple():
     """Versal counts sum count_fixed over every free-parameter tuple, and
     generic counts equal count_fixed at every tuple passing genericity."""

@@ -15,6 +15,7 @@ from treecount.coloring import (
 )
 from treecount.counting import resolve_tree_phi
 import treecount.fqoracle as fqoracle
+from treecount.families import linear_tree
 from treecount.fqoracle import FqContext
 from treecount.groupoid import (
     CoefficientState,
@@ -38,10 +39,6 @@ from treecount.trees import Tree
 from conftest import colored, trees_up_to
 
 
-def path(n: int) -> Tree:
-    return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
 def formal_genericity(component: RedGreenComponent, covered: set[int]) -> bool:
     """Whether generic parameters exist formally (over a big enough field).
 
@@ -60,21 +57,21 @@ def formal_genericity(component: RedGreenComponent, covered: set[int]) -> bool:
 # -- jumps ---------------------------------------------------------------------
 
 def test_jump_disappears_over_a_leaf():
-    p2 = path(2)
+    p2 = linear_tree(2)
     c = canonical_coloring(p2)
     s = CoefficientState.from_dicts([{0: 1}, {}])
     assert jump(s, p2, c, 0, 1).support() == []
 
 
 def test_jump_identity_on_trivial_coefficient():
-    p3 = path(3)
+    p3 = linear_tree(3)
     c = canonical_coloring(p3)
     s = CoefficientState.from_dicts([{}, {2: 4}, {}])
     assert jump(s, p3, c, 0, 1) == s
 
 
 def test_jump_spreads_inverse():
-    p3 = path(3)
+    p3 = linear_tree(3)
     c = canonical_coloring(p3)
     s = CoefficientState.from_dicts([{0: 1}, {}, {}])
     out = jump(s, p3, c, 0, 1)
@@ -82,12 +79,12 @@ def test_jump_spreads_inverse():
 
 
 def test_disallowed_jump_kinds():
-    p3 = path(3)
+    p3 = linear_tree(3)
     c = canonical_coloring(p3)
     s = CoefficientState.initial(p3)
     with pytest.raises(JumpError):
         jump(s, p3, c, 0, 2)  # not an edge
-    p4 = path(4)
+    p4 = linear_tree(4)
     c4 = canonical_coloring(p4)
     with pytest.raises(JumpError):
         jump(CoefficientState.initial(p4), p4, c4, 1, 2)  # orange pair not a domino
@@ -96,7 +93,7 @@ def test_disallowed_jump_kinds():
 # -- normalization ---------------------------------------------------------------
 
 def test_normalize_examples():
-    p3 = path(3)
+    p3 = linear_tree(3)
     c = canonical_coloring(p3)
     out = normalize_to_matching(
         CoefficientState.initial(p3), p3, c, frozenset({(1, 2)})
@@ -104,7 +101,7 @@ def test_normalize_examples():
     assert out.support() == [0]
     assert out.vector(0) == {0: 1, 2: -1}
     # orange tree: everything dies
-    p4 = path(4)
+    p4 = linear_tree(4)
     c4 = canonical_coloring(p4)
     out4 = normalize_to_matching(
         CoefficientState.initial(p4), p4, c4, maximum_matching(p4)
@@ -113,7 +110,7 @@ def test_normalize_examples():
 
 
 def test_normalize_fixes_states_already_reduced():
-    p3 = path(3)
+    p3 = linear_tree(3)
     c = canonical_coloring(p3)
     m = frozenset({(1, 2)})
     s = CoefficientState.from_dicts([{0: 3}, {}, {}])
@@ -121,7 +118,7 @@ def test_normalize_fixes_states_already_reduced():
 
 
 def test_normalize_rejects_non_maximum():
-    p4 = path(4)
+    p4 = linear_tree(4)
     c = canonical_coloring(p4)
     with pytest.raises(ValueError):
         normalize_to_matching(
@@ -199,10 +196,10 @@ def test_normalization_depends_only_on_red_symbols():
 # -- rank --------------------------------------------------------------------
 
 def test_rank_profile_examples(figure_tree):
-    _, part = colored(path(7))
+    _, part = colored(linear_tree(7))
     prof = rank_profile(part, [True])
     assert prof.rank == 1 and prof.versal_rank == 0
-    _, part4 = colored(path(4))
+    _, part4 = colored(linear_tree(4))
     prof4 = rank_profile(part4, [])
     assert prof4.rank == 0 and prof4.versal_rank == 0
     d4 = Tree(4, ((0, 2), (1, 2), (2, 3)))
@@ -229,7 +226,7 @@ def test_genericity_examples():
     comp = single.components[0]
     assert genericity_check(comp, {0: 1}, 3) is True
     assert genericity_check(comp, {0: 2}, 3) is False  # 2 = -1 in F_3
-    _, part = colored(path(3))
+    _, part = colored(linear_tree(3))
     comp3 = part.components[0]
     assert genericity_check(comp3, {0: 2, 2: 1}, 5) is True
     assert genericity_check(comp3, {0: 1, 2: 1}, 5) is False
@@ -254,7 +251,7 @@ def test_generic_tuples_match_filtered_product():
                     for values in itertools.product(range(1, q), repeat=len(vertices))
                     if is_generic(patterns, dict(zip(vertices, values)), q)
                 ]
-                assert generic_tuples(patterns, vertices, FqContext(q)) == expected
+                assert generic_tuples(patterns, vertices, FqContext(q), ()) == expected
 
 
 def test_generic_tuples_keep_tied_positions_non_decreasing():

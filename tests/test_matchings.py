@@ -12,6 +12,7 @@ from treecount.coloring import (
     all_maximum_matchings,
     dimension,
 )
+from treecount.families import linear_tree
 from treecount.matchings import (
     AdmissibleSet,
     admissible_sets,
@@ -24,13 +25,13 @@ from treecount.matchings import (
     _blocks_and_signs,
     _green_adjacency,
 )
-from treecount.oracles import (
+from treecount.trees import Tree, _free_tree_parents, _greedy_mates, enumerate_free_trees
+from conftest import colored, trees_up_to
+from oracles import (
     coloring_by_fixpoint,
     maximum_matching_avoiding,
     maximum_matching_containing,
 )
-from treecount.trees import Tree, _free_tree_parents, _greedy_mates, enumerate_free_trees
-from conftest import colored, trees_up_to
 from test_trees import random_tree
 
 
@@ -69,13 +70,9 @@ def grow_admissible(component: RedGreenComponent, u: int) -> AdmissibleSet:
     return AdmissibleSet(vertices, tuple(sign[v] for v in vertices), blocks)
 
 
-def path(n: int) -> Tree:
-    return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
 def test_maximum_matching_examples(figure_tree):
-    assert maximum_matching(path(4)) == frozenset({(0, 1), (2, 3)})
-    assert len(maximum_matching(path(3))) == 1
+    assert maximum_matching(linear_tree(4)) == frozenset({(0, 1), (2, 3)})
+    assert len(maximum_matching(linear_tree(3))) == 1
     assert maximum_matching_size(figure_tree) == 3
 
 
@@ -98,25 +95,25 @@ def test_parent_array_deficiency_is_the_dimension():
 
 
 def test_avoiding_examples(figure_tree):
-    m = maximum_matching_avoiding(path(3), 0)
+    m = maximum_matching_avoiding(linear_tree(3), 0)
     assert m == frozenset({(1, 2)})
     m = maximum_matching_avoiding(figure_tree, 2)
     assert len(m) == 3 and all(2 not in e for e in m)
     assert m in set(all_maximum_matchings(figure_tree))
-    m = maximum_matching_avoiding(path(7), 6)
+    m = maximum_matching_avoiding(linear_tree(7), 6)
     assert m == frozenset({(0, 1), (2, 3), (4, 5)})
     with pytest.raises(ValueError):
-        maximum_matching_avoiding(path(3), 1)  # the middle is green
+        maximum_matching_avoiding(linear_tree(3), 1)  # the middle is green
 
 
 def test_containing_examples(figure_tree):
-    assert maximum_matching_containing(path(3), (0, 1)) == frozenset({(0, 1)})
+    assert maximum_matching_containing(linear_tree(3), (0, 1)) == frozenset({(0, 1)})
     m = maximum_matching_containing(figure_tree, (2, 3))
     assert m == frozenset({(0, 1), (2, 3), (5, 6)})
-    m = maximum_matching_containing(path(5), (1, 2))
+    m = maximum_matching_containing(linear_tree(5), (1, 2))
     assert m == frozenset({(1, 2), (3, 4)})
     with pytest.raises(ValueError):
-        maximum_matching_containing(path(4), (0, 1))  # orange edge
+        maximum_matching_containing(linear_tree(4), (0, 1))  # orange edge
 
 
 def test_avoiding_and_containing_everywhere():
@@ -151,8 +148,8 @@ def test_uncovered_are_leaves_witness():
 def test_independent_set_examples():
     assert [sorted(s) for s in independent_sets(Tree(1, ()))] == [[], [0]]
     assert len(list(independent_sets(Tree(2, ((0, 1),))))) == 3
-    assert len(list(independent_sets(path(3)))) == 5
-    assert count_maximum_independent_sets(path(3)) == 1
+    assert len(list(independent_sets(linear_tree(3)))) == 5
+    assert count_maximum_independent_sets(linear_tree(3)) == 1
     assert count_maximum_independent_sets(Tree(1, ())) == 1
 
 
@@ -176,7 +173,7 @@ def test_counts_match_enumeration():
 
 def test_independent_guard():
     with pytest.raises(SizeGuardError):
-        list(independent_sets(path(25)))
+        list(independent_sets(linear_tree(25)))
 
 
 @given(random_tree())
@@ -189,7 +186,7 @@ def test_independent_set_count_is_positive(t):
 # -- admissible sets -------------------------------------------------------------
 
 def test_admissible_examples(figure_tree):
-    _, part = colored(path(3))
+    _, part = colored(linear_tree(3))
     sets = list(admissible_sets(part.components[0]))
     assert [(a.vertices, a.signs) for a in sets] == [((0, 2), (1, -1))]
     _, single = colored(Tree(1, ()))
@@ -249,12 +246,12 @@ def test_grow_admissible_everywhere():
                 assert u in a.vertices
                 assert is_admissible(comp, frozenset(a.vertices))
     with pytest.raises(ValueError):
-        _, part = colored(path(3))
+        _, part = colored(linear_tree(3))
         grow_admissible(part.components[0], 1)
 
 
 def test_grow_admissible_examples():
-    _, part = colored(path(3))
+    _, part = colored(linear_tree(3))
     assert grow_admissible(part.components[0], 0).vertices == (0, 2)
     _, single = colored(Tree(1, ()))
     assert grow_admissible(single.components[0], 0).vertices == (0,)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecount.coloring import adjacency_nullity
-from treecount.oracles import remove_vertices
 from treecount.trees import (
     Graph6Error,
     NotATreeError,
@@ -31,6 +30,7 @@ from treecount.trees import (
     _rooted_order,
 )
 from conftest import trees_of_size, trees_up_to
+from oracles import remove_vertices
 
 
 @st.composite
@@ -40,6 +40,12 @@ def random_tree(draw, max_n=10):
         return Tree(n, tuple([(0, 1)][: n - 1]))
     seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return prufer_decode(seq, n)
+
+
+def seeded_prufer_tree(n: int, seed: int) -> Tree:
+    """The tree of a Pruefer sequence drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
 
 
 def relabel(t: Tree, perm: Sequence[int]) -> Tree:
