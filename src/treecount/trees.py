@@ -9,11 +9,15 @@ and, with vertex labels, as the memo key of the leaf/domino recursion in
 the test suite's ``tests/oracles.py``), the greedy matching of any parent array, and the
 Wright-Richmond-Odlyzko-McKay generator of free trees up to isomorphism
 (n <= 20).  The generator walks one level sequence per class, stepping it
-in place, and needs no key.  Asked for a matching deficiency, it carries
-along the walk how the greedy matching treats every subtree already closed
-(a chain of the open vertices, each with its number of free children), so a
-step re-reads only the positions it rewrote; it yields only the trees that
-have the deficiency and skips the sequences that cannot.
+in place, and needs no key.  Each step also updates the position of the
+root's second child and the heights of the root's first subtree and of the
+rest, so the test of whether a sequence stands for its free tree reads
+them in O(1) time, with a list comparison only when both heights and sizes
+tie.  Asked for a matching deficiency, it carries along the walk how the
+greedy matching treats every subtree already closed (a chain of the open
+vertices, each with its number of free children), so a step re-reads only
+the positions it rewrote; it yields only the trees that have the
+deficiency and skips the sequences that cannot.
 :func:`enumerate_free_trees` builds a :class:`Tree` from each parent array
 it yields; the census colors, counts and prints the arrays themselves, with
 a chain of its own for the counting, and builds no :class:`Tree`.
@@ -334,32 +338,6 @@ def canonical_key(t: Tree, labels: Mapping[int, int] | Sequence[int] | None = No
 # Exhaustive generation of free trees
 # ---------------------------------------------------------------------------
 
-def _next_rooted(levels: list[int], parent: list[int], p: int) -> bool:
-    """Step a canonical level sequence (root at level 0) and its parent
-    array in place to their Beyer-Hedetniemi successor at position ``p``:
-    keep the prefix before ``p`` and replay, from ``p`` on, the block that
-    starts at the parent ``q`` of ``p``.  Each copy of the block hangs from
-    the parent of ``q``; its other parents move with it.  False, with
-    nothing changed, when ``p`` is the root: the walk is over."""
-    if p == 0:
-        return False
-    q = parent[p]
-    d = p - q
-    for j in range(p, len(levels)):
-        levels[j] = levels[j - d]
-        x = parent[j - d]
-        parent[j] = x + d if x >= q else x
-    return True
-
-
-def _second_child(levels: list[int]) -> int:
-    """Position of the root's second child, or the length if it has one."""
-    try:
-        return levels.index(1, 2)
-    except ValueError:
-        return len(levels)
-
-
 def check_enumeration_size(n: int) -> None:
     """Raise :class:`SizeGuardError` when n is above the enumeration bound."""
     if n > MAX_ENUMERATION_VERTICES:
@@ -380,14 +358,29 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
 
     Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15 (1986) 540-548:
     walk the level sequences of trees rooted at a centre in Beyer-Hedetniemi
-    order, starting from the path.  A sequence stands for its free tree when
-    the first subtree of the root (``left``) is no higher than the rest of
-    the tree, no larger when the heights tie, and not lexicographically
+    order (SIAM J. Comput. 9 (1980)), starting from the path.  A step at
+    position p keeps the prefix before p and replays, from p on, the block
+    that starts at the parent q of p; each copy hangs from the parent of q
+    and its other parents move with it.  A sequence stands for its free tree
+    when the first subtree of the root (``left``) is no higher than the rest
+    of the tree, no larger when the heights tie, and not lexicographically
     greater when the sizes tie too.  An invalid sequence jumps past every
-    rooted tree that keeps the same invalid ``left``.  Vertices are numbered
+    rooted tree that keeps the same invalid ``left``: it steps at the end of
+    ``left`` and, if that vertex was deeper than 2, ends the sequence with a
+    path from the root as deep as the new ``left``.  Vertices are numbered
     in pre-order, so ``parent[0] == -1`` and ``parent[v] < v`` otherwise.
     Each step rewrites ``levels`` and ``parent`` in place from its position
     on; every yielded array is a copy, which the caller may keep.
+
+    The validity test costs O(1) but for the rare list comparison: the loop
+    that rewrites the sequence from p also keeps the position m of the
+    root's second child (n if it has none) and ``hi[j]``, the highest level
+    over positions 1 to j for j < m and over m to j for j >= m.  So ``left``
+    has height ``hi[m - 1] - 1`` and size m - 1, and the rest of the tree
+    height ``hi[n - 1]`` (0 if m = n) and size n - m + 1.  When p < m, no
+    position from 2 to p - 1 is at level 1, so the new m is the first level-1
+    position the loop writes.  A step thus costs O(n - p), as the rewrite
+    does; the lists are compared only when heights and sizes both tie.
 
     With a ``deficiency`` d, only the trees whose greedy leaf-up matching
     (:func:`_greedy_mates`, vertices n-1 down to 0) leaves exactly d vertices
@@ -432,12 +425,16 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
     lost_at = [0] * (n + 1)
     chain_at[1] = (0, None)
     read = 1
+    # both arms of the path climb from the root, so hi starts as levels
+    m = n // 2 + 1
+    hi = levels[:]
     while True:
-        m = _second_child(levels)
-        left = (max(levels[1:m]) - 1, m - 1)  # height and size
-        rest = (max(levels[m:], default=0), n - m + 1)
-        valid = left < rest or (
-            left == rest and [x - 1 for x in levels[1:m]] <= [0] + levels[m:]
+        left_height = hi[m - 1] - 1
+        rest_height = hi[n - 1] if m < n else 0
+        valid = left_height < rest_height or left_height == rest_height and (
+            2 * m < n + 2  # ``left`` has fewer vertices than the rest
+            or 2 * m == n + 2
+            and [x - 1 for x in levels[1:m]] <= [0] + levels[m:]
         )
         if valid:
             p = n - 1
@@ -468,21 +465,39 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
                     yield parent[:]
             while levels[p] == 1:
                 p -= 1
-            if not _next_rooted(levels, parent, p):
+            if p == 0:
                 return
+            deep = False
         else:
             p = m - 1  # the last vertex of ``left``
             deep = levels[p] > 2
-            _next_rooted(levels, parent, p)
-            if deep:
-                # end with a path from the root as deep as the new ``left``
-                height = max(levels[1 : _second_child(levels)])
-                levels[n - height :] = range(1, height + 1)
-                parent[n - height :] = [0, *range(n - height, n - 1)]
-                # The tail may start before p.  Up to n = 19 ``read`` was
-                # then already at or below its start, but nothing proves
-                # that, so the min keeps the chain restore correct anyway.
-                p = min(p, n - height)
+        # the Beyer-Hedetniemi step at p, keeping m and hi as it rewrites
+        q = parent[p]
+        d = p - q
+        h = hi[p - 1]
+        if p < m:
+            m = n  # until the loop finds a level-1 position
+        for j in range(p, n):
+            level = levels[j] = levels[j - d]
+            x = parent[j - d]
+            parent[j] = x + d if x >= q else x
+            if level > h:
+                h = level
+            elif level == 1 and j < m:
+                m, h = j, 1
+            hi[j] = h
+        if deep:
+            # The copies hang at level 2 or deeper, so ``left`` now runs to
+            # the end and m = n: end it with a path from the root as deep as
+            # ``left``, whose first vertex is the new m.
+            height = hi[n - 1]
+            m = n - height
+            levels[m:] = hi[m:] = range(1, height + 1)
+            parent[m:] = [0, *range(m, n - 1)]
+            # The tail may start before p.  Up to n = 19 ``read`` was
+            # then already at or below its start, but nothing proves
+            # that, so the min keeps the chain restore correct anyway.
+            p = min(p, m)
         read = min(read, p)
 
 

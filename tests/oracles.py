@@ -15,6 +15,12 @@ choice-decorated tree.  The orange/unimodal two-step chain of
 :class:`ChainEngine` reaches orange trees and versal unimodal trees from the
 closed form of the even paths alone.  Neither shares the independent-set
 pass they check.
+
+For :func:`treecount.trees._free_tree_parents`: the same walk with its
+validity test read off slices of the level sequence on every step (the
+root's second child by :func:`_second_child`, both heights by ``max``),
+O(n) per step.  It pins the order in which the trees, and so the census
+representatives, come out.
 """
 
 from __future__ import annotations
@@ -27,7 +33,14 @@ from treecount.coloring import Color, Coloring, canonical_coloring, dimension, r
 from treecount.counting import Mode, PhiError, PhiKind, PhiSpec, closed_form_a, resolve_tree_phi
 from treecount.matchings import maximum_matching, maximum_matching_size
 from treecount.polynomials import Poly, Q
-from treecount.trees import Edge, Tree, canonical_key, normalize_edge
+from treecount.trees import (
+    Edge,
+    Tree,
+    _Chain,
+    canonical_key,
+    check_enumeration_size,
+    normalize_edge,
+)
 
 ONE = Poly.const(1)
 
@@ -443,3 +456,144 @@ def orange_unimodal_chain(t: Tree) -> Poly:
     if d == 1:
         return engine.versal_unimodal(t)
     raise ValueError("chain scheme applies to orange or unimodal trees only")
+
+
+# ---------------------------------------------------------------------------
+# The free-tree walk with its validity test read off slices
+# ---------------------------------------------------------------------------
+
+def _next_rooted(levels: list[int], parent: list[int], p: int) -> bool:
+    """Step a canonical level sequence (root at level 0) and its parent
+    array in place to their Beyer-Hedetniemi successor at position ``p``:
+    keep the prefix before ``p`` and replay, from ``p`` on, the block that
+    starts at the parent ``q`` of ``p``.  Each copy of the block hangs from
+    the parent of ``q``; its other parents move with it.  False, with
+    nothing changed, when ``p`` is the root: the walk is over."""
+    if p == 0:
+        return False
+    q = parent[p]
+    d = p - q
+    for j in range(p, len(levels)):
+        levels[j] = levels[j - d]
+        x = parent[j - d]
+        parent[j] = x + d if x >= q else x
+    return True
+
+
+def _second_child(levels: list[int]) -> int:
+    """Position of the root's second child, or the length if it has one."""
+    try:
+        return levels.index(1, 2)
+    except ValueError:
+        return len(levels)
+
+
+def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[int]]:
+    """Parent array of one rooted representative per free tree on n vertices.
+
+    Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15 (1986) 540-548:
+    walk the level sequences of trees rooted at a centre in Beyer-Hedetniemi
+    order, starting from the path.  A sequence stands for its free tree when
+    the first subtree of the root (``left``) is no higher than the rest of
+    the tree, no larger when the heights tie, and not lexicographically
+    greater when the sizes tie too.  An invalid sequence jumps past every
+    rooted tree that keeps the same invalid ``left``.  Vertices are numbered
+    in pre-order, so ``parent[0] == -1`` and ``parent[v] < v`` otherwise.
+    Each step rewrites ``levels`` and ``parent`` in place from its position
+    on; every yielded array is a copy, which the caller may keep.
+
+    With a ``deficiency`` d, only the trees whose greedy leaf-up matching
+    (:func:`_greedy_mates`, vertices n-1 down to 0) leaves exactly d vertices
+    unmatched are yielded, and the walk skips sequences that cannot have d.
+    Whether a vertex is matched by one of its children depends on its
+    subtree alone, the range of positions up to the next one at its level
+    or lower, and so does which of its children stay unmatched.  The walk
+    therefore reads each sequence from left to right keeping a chain of the
+    open vertices (those whose subtree has not ended: the path from the
+    root to the last position read), each with its number of free children,
+    and the number of vertices left unmatched so far.  A position at level
+    l closes every open vertex at level l or deeper, and the end of the
+    sequence closes all of them.  A closing vertex with f > 0 free children
+    is matched to the last of them and leaves the other f - 1 unmatched;
+    one with none is free, for its parent, or unmatched if it is the root.
+    The chain and the count before every position are kept, so a sequence
+    is read again only from the lowest position that a step rewrote.
+
+    Sequences come in decreasing lexicographic order, so a later one that
+    keeps the prefix before a position where a vertex closed keeps that
+    subtree and the vertices it left unmatched.  When more than d vertices
+    are unmatched once the vertices closing at position E are closed, every
+    later sequence that keeps the prefix before E has too many.  The walk
+    stops reading there and steps at the last position before E whose level
+    is not 1, as after a yield, which skips exactly those; level-1 positions
+    cannot decrease, and the root ends the walk.
+    """
+    if n < 1:
+        raise ValueError("a tree has at least one vertex")
+    check_enumeration_size(n)
+    if n == 1:
+        if deficiency in (None, 1):
+            yield [-1]
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    parent = list(range(-1, n - 1))
+    if n > 2:
+        parent[n // 2 + 1] = 0  # the second arm of the path hangs from the root
+    # chain_at[k], lost_at[k]: the open vertices and the unmatched count
+    # before position k, valid for every k up to ``read``
+    chain_at: list[_Chain] = [None] * (n + 1)
+    lost_at = [0] * (n + 1)
+    chain_at[1] = (0, None)
+    read = 1
+    while True:
+        m = _second_child(levels)
+        left = (max(levels[1:m]) - 1, m - 1)  # height and size
+        rest = (max(levels[m:], default=0), n - m + 1)
+        valid = left < rest or (
+            left == rest and [x - 1 for x in levels[1:m]] <= [0] + levels[m:]
+        )
+        if valid:
+            p = n - 1
+            if deficiency is None:
+                yield parent[:]
+            else:
+                k = read
+                chain, lost = chain_at[k], lost_at[k]
+                while True:
+                    # close the open vertices whose subtrees end at k
+                    for _ in range(levels[k - 1] - (levels[k] if k < n else 0) + 1):
+                        f, chain = chain
+                        if f:
+                            lost += f - 1  # matched to one free child
+                        elif chain is None:
+                            lost += 1  # a free root
+                        else:
+                            chain = (chain[0] + 1, chain[1])  # free for its parent
+                    if lost > deficiency or k == n:
+                        break
+                    k += 1
+                    chain = chain_at[k] = (0, chain)
+                    lost_at[k] = lost
+                read = k
+                if lost > deficiency:
+                    p = k - 1
+                elif lost == deficiency:
+                    yield parent[:]
+            while levels[p] == 1:
+                p -= 1
+            if not _next_rooted(levels, parent, p):
+                return
+        else:
+            p = m - 1  # the last vertex of ``left``
+            deep = levels[p] > 2
+            _next_rooted(levels, parent, p)
+            if deep:
+                # end with a path from the root as deep as the new ``left``
+                height = max(levels[1 : _second_child(levels)])
+                levels[n - height :] = range(1, height + 1)
+                parent[n - height :] = [0, *range(n - height, n - 1)]
+                # The tail may start before p.  Up to n = 19 ``read`` was
+                # then already at or below its start, but nothing proves
+                # that, so the min keeps the chain restore correct anyway.
+                p = min(p, n - height)
+        read = min(read, p)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import os
 import random
@@ -146,6 +147,8 @@ TEST_ONLY_NAMES = (
     "formal_genericity",
     "grow_admissible",
     "is_admissible",
+    "_next_rooted",
+    "_second_child",
 )
 
 
@@ -622,6 +625,63 @@ def test_census_at_the_guard():
     823,065 trees gave; this test pins them for the pruned walk."""
     orange = census(20, CensusClass.ORANGE)
     assert (orange.tree_count, orange.distinct_polynomial_count) == (12371, 7530)
+
+
+def _report_digest(rep: CensusReport) -> str:
+    """sha256 of a whole census report: both counts, the coefficients of
+    every polynomial and the collision buckets, each in report order."""
+    body = repr(
+        (
+            rep.tree_count,
+            rep.distinct_polynomial_count,
+            tuple(p.coeffs for p in rep.polynomials),
+            rep.collisions,
+        )
+    )
+    return hashlib.sha256(body.encode()).hexdigest()[:16]
+
+
+# Digests of the reports given by the walk that reads its validity test off
+# slices (tests/oracles.py).  Sizes with no tree in the class (odd n for
+# orange, even n for unimodal) are left out.
+CENSUS_DIGESTS = {
+    CensusClass.ORANGE: {
+        2: "f04795393672e750",
+        4: "2d9137efd18d3578",
+        6: "faf530a870d95c4c",
+        8: "193de703e9bc68a1",
+        10: "748e86f95a02608d",
+        12: "6d7a1be4ccea2849",
+        14: "9992217c1f184e13",
+    },
+    CensusClass.UNIMODAL_VERSAL: {
+        1: "cf3b3e7438ff94b8",
+        3: "8a2127277e20a851",
+        5: "730e4ba3d7efd5e2",
+        7: "0ac48b4e1fafe7b2",
+        9: "3e6f48e0e87ef81e",
+        11: "371cf5e9764b1cb2",
+        13: "634eff9ac982d4ab",
+    },
+    CensusClass.UNIMODAL_GENERIC: {
+        1: "bad1d6a52ef9cac1",
+        3: "dba396841ddabd44",
+        5: "51aa33ec6bfdd666",
+        7: "0fd3e18e795b8672",
+        9: "a0491aef26ff4949",
+        11: "416b985c69af129f",
+        13: "87f5aed0f708115d",
+    },
+}
+
+
+def test_census_reports_are_pinned():
+    """Whole reports, collision representatives and their order included,
+    hash as pinned: census(n, orange) for n <= 14, both unimodal classes for
+    n <= 13."""
+    for census_class, digests in CENSUS_DIGESTS.items():
+        for n, digest in digests.items():
+            assert _report_digest(census(n, census_class)) == digest, (census_class, n)
 
 
 def test_quoted_collision_pairs_have_equal_polynomials():

@@ -30,6 +30,7 @@ from treecount.trees import (
     _rooted_order,
 )
 from conftest import trees_of_size, trees_up_to
+from oracles import _free_tree_parents as slice_walk
 from oracles import remove_vertices
 
 
@@ -279,6 +280,17 @@ def test_walk_pruned_on_deficiency_equals_filtered_walk():
             assert list(_free_tree_parents(n, d)) == want, (n, d)
     assert list(_free_tree_parents(1, 1)) == [[-1]]
     assert list(_free_tree_parents(1, 0)) == []
+
+
+def test_walk_order_equals_slice_walk():
+    """The walk, keeping the root's second child and the subtree heights
+    along its steps, yields the same arrays in the same order as the walk
+    that reads them off slices of every sequence (tests/oracles.py).  The
+    order decides which representatives a census prints."""
+    cases = [(n, d) for n in range(1, 17) for d in (None, 0, 1, 2, 3)]
+    cases += [(n, d) for n in (17, 18) for d in (0, 1)]
+    for n, d in cases:
+        assert list(_free_tree_parents(n, d)) == list(slice_walk(n, d)), (n, d)
 
 
 def test_free_tree_counts_vs_prufer_oracle_small():
