@@ -94,7 +94,7 @@ def _load_tree(args: argparse.Namespace) -> tuple[Tree, int]:
         with open(args.edges, "r", encoding="utf-8") as fh:
             return _read_edge_list(fh.read(), args.indexing or "auto")
     if args.n is None:
-        raise PhiError("--family needs --n")
+        raise ValueError("--family needs --n")
     return family_tree(args.family, args.n), 0
 
 
@@ -239,7 +239,7 @@ def _run_sets(args) -> int:
                 for a in adm
             )
     if not lines:
-        raise PhiError("pick at least one of --matchings --independent --admissible")
+        raise ValueError("pick at least one of --matchings --independent --admissible")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 

@@ -371,11 +371,8 @@ def _weigh_by_size(counts: Sequence[int], exponent: int) -> Poly:
         acc = (acc << shift) - acc
     half = 1 << (shift - 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * (exponent + 1), "little")
-    raw = (acc + bias).to_bytes((exponent + 1) * width, "little")
-    coeffs = [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, len(raw), width)
-    ]
+    # the top slot holds half + 1, so _unpack reads all exponent + 1 slots
+    coeffs = [c - half for c in _unpack(acc + bias, width)]
     at_one = counts[top] if exponent == 2 * top else 0
     if coeffs[-1] != 1 or sum(coeffs) != at_one:
         raise AssertionError(

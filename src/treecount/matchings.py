@@ -2,15 +2,17 @@
 
 The combinatorial substrate under the variety constructions: the greedy
 maximum matching of a tree (the mate array of :mod:`treecount.trees`,
-which also gives the coloring and the dimension), exact counting of
-maximum independent sets, enumeration of all independent sets, and the
-admissible sets of red vertices that carry the genericity condition, with
-their canonical signs and shared-green blocks.
+which also gives the coloring and the dimension), the independent sets,
+and the admissible sets of red vertices that carry the genericity
+condition, with their canonical signs and shared-green blocks.  vc(T) and
+the independent sets counted by size check the counting kernel, each by
+its own fold up the rooted tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .coloring import RedGreenComponent, SizeGuardError
@@ -60,67 +62,45 @@ def independent_sets(t: Tree) -> Iterator[frozenset[int]]:
     yield from extend(0)
 
 
-def _independent_dp(t: Tree) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Per-vertex (max size, count) pairs for 'v excluded' / 'v included'."""
-    parent = t.parent
-    out: list[tuple[int, int]] = [(0, 1)] * t.n
-    inn: list[tuple[int, int]] = [(1, 1)] * t.n
-    for v in t.order:
-        children = [w for w in t.neighbors[v] if parent[w] == v]
-        size_out, cnt_out = 0, 1
-        size_in, cnt_in = 1, 1
-        for w in children:
-            best = max(out[w][0], inn[w][0])
-            cnt = (out[w][1] if out[w][0] == best else 0) + (
-                inn[w][1] if inn[w][0] == best else 0
-            )
-            size_out += best
-            cnt_out *= cnt
-            size_in += out[w][0]
-            cnt_in *= out[w][1]
-        out[v] = (size_out, cnt_out)
-        inn[v] = (size_in, cnt_in)
-    return out, inn
-
-
 def count_maximum_independent_sets(t: Tree) -> int:
-    """vc(T): the number of maximum independent sets (= minimum vertex covers)."""
-    out, inn = _independent_dp(t)
-    best = max(out[0][0], inn[0][0])
-    return (out[0][1] if out[0][0] == best else 0) + (
-        inn[0][1] if inn[0][0] == best else 0
-    )
+    """vc(T): the number of maximum independent sets (= minimum vertex covers),
+    by one pass up the tree over (size, count) of the largest independent
+    sets of each subtree without and with its root."""
+    size_out, count_out = [0] * t.n, [1] * t.n
+    size_in, count_in = [1] * t.n, [1] * t.n
+    for v in t.order:
+        s_out, s_in = size_out[v], size_in[v]
+        best = s_out if s_out > s_in else s_in
+        count = (count_out[v] if s_out == best else 0) + (count_in[v] if s_in == best else 0)
+        p = t.parent[v]
+        if p >= 0:
+            size_out[p] += best
+            count_out[p] *= count
+            size_in[p] += s_out
+            count_in[p] *= count_out[v]
+    return count  # the root comes last
 
 
 def independent_set_size_counts(t: Tree) -> list[int]:
-    """``counts[s]`` = number of independent sets of size ``s``."""
-    parent = t.parent
-    out: list[list[int]] = [[1] for _ in range(t.n)]
-    inn: list[list[int]] = [[0, 1] for _ in range(t.n)]
-
+    """``counts[s]`` = number of independent sets of size ``s``, by the same
+    pass over the independence polynomials of each subtree without and with
+    its root; no list ever ends in a zero, so nothing is trimmed."""
     def mul(a: list[int], b: list[int]) -> list[int]:
         res = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    res[i + j] += x * y
+            for j, y in enumerate(b):
+                res[i + j] += x * y
         return res
 
+    out = [[1] for _ in range(t.n)]
+    inn = [[0, 1] for _ in range(t.n)]
     for v in t.order:
-        children = [w for w in t.neighbors[v] if parent[w] == v]
-        for w in children:
-            both = [x + y for x, y in zip(out[w] + [0] * len(inn[w]), inn[w] + [0] * len(out[w]))]
-            while both and both[-1] == 0:
-                both.pop()
-            out[v] = mul(out[v], both)
-            inn[v] = mul(inn[v], out[w])
-    total = [
-        x + y
-        for x, y in zip(out[0] + [0] * len(inn[0]), inn[0] + [0] * len(out[0]))
-    ]
-    while total and total[-1] == 0:
-        total.pop()
-    return total
+        both = [x + y for x, y in zip_longest(out[v], inn[v], fillvalue=0)]
+        p = t.parent[v]
+        if p >= 0:
+            out[p] = mul(out[p], both)
+            inn[p] = mul(inn[p], out[v])
+    return both  # the root comes last
 
 
 # ---------------------------------------------------------------------------

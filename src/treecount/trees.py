@@ -26,6 +26,8 @@ a chain of its own for the counting, and builds no :class:`Tree`.
 from __future__ import annotations
 
 import heapq
+import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -148,6 +150,10 @@ def _greedy_mates(order: Sequence[int], parent: Sequence[int]) -> list[int]:
 # graph6 codec (McKay's formats.txt: n <= 62 in one byte, else "~" + 18 bits)
 # ---------------------------------------------------------------------------
 
+_GRAPH6_TEXT = re.compile(r"[?-~]+")  # the characters chr(63) to chr(126)
+_GRAPH6_SET = re.compile(r"[^?]")  # a payload character with a set bit
+
+
 def _graph6_size(s: str) -> tuple[int, str]:
     """Vertex count from a graph6 header, plus the payload that follows."""
     if s[0] != "~":
@@ -163,11 +169,15 @@ def _graph6_size(s: str) -> tuple[int, str]:
 
 
 def read_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Decode a graph6 record into ``(n, edges)`` for any graph."""
+    """Decode a graph6 record into ``(n, edges)`` for any graph.
+
+    Only the payload characters other than ``?`` (six clear bits) are read,
+    so the cost follows the edges, not the n(n-1)/2 pairs; bit k of the
+    upper triangle is edge u-v for the largest v with v(v-1)/2 <= k."""
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 string")
-    if not all(63 <= ord(ch) <= 126 for ch in s):
+    if not _GRAPH6_TEXT.fullmatch(s):
         raise Graph6Error("graph6 character out of range")
     n, body = _graph6_size(s)
     nbits = n * (n - 1) // 2
@@ -176,19 +186,16 @@ def read_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
         raise Graph6Error(
             f"expected {nbytes} payload characters for n={n}, got {len(body)}"
         )
-    bits: list[int] = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
-        raise Graph6Error("nonzero padding bits")
     edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
+    for m in _GRAPH6_SET.finditer(body):
+        val = ord(m.group()) - 63
+        for b in range(6):
+            if val & (32 >> b):
+                k = 6 * m.start() + b
+                if k >= nbits:
+                    raise Graph6Error("nonzero padding bits")
+                v = (1 + math.isqrt(8 * k + 1)) // 2
+                edges.append((k - v * (v - 1) // 2, v))
     return n, edges
 
 

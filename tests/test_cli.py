@@ -11,10 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from treecount.cli import main, phi_spec_parse
+from treecount.cli import build_parser, main, phi_spec_parse
 from treecount.counting import CensusClass, PhiError, all_phi_assignments, census
-from treecount.families import d_tree, e_tree, linear_tree, star_tree
-from treecount.matchings import count_maximum_independent_sets, independent_set_size_counts
+from treecount.families import d_tree, e_tree, family_tree, linear_tree, star_tree
+from treecount.matchings import (
+    count_maximum_independent_sets,
+    independent_set_size_counts,
+    independent_sets,
+)
 from treecount.fqoracle import PrimeCheck, VerifyReport
 from treecount.trees import Tree, emit_graph6, prufer_decode
 from conftest import colored, trees_up_to
@@ -130,7 +134,7 @@ def test_sets_subcommand(capsys):
 
 def test_sets_count_only_matches_the_oracles(capsys):
     """``sets --independent --count-only`` reads i(T) and vc(T) off one
-    size vector; the list DPs of :mod:`treecount.matchings` agree."""
+    size vector; the folds of :mod:`treecount.matchings` agree."""
     rng = random.Random(200)
     trees = [
         Tree(1, ()),
@@ -147,6 +151,18 @@ def test_sets_count_only_matches_the_oracles(capsys):
         assert code == 0
         assert payload["independent_sets"] == sum(independent_set_size_counts(t))
         assert payload["maximum_independent_sets"] == count_maximum_independent_sets(t)
+
+
+def test_sets_lists_the_independent_sets(capsys):
+    want = [sorted(s) for s in independent_sets(d_tree(6))]
+    argv = ("sets", "--family", "D", "--n", "6", "--independent")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [f"independent sets ({len(want)}):"] + [
+        "  {" + ",".join(map(str, s)) + "}" for s in want
+    ]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["independent_sets"] == want
 
 
 def test_sets_count_only_past_the_enumeration_guard(capsys):
@@ -192,6 +208,39 @@ def test_oracle_subcommand(capsys):
         "--q", "5", "--json",
     )
     assert code == 0 and json.loads(out)["count"] == 124
+
+
+def test_oracle_without_generic_parameters(capsys):
+    """Over F_2 no parameter of the single vertex passes the genericity
+    condition, so the oracle reports the count as skipped."""
+    argv = ("oracle", "--family", "A", "--n", "1", "--phi", "generic", "--q", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() == "q=2: no generic parameters"
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 0 and (payload["count"], payload["skipped"]) == (None, True)
+
+
+def test_family_dispatch():
+    assert family_tree("E", 7) == e_tree(7)
+    assert family_tree(" d ", 5) == d_tree(5)
+    with pytest.raises(ValueError, match="unknown family"):
+        family_tree("B", 4)
+
+
+def test_input_errors_are_not_phi_errors(capsys):
+    """--family without --n and ``sets`` with nothing to list are input
+    errors, raised as plain ValueError and reported with exit code 2."""
+    for argv, message in (
+        (["count", "--family", "A", "--phi", "versal"], "--family needs --n"),
+        (["sets", "--family", "A", "--n", "3"], "pick at least one of"),
+    ):
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ValueError, match=message) as exc:
+            args.run(args)
+        assert type(exc.value) is ValueError
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and message in err and out == ""
 
 
 def test_exit_code_parse_error(capsys):
@@ -327,6 +376,10 @@ def test_verify_non_integer_prime_is_named(capsys):
         capsys, "verify", "--family", "A", "--n", "5", "--phi", "versal", "--primes", "2,x"
     )
     assert code == 2 and "'x'" in err and "invalid literal" not in err and out == ""
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--n", "5", "--phi", "versal", "--primes", ","
+    )
+    assert code == 2 and "at least one prime" in err and out == ""
 
 
 def test_count_repeated_phi_index_is_rejected(capsys):

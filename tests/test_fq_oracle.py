@@ -63,8 +63,10 @@ def jump_alpha(
 
 
 def test_context_requires_prime():
-    with pytest.raises(ValueError):
-        FqContext(6)
+    # prime powers are refused too: the arithmetic is mod q
+    for q in (0, 1, 4, 6, 8, 9):
+        with pytest.raises(ValueError):
+            FqContext(q)
     assert FqContext(7).q == 7
 
 

@@ -12,6 +12,7 @@ from treecount.coloring import (
     all_maximum_matchings,
     dimension,
 )
+from treecount.counting import _count_sets_by_size
 from treecount.families import linear_tree
 from treecount.matchings import (
     AdmissibleSet,
@@ -32,7 +33,7 @@ from oracles import (
     maximum_matching_avoiding,
     maximum_matching_containing,
 )
-from test_trees import random_tree
+from test_trees import random_tree, seeded_prufer_tree
 
 
 def is_admissible(component: RedGreenComponent, s: frozenset[int]) -> bool:
@@ -169,6 +170,18 @@ def test_counts_match_enumeration():
         assert len(by_size) == best + 1
         for size, expected in enumerate(by_size):
             assert expected == sum(1 for s in sets if len(s) == size)
+
+
+def test_vc_is_the_top_size_count_past_enumeration():
+    """vc(T) is the last entry of the size counts and of the counting
+    kernel's size vector with no generic vertex, on trees far past brute
+    force; the two size counts agree throughout."""
+    for t in (linear_tree(201), seeded_prufer_tree(200, 200), seeded_prufer_tree(400, 400)):
+        vc = count_maximum_independent_sets(t)
+        sizes = independent_set_size_counts(t)
+        kernel = _count_sets_by_size(t.order, t.parent, None, (None,) * t.n)
+        assert sizes[-1] == kernel[-1] == vc
+        assert sizes == kernel
 
 
 def test_independent_guard():

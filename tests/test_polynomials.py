@@ -24,14 +24,19 @@ def test_arithmetic_basics():
     assert (p * p)(3) == p(3) ** 2
     assert ((Q - 1) ** 3)(1) == 0
     assert (2 * Q + Q).coeffs == (0, 3)
+    assert 1 - Q == Poly((1, -1))
+    with pytest.raises(ValueError):
+        Q ** -1
 
 
 def test_divexact():
     assert (Q**4 - 1).divexact(Q**2 - 1) == Q**2 + 1
     with pytest.raises(ExactDivisionError):
         (Q**2 + 1).divexact(Q - 1)
-    with pytest.raises(ExactDivisionError):
-        (2 * Q + 1).divexact(2 * Q)  # leading coefficient does not divide
+    with pytest.raises(ExactDivisionError, match="nonzero remainder"):
+        (2 * Q + 1).divexact(2 * Q)
+    with pytest.raises(ExactDivisionError, match="leading coefficient does not divide"):
+        Q.divexact(2 * Q)
     with pytest.raises(ZeroDivisionError):
         Q.divexact(Poly())
 

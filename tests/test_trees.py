@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from typing import Sequence
 
 import pytest
@@ -120,6 +121,8 @@ def test_parse_rejects_malformed():
         parse_graph6("~??")  # truncated long-form header
     with pytest.raises(Graph6Error):
         parse_graph6("~~??????")  # n > 258047 needs the 36-bit header
+    with pytest.raises(Graph6Error):
+        parse_graph6("A@")  # n = 2 has one bit; "@" sets a padding bit
     with pytest.raises(NotATreeError):
         parse_graph6("B_")  # 3 vertices, 1 edge: disconnected
     # a triangle parses as a graph but is not a tree
@@ -159,6 +162,21 @@ def test_long_form_header():
         parse_graph6(emit_graph6(path)[:-1])  # truncated payload
     with pytest.raises(Graph6Error):
         emit_graph6(Tree(258048, tuple((0, i) for i in range(1, 258048))))
+
+
+def test_read_graph6_memory_follows_the_edges():
+    """The path with n = 3000 is a 750 kB string over 4.5 million pairs; the
+    reader decodes only its set bits, so its traced peak stays small."""
+    path = [(i, i + 1) for i in range(2999)]
+    s = emit_graph6(Tree(3000, tuple(path)))
+    tracemalloc.start()
+    try:
+        got = read_graph6(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (3000, path)
+    assert peak < 8 * 2**20
 
 
 def _graph6_by_pairs(t):
