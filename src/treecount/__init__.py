@@ -30,9 +30,7 @@ from .counting import (
 )
 from .families import d_tree, e_tree, family_tree, linear_tree, star_tree
 from .fqoracle import (
-    NO_GENERIC_PARAMETERS,
     FqContext,
-    NoGenericParameters,
     count_fixed,
     count_points,
     verify_polynomial,

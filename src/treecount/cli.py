@@ -36,7 +36,6 @@ from .fqoracle import (
     ConstancyError,
     FqContext,
     GuardError,
-    NoGenericParameters,
     count_points,
     verify_polynomial,
 )
@@ -308,7 +307,7 @@ def _run_oracle(args) -> int:
     spec = _shift_phi(phi_spec_parse(args.phi), off)
     ctx = FqContext(args.q)
     got = count_points(t, spec, ctx, force=args.force)
-    if isinstance(got, NoGenericParameters):
+    if got is None:
         _emit(args, {"q": args.q, "count": None, "skipped": True},
               f"q={args.q}: no generic parameters")
     else:

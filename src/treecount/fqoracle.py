@@ -24,13 +24,15 @@ memory is O(n * q), and a job whose inverse table and rows would exceed
 :data:`TABLE_BUDGET` entries is refused up front.
 Summing the factor of a versal vertex over its parameter gives a closed
 form, so versal components cost nothing extra.  Generic components are swept
-over the tuples passing the genericity condition, one transfer sum per orbit
-representative, with the count asserted identical across them.  Swapping two
-free leaves with one neighbor is an automorphism of the tree that fixes the
-matching, the coloring, the components, phi and the genericity patterns, so
-a tuple passes and counts exactly as its representative does, the one with
-non-decreasing values on every such set of siblings.  Skipping the rest of
-each orbit thus loses no check.
+over the tuples passing the genericity condition (:func:`generic_tuples`),
+one transfer sum per orbit representative, with the count asserted
+identical across them; over a field too small for any tuple to pass, the
+count is None, a skip.  Swapping two free leaves with one neighbor is an
+automorphism of the tree that fixes the matching, the coloring, the
+components, phi and the genericity patterns, so a tuple passes and counts
+exactly as its representative does, the one with non-decreasing values on
+every such set of siblings.  Skipping the rest of each orbit thus loses no
+check.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .coloring import Color
 from .counting import PhiKind, PhiSpec, ResolvedPhi, _count_resolved, resolve_tree_phi
-from .groupoid import GenericityPattern, generic_tuples, genericity_patterns
+from .groupoid import GenericityPattern, genericity_patterns
 from .trees import Tree
 
 WORK_BUDGET = 10**9
@@ -69,19 +71,6 @@ class ConstancyError(AssertionError):
     """Two generic parameter tuples gave different point counts."""
 
 
-class NoGenericParameters:
-    """Signal: no parameter tuple satisfies the genericity condition.
-
-    Possible over tiny fields; a skip, not a failure.
-    """
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "NoGenericParameters"
-
-
-NO_GENERIC_PARAMETERS = NoGenericParameters()
-
-
 def _is_prime(q: int) -> bool:
     if q < 2:
         return False
@@ -96,8 +85,8 @@ def _is_prime(q: int) -> bool:
 @dataclass(frozen=True)
 class FqContext:
     """A prime field F_q with its inverse table, built on first use: the one
-    table the transfer sum, the fixed factors and
-    :func:`treecount.groupoid.generic_tuples` read."""
+    table the transfer sum, the fixed factors and :func:`generic_tuples`
+    read."""
 
     q: int
 
@@ -271,8 +260,10 @@ def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) ->
         _check_budget(t.n, len(versal), q, force)
     generic = []
     for comp, kind in zip(partition, assignment.kinds):
-        vertices = [v for v in free if v in comp.vertices]
-        if kind is PhiKind.GENERIC and vertices:
+        if kind is PhiKind.GENERIC:
+            # never empty: a component's dimension, at least 1, is its
+            # number of free reds
+            vertices = [v for v in free if v in comp.vertices]
             # a free leaf sorts by its neighbor, which is covered, so it
             # joins its siblings and no other free vertex
             anchor = {
@@ -287,12 +278,64 @@ def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) ->
     return _Plan(t.n, _walk(t), versal, tuple(generic))
 
 
+def generic_tuples(
+    patterns: Sequence[GenericityPattern],
+    vertices: Sequence[int],
+    ctx: FqContext,
+    tied: Collection[int],
+) -> list[tuple[int, ...]]:
+    """The nonzero value tuples on ``vertices`` that pass ``is_generic``
+    and whose value at each position in ``tied`` (none is 0) is at least the
+    one before it, in ``itertools.product(range(1, q), repeat=len(vertices))``
+    order.  With interchangeable vertices tied, that is one tuple per orbit
+    representative.
+
+    Each pattern is mapped onto the positions of ``vertices`` (other
+    members carry the trivial value 1, so they drop out) and tested as soon
+    as its last member has a value, which prunes every tuple extending a
+    failing prefix.  Every admissible set S holds an unmatched vertex, so
+    no pattern maps onto no position: a matched red s in S is matched to a
+    green g_s seeing exactly two members of S, s -> g_s is injective, and S
+    and those greens span a forest, so there are at most |S| - 1 of them.
+    """
+    q, inv = ctx.q, ctx.inv
+    k = len(vertices)
+    position = {v: i for i, v in enumerate(vertices)}
+    # due[i]: (target, slots) of the patterns whose last member is at i;
+    # slot 2i holds the value at position i and slot 2i + 1 its inverse
+    due: list[list[tuple[int, list[int]]]] = [[] for _ in range(k)]
+    for parity, signed in patterns:
+        target = (q - 1 if parity else 1) % q
+        slots = [2 * position[v] + (sg < 0) for v, sg in signed if v in position]
+        due[max(slots) // 2].append((target, slots))
+    values = [0] * (2 * k)
+    out: list[tuple[int, ...]] = []
+
+    def extend(i: int, prefix: tuple[int, ...]) -> None:
+        for a in range(prefix[-1] if i in tied else 1, q):
+            values[2 * i], values[2 * i + 1] = a, inv[a]
+            for target, slots in due[i]:
+                prod = 1
+                for s in slots:
+                    prod = prod * values[s] % q
+                if prod == target:
+                    break
+            else:
+                if i + 1 == k:
+                    out.append(prefix + (a,))
+                else:
+                    extend(i + 1, prefix + (a,))
+
+    extend(0, ())
+    return out
+
+
 def count_points(
     t: Tree,
     phi: PhiSpec,
     ctx: FqContext,
     force: bool = False,
-) -> int | NoGenericParameters:
+) -> int | None:
     """Exact point count for one generic/versal choice.
 
     Fixes a maximum matching, sums over all invertible values of the versal
@@ -301,13 +344,13 @@ def count_points(
     the count does not depend on the tuple.  Those swaps are automorphisms
     fixing everything the count and the genericity test read, so the tuples
     of one orbit pass and count alike, and the check over representatives
-    is the check over every tuple.  Returns :data:`NO_GENERIC_PARAMETERS`
-    when no tuple passes.
+    is the check over every tuple.  Returns None when no tuple passes,
+    which tiny fields allow: a skip, not a failure.
     """
     return _count_plan(_plan(t, resolve_tree_phi(t, phi), (ctx.q,), force), ctx)
 
 
-def _count_plan(plan: _Plan, ctx: FqContext) -> int | NoGenericParameters:
+def _count_plan(plan: _Plan, ctx: FqContext) -> int | None:
     """:func:`count_points` for a plan whose budgets were checked at ctx.q."""
     q = ctx.q
     factor = [_fixed_factor(ctx, 1)] * plan.n
@@ -317,7 +360,7 @@ def _count_plan(plan: _Plan, ctx: FqContext) -> int | NoGenericParameters:
     for vertices, patterns, tied in plan.generic:
         passing = generic_tuples(patterns, vertices, ctx, tied)
         if not passing:
-            return NO_GENERIC_PARAMETERS
+            return None
         sweeps.append(passing)
     counts = set()
     for combo in itertools.product(*sweeps):
@@ -375,7 +418,7 @@ def verify_polynomial(
         q = ctx.q
         expected = poly(q)
         got = _count_plan(plan, ctx)
-        if isinstance(got, NoGenericParameters):
+        if got is None:
             checks.append(PrimeCheck(q, "skipped", None, expected))
         elif got == expected:
             checks.append(PrimeCheck(q, "ok", got, expected))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .coloring import (
     Color,
@@ -28,9 +28,6 @@ from .matchings import (
     uncovered_vertices,
 )
 from .trees import Edge, Tree, normalize_edge
-
-if TYPE_CHECKING:
-    from .fqoracle import FqContext
 
 ExponentVector = dict[int, int]
 
@@ -270,61 +267,6 @@ def is_generic(
         if prod == (q - 1 if parity else 1) % q:
             return False
     return True
-
-
-def generic_tuples(
-    patterns: Sequence[GenericityPattern],
-    vertices: Sequence[int],
-    ctx: FqContext,
-    tied: Collection[int],
-) -> list[tuple[int, ...]]:
-    """The nonzero value tuples on ``vertices`` that pass :func:`is_generic`
-    and whose value at each position in ``tied`` (none is 0) is at least the
-    one before it, in ``itertools.product(range(1, q), repeat=len(vertices))``
-    order.  With interchangeable vertices tied, that is one tuple per orbit
-    representative.
-
-    Each pattern is mapped onto the positions of ``vertices`` (other
-    members carry the trivial value 1, so they drop out) and tested as soon
-    as its last member has a value, which prunes every tuple extending a
-    failing prefix.
-    """
-    q, inv = ctx.q, ctx.inv
-    k = len(vertices)
-    position = {v: i for i, v in enumerate(vertices)}
-    # due[i]: (target, slots) of the patterns whose last member is at i;
-    # slot 2i holds the value at position i and slot 2i + 1 its inverse
-    due: list[list[tuple[int, list[int]]]] = [[] for _ in range(k)]
-    for parity, signed in patterns:
-        target = (q - 1 if parity else 1) % q
-        slots = [2 * position[v] + (sg < 0) for v, sg in signed if v in position]
-        if slots:
-            due[max(slots) // 2].append((target, slots))
-        elif target == 1:
-            return []
-    values = [0] * (2 * k)
-    out: list[tuple[int, ...]] = []
-
-    def extend(i: int, prefix: tuple[int, ...]) -> None:
-        for a in range(prefix[-1] if i in tied else 1, q):
-            values[2 * i], values[2 * i + 1] = a, inv[a]
-            for target, slots in due[i]:
-                prod = 1
-                for s in slots:
-                    prod = prod * values[s] % q
-                if prod == target:
-                    break
-            else:
-                if i + 1 == k:
-                    out.append(prefix + (a,))
-                else:
-                    extend(i + 1, prefix + (a,))
-
-    if k:
-        extend(0, ())
-    else:
-        out.append(())
-    return out
 
 
 def genericity_check(

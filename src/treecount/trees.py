@@ -154,10 +154,10 @@ _GRAPH6_TEXT = re.compile(r"[?-~]+")  # the characters chr(63) to chr(126)
 _GRAPH6_SET = re.compile(r"[^?]")  # a payload character with a set bit
 
 
-def _graph6_size(s: str) -> tuple[int, str]:
-    """Vertex count from a graph6 header, plus the payload that follows."""
+def _graph6_size(s: str) -> tuple[int, int]:
+    """Vertex count from a graph6 header, plus the payload's offset."""
     if s[0] != "~":
-        return ord(s[0]) - 63, s[1:]
+        return ord(s[0]) - 63, 1
     if s[1:2] == "~":
         raise Graph6Error(f"graph6 supports n <= {MAX_GRAPH6_VERTICES}")
     if len(s) < 4:
@@ -165,7 +165,7 @@ def _graph6_size(s: str) -> tuple[int, str]:
     n = 0
     for ch in s[1:4]:
         n = (n << 6) | (ord(ch) - 63)
-    return n, s[4:]
+    return n, 4
 
 
 def read_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
@@ -179,19 +179,19 @@ def read_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
         raise Graph6Error("empty graph6 string")
     if not _GRAPH6_TEXT.fullmatch(s):
         raise Graph6Error("graph6 character out of range")
-    n, body = _graph6_size(s)
+    n, start = _graph6_size(s)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(body) != nbytes:
+    if len(s) - start != nbytes:
         raise Graph6Error(
-            f"expected {nbytes} payload characters for n={n}, got {len(body)}"
+            f"expected {nbytes} payload characters for n={n}, got {len(s) - start}"
         )
     edges = []
-    for m in _GRAPH6_SET.finditer(body):
+    for m in _GRAPH6_SET.finditer(s, start):
         val = ord(m.group()) - 63
         for b in range(6):
             if val & (32 >> b):
-                k = 6 * m.start() + b
+                k = 6 * (m.start() - start) + b
                 if k >= nbits:
                     raise Graph6Error("nonzero padding bits")
                 v = (1 + math.isqrt(8 * k + 1)) // 2
@@ -418,10 +418,6 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
     if n < 1:
         raise ValueError("a tree has at least one vertex")
     check_enumeration_size(n)
-    if n == 1:
-        if deficiency in (None, 1):
-            yield [-1]
-        return
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     parent = list(range(-1, n - 1))
     if n > 2:

@@ -31,8 +31,10 @@ def run(capsys, *argv):
 
 
 def test_count_family_a2(capsys):
-    code, out, _ = run(capsys, "count", "--family", "A", "--n", "2")
-    assert code == 0 and out.strip() == "q^2 + 1"
+    # an empty --phi is no choice, which a tree without components needs
+    for phi in ((), ("--phi", "")):
+        code, out, _ = run(capsys, "count", "--family", "A", "--n", "2", *phi)
+        assert code == 0 and out.strip() == "q^2 + 1"
 
 
 def test_color_single_vertex(capsys):
@@ -130,6 +132,12 @@ def test_sets_subcommand(capsys):
     assert "maximum matchings: 2" in out
     assert "independent sets: 5" in out
     assert "admissible sets: 1" in out
+
+
+def test_sets_lists_the_admissible_sets(capsys):
+    code, out, _ = run(capsys, "sets", "--family", "E", "--n", "7", "--admissible")
+    assert code == 0
+    assert out.splitlines() == ["admissible sets (1):", "  component 0: 1^+ 4^- 6^+"]
 
 
 def test_sets_count_only_matches_the_oracles(capsys):
@@ -246,8 +254,9 @@ def test_input_errors_are_not_phi_errors(capsys):
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "color", "--graph6", "!!")
     assert code == 2 and "error" in err
-    code, _, err = run(capsys, "count", "--family", "A", "--n", "3")
-    assert code == 2  # phi required
+    for phi in ((), ("--phi", "")):
+        code, _, err = run(capsys, "count", "--family", "A", "--n", "3", *phi)
+        assert code == 2 and "a phi choice is required" in err
     code, _, err = run(capsys, "count", "--family", "A", "--n", "3", "--phi", "bogus")
     assert code == 2
 

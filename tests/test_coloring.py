@@ -201,6 +201,8 @@ def test_components_examples(figure_tree):
     c2, part2 = colored(twostars)
     assert [comp.vertices for comp in part2] == [(0, 1, 2, 3), (4, 5, 6, 7)]
     assert all(c2.colors[x] is G for x in (3, 7))
+    assert [part2.component_of(v) for v in (0, 3, 7)] == [0, 0, 1]
+    assert colored(linear_tree(2))[1].component_of(0) == -1  # orange
 
 
 def test_every_component_red_leaves_only():

@@ -14,11 +14,9 @@ from treecount.counting import PhiKind, all_phi_assignments, count_polynomial
 from treecount.families import d_tree, linear_tree, star_tree
 import treecount.fqoracle as fqoracle
 from treecount.fqoracle import (
-    NO_GENERIC_PARAMETERS,
     ConstancyError,
     FqContext,
     GuardError,
-    NoGenericParameters,
     _fixed_factor,
     _tree_sum,
     _walk,
@@ -27,7 +25,7 @@ from treecount.fqoracle import (
     verify_polynomial,
 )
 from treecount.groupoid import genericity_check, genericity_patterns, is_generic
-from treecount.matchings import maximum_matching, uncovered_vertices
+from treecount.matchings import admissible_sets, maximum_matching, uncovered_vertices
 from treecount.trees import Tree
 from conftest import colored, trees_up_to
 from test_trees import relabel
@@ -201,9 +199,7 @@ def test_large_field_memory_is_linear_in_q():
 def test_count_points_examples():
     single = Tree(1, ())
     assert count_points(single, "versal", FqContext(2)) == 3
-    assert isinstance(
-        count_points(single, "generic", FqContext(2)), NoGenericParameters
-    )
+    assert count_points(single, "generic", FqContext(2)) is None
     assert count_points(single, "generic", FqContext(3)) == 2
     assert count_points(linear_tree(3), "generic", FqContext(5)) == 124
     assert count_points(d_tree(4), "generic", FqContext(5)) == 576
@@ -362,7 +358,23 @@ def test_one_tree_sum_per_orbit(monkeypatch):
                 got = count_points(t, phi, FqContext(q))
                 orbits = _passing_orbits(t, phi, q)
                 assert len(calls) == orbits, (t.edges, phi, q)
-                assert (got is NO_GENERIC_PARAMETERS) == (orbits == 0)
+                assert (got is None) == (orbits == 0)
+
+
+def test_every_admissible_set_holds_an_unmatched_vertex():
+    """What the sweep relies on: every red-green component and every
+    admissible set holds a vertex that ``t.mate`` leaves unmatched, so no
+    genericity pattern drops out entirely and no generic component has an
+    empty tuple of parameters."""
+    sets = 0
+    for t in trees_up_to(12):
+        free = {v for v, m in enumerate(t.mate) if m < 0}
+        for comp in colored(t)[1]:
+            assert free.intersection(comp.vertices), t.edges
+            for adm in admissible_sets(comp):
+                assert free.intersection(adm.vertices), (t.edges, adm.vertices)
+                sets += 1
+    assert sets == 6659
 
 
 def test_sibling_swaps_keep_genericity_and_count():
@@ -511,5 +523,5 @@ def test_count_points_matches_count_fixed_per_tuple():
             ]
             got = count_points(t, "generic", ctx)
             if not passing:
-                assert got is NO_GENERIC_PARAMETERS
+                assert got is None
             assert all(per_tuple[values] == got for values in passing)

@@ -16,11 +16,10 @@ from treecount.coloring import (
 from treecount.counting import resolve_tree_phi
 import treecount.fqoracle as fqoracle
 from treecount.families import linear_tree
-from treecount.fqoracle import FqContext
+from treecount.fqoracle import FqContext, generic_tuples
 from treecount.groupoid import (
     CoefficientState,
     JumpError,
-    generic_tuples,
     genericity_check,
     genericity_patterns,
     is_generic,

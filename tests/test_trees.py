@@ -166,17 +166,19 @@ def test_long_form_header():
 
 def test_read_graph6_memory_follows_the_edges():
     """The path with n = 3000 is a 750 kB string over 4.5 million pairs; the
-    reader decodes only its set bits, so its traced peak stays small."""
-    path = [(i, i + 1) for i in range(2999)]
-    s = emit_graph6(Tree(3000, tuple(path)))
-    tracemalloc.start()
-    try:
-        got = read_graph6(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == (3000, path)
-    assert peak < 8 * 2**20
+    reader decodes only its set bits, in place, so its traced peak stays
+    small: below a copy of the 2 MB payload at n = 5000."""
+    for n, bound in ((3000, 8 * 2**20), (5000, 2**20)):
+        path = [(i, i + 1) for i in range(n - 1)]
+        s = emit_graph6(Tree(n, tuple(path)))
+        tracemalloc.start()
+        try:
+            got = read_graph6(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (n, path)
+        assert peak < bound, (n, peak)
 
 
 def _graph6_by_pairs(t):
@@ -216,6 +218,7 @@ def test_edge_list_autodetect():
     assert forced.edges == ((0, 1), (1, 2))
     with pytest.raises(ValueError):
         parse_edge_list("0 2\n")  # gap in the labels
+    assert parse_edge_list("# nothing\n\n") == Tree(1, ())  # no edges
 
 
 # -- enumeration vs the labelled-tree oracle ----------------------------------
