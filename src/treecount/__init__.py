@@ -24,7 +24,6 @@ from .counting import (
     closed_form_d,
     closed_form_e,
     count_polynomial,
-    euler_characteristic,
     reciprocity_report,
     versal_by_independent_sets,
 )

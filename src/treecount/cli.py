@@ -28,6 +28,7 @@ from .counting import (
     PhiKind,
     _count_resolved,
     _count_sets_by_size,
+    all_phi_assignments,
     census,
     resolve_tree_phi,
 )
@@ -46,7 +47,16 @@ from .matchings import (
     maximum_matching,
 )
 from .polynomials import Poly, format_poly
-from .trees import Graph6Error, NotATreeError, Tree, _read_edge_list, parse_graph6
+from .trees import (
+    Graph6Error,
+    NotATreeError,
+    Tree,
+    _read_edge_list,
+    check_enumeration_size,
+    emit_graph6,
+    enumerate_free_trees,
+    parse_graph6,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -345,9 +355,6 @@ def _parse_primes(text: str) -> list[int]:
 def _run_verify(args) -> int:
     primes = _parse_primes(args.primes)
     if args.max_n is not None:
-        from .counting import all_phi_assignments
-        from .trees import check_enumeration_size, emit_graph6, enumerate_free_trees
-
         if args.phi is not None or args.n is not None:
             raise ValueError("--max-n sweeps every tree under every phi; drop --phi and --n")
         _check_input_options(args)

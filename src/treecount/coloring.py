@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .trees import Edge, SizeGuardError, Tree
 
@@ -32,8 +31,7 @@ class Color(enum.Enum):
 ORACLE_MAX_VERTICES = 20
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Per-vertex colors plus the forced orange dominoes."""
 
     colors: tuple[Color, ...]
@@ -190,8 +188,7 @@ def coloring_by_matchings(t: Tree) -> Coloring:
 # Red-green components and dimension
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RedGreenComponent:
+class RedGreenComponent(NamedTuple):
     """One connected component of the subgraph of red-green edges."""
 
     vertices: tuple[int, ...]
@@ -208,15 +205,14 @@ class RedGreenComponent:
         return len(self.reds) - len(self.greens)
 
 
-@dataclass(frozen=True)
-class RedGreenPartition:
-    components: tuple[RedGreenComponent, ...]
+class RedGreenPartition(tuple[RedGreenComponent, ...]):
+    """The red-green components of a tree, in order of their smallest vertex."""
 
-    def __iter__(self):
-        return iter(self.components)
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.components)
+    @property
+    def components(self) -> tuple[RedGreenComponent, ...]:
+        return tuple(self)
 
     def component_of(self, v: int) -> int:
         """Index of the component containing vertex ``v`` (-1 when orange)."""
@@ -286,10 +282,8 @@ def red_green_components(t: Tree, c: Coloring) -> RedGreenPartition:
                 raise AssertionError("green leaf in a red-green component")
             greens[i].append(v)
     return RedGreenPartition(
-        tuple(
-            RedGreenComponent(tuple(vs), tuple(es), tuple(rs), tuple(gs))
-            for vs, es, rs, gs in zip(vertices, edges, reds, greens)
-        )
+        RedGreenComponent(tuple(vs), tuple(es), tuple(rs), tuple(gs))
+        for vs, es, rs, gs in zip(vertices, edges, reds, greens)
     )
 
 

@@ -22,8 +22,8 @@ them on their size vector.  For the orange and unimodal-versal classes it
 carries the pass's states of closed subtrees from one array to the next.
 
 Also here: closed forms for the linear, D- and E-shaped families (checked
-by exact division), the all-versal independent-set formula, Euler
-characteristics and the divisibility/reciprocity report.  The leaf/domino
+by exact division), the all-versal independent-set formula and the
+divisibility/reciprocity report.  The leaf/domino
 recursion and the orange/unimodal chain that check :func:`count_polynomial`
 live in the test suite's ``tests/oracles.py``.
 """
@@ -31,7 +31,6 @@ live in the test suite's ``tests/oracles.py``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
 
 from .coloring import (
@@ -43,7 +42,7 @@ from .coloring import (
     dimension,
     red_green_components,
 )
-from .matchings import count_maximum_independent_sets, independent_set_size_counts
+from .matchings import independent_set_size_counts
 from .polynomials import Poly, Q
 from .trees import Tree, _free_tree_parents, _graph6, _greedy_mates
 
@@ -57,14 +56,10 @@ class PhiError(ValueError):
     """A generic/versal specification that does not fit the tree."""
 
 
-@dataclass(frozen=True)
-class PhiAssignment:
+class PhiAssignment(NamedTuple):
     """One generic/versal choice per red-green component, in partition order."""
 
     kinds: tuple[PhiKind, ...]
-
-    def __len__(self) -> int:
-        return len(self.kinds)
 
 
 # A string, so that no typing cache keeps this module alive after a reload.
@@ -88,7 +83,7 @@ def resolve_phi(partition: RedGreenPartition, spec: PhiSpec) -> PhiAssignment:
     ``None`` for trees without components.
     """
     if isinstance(spec, PhiAssignment):
-        if len(spec) != len(partition):
+        if len(spec.kinds) != len(partition):
             raise PhiError("assignment length does not match the components")
         return spec
     if spec is None:
@@ -114,7 +109,7 @@ def phi_vertex_kinds(
     coloring: Coloring, partition: RedGreenPartition, phi: PhiAssignment
 ) -> tuple[PhiKind | None, ...]:
     """Per-vertex view of a component-level assignment (None on orange)."""
-    if len(phi) != len(partition):
+    if len(phi.kinds) != len(partition):
         raise PhiError("assignment length does not match the components")
     out: list[PhiKind | None] = [None] * len(coloring.colors)
     for comp, kind in zip(partition, phi.kinds):
@@ -490,7 +485,7 @@ def closed_form_e(n: int, mode: Mode) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Independent-set formula, Euler characteristic, reciprocity
+# Independent-set formula, reciprocity
 # ---------------------------------------------------------------------------
 
 def versal_by_independent_sets(t: Tree) -> Poly:
@@ -504,19 +499,7 @@ def versal_by_independent_sets(t: Tree) -> Poly:
     return out
 
 
-def euler_characteristic(t: Tree) -> int:
-    """Value of the all-versal count at q = 1; checked against vc(T)."""
-    value = count_polynomial(t, PhiKind.VERSAL)(1)
-    vc = count_maximum_independent_sets(t)
-    if value != vc:
-        raise AssertionError(
-            f"Euler characteristic {value} != maximum-independent-set count {vc}"
-        )
-    return value
-
-
-@dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(NamedTuple):
     divisible: bool
     reciprocal: bool
     quotient: Poly | None
@@ -541,8 +524,7 @@ class CensusClass(enum.Enum):
     UNIMODAL_GENERIC = "unimodal-generic"
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     n: int
     census_class: CensusClass
     tree_count: int

@@ -38,9 +38,8 @@ check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .coloring import Color
 from .counting import PhiKind, PhiSpec, ResolvedPhi, _count_resolved, resolve_tree_phi
@@ -82,17 +81,24 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FqContext:
     """A prime field F_q with its inverse table, built on first use: the one
     table the transfer sum, the fixed factors and :func:`generic_tuples`
     read."""
 
-    q: int
+    def __init__(self, q: int) -> None:
+        if not _is_prime(q):
+            raise ValueError(f"{q} is not prime")
+        self.q = q
 
-    def __post_init__(self) -> None:
-        if not _is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FqContext) and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash(self.q)
+
+    def __repr__(self) -> str:
+        return f"FqContext(q={self.q})"
 
     @cached_property
     def inv(self) -> tuple[int, ...]:
@@ -213,8 +219,7 @@ def count_fixed(t: Tree, ctx: FqContext, alpha: Sequence[int], force: bool = Fal
     return _tree_sum(_walk(t), ctx, [_fixed_factor(ctx, a % ctx.q) for a in alpha])
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """What the oracle needs of one (tree, phi) at every q."""
 
     n: int
@@ -375,16 +380,14 @@ def _count_plan(plan: _Plan, ctx: FqContext) -> int | None:
     return counts.pop()
 
 
-@dataclass(frozen=True)
-class PrimeCheck:
+class PrimeCheck(NamedTuple):
     q: int
     status: str  # "ok", "mismatch" or "skipped"
     oracle: int | None
     expected: int
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple[PrimeCheck, ...]
 
     @property

@@ -13,8 +13,7 @@ is used.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .coloring import (
     Color,
@@ -36,8 +35,7 @@ class JumpError(ValueError):
     """A jump of a kind the groupoid does not admit."""
 
 
-@dataclass(frozen=True)
-class CoefficientState:
+class CoefficientState(NamedTuple):
     """Per-vertex exponent vectors over the symbols ``a_w``."""
 
     coeff: tuple[tuple[tuple[int, int], ...], ...]
@@ -196,8 +194,7 @@ def normalize_to_matching(
 # Rank
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(NamedTuple):
     """Per-component dimensions split by the generic/versal choice."""
 
     component_dimensions: tuple[int, ...]
@@ -239,7 +236,7 @@ def genericity_patterns(component: RedGreenComponent) -> list[GenericityPattern]
     component only."""
     patterns = []
     for adm in admissible_sets(component):
-        parity = len(adm) % 2
+        parity = len(adm.vertices) % 2
         # the valid assignments flip any set of blocks; block 0 stays, since
         # flipping every block inverts the alternating product and the
         # target (-1)**|S| is its own inverse

@@ -11,9 +11,8 @@ its own fold up the rooted tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .coloring import RedGreenComponent, SizeGuardError
 from .trees import Edge, Tree
@@ -107,8 +106,7 @@ def independent_set_size_counts(t: Tree) -> list[int]:
 # Admissible sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmissibleSet:
+class AdmissibleSet(NamedTuple):
     """Nonempty red set where every green of the component sees 0 or 2 of it,
     signed so that reds sharing a green neighbor get opposite signs.
 
@@ -118,9 +116,6 @@ class AdmissibleSet:
     vertices: tuple[int, ...]
     signs: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 def _green_adjacency(component: RedGreenComponent) -> dict[int, tuple[int, ...]]:

@@ -11,7 +11,6 @@ trusted, so :meth:`Poly.divexact` raises on any nonzero remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -26,14 +25,22 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Poly:
     """Integer polynomial as ascending coefficients with no trailing zeros."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
+        self.coeffs = _trim(coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Poly(coeffs={self.coeffs!r})"
 
     # -- constructors ------------------------------------------------------
 

@@ -25,10 +25,8 @@ a chain of its own for the counting, and builds no :class:`Tree`.
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -56,7 +54,6 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Tree:
     """Immutable tree on vertices ``0..n-1``.
 
@@ -65,34 +62,26 @@ class Tree:
     children first, ``parent`` gives each one's parent (-1 at the root).
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    neighbors: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    parent: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges: tuple[Edge, ...]) -> None:
+        if n < 1:
             raise ValueError("a tree has at least one vertex")
-        edges = tuple(sorted(normalize_edge(u, v) for u, v in self.edges))
-        if len(edges) != self.n - 1:
-            raise NotATreeError(f"{len(edges)} edges for {self.n} vertices")
+        edges = tuple(sorted(normalize_edge(u, v) for u, v in edges))
+        if len(edges) != n - 1:
+            raise NotATreeError(f"{len(edges)} edges for {n} vertices")
         if len(set(edges)) != len(edges):
             raise NotATreeError("duplicate edge")
-        adj: list[list[int]] = [[] for _ in range(self.n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise NotATreeError("self-loop")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("vertex label out of range")
             adj[u].append(v)
             adj[v].append(u)
         # edges come sorted with u < v, so every list fills in increasing order
         neighbors = tuple(map(tuple, adj))
         # n-1 edges + reachability of every vertex from 0 == tree (-2: unreached)
-        parent = [-1] + [-2] * (self.n - 1)
+        parent = [-1] + [-2] * (n - 1)
         order = []
         stack = [0]
         while stack:
@@ -102,12 +91,22 @@ class Tree:
                 if parent[y] == -2:
                     parent[y] = x
                     stack.append(y)
-        if len(order) != self.n:
+        if len(order) != n:
             raise NotATreeError("graph is not connected")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "neighbors", neighbors)
-        object.__setattr__(self, "order", tuple(reversed(order)))
-        object.__setattr__(self, "parent", tuple(parent))
+        self.n = n
+        self.edges = edges
+        self.neighbors = neighbors
+        self.order = tuple(reversed(order))
+        self.parent = tuple(parent)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Tree) and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Tree(n={self.n}, edges={self.edges!r})"
 
     @cached_property
     def mate(self) -> tuple[int, ...]:
@@ -510,27 +509,3 @@ def enumerate_free_trees(n: int) -> Iterator[Tree]:
     (:func:`_free_tree_parents`), each built from its parent array."""
     for parent in _free_tree_parents(n):
         yield Tree(n, tuple(zip(parent[1:], range(1, n))))
-
-
-def prufer_decode(seq: Sequence[int], n: int) -> Tree:
-    """Labelled tree on ``0..n-1`` from a Prufer sequence (length n-2)."""
-    if n < 2:
-        if seq:
-            raise ValueError("sequence must be empty for n < 2")
-        return single_vertex()
-    if len(seq) != n - 2:
-        raise ValueError("sequence length must be n - 2")
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return Tree(n, tuple(edges))

@@ -4,12 +4,14 @@ exhaustive suites pay for generation once."""
 from __future__ import annotations
 
 import functools
+import heapq
 import sys
+from typing import Sequence
 
 import pytest
 
 from treecount.coloring import canonical_coloring, red_green_components
-from treecount.trees import Tree, enumerate_free_trees
+from treecount.trees import Tree, enumerate_free_trees, single_vertex
 
 
 @functools.lru_cache(maxsize=None)
@@ -20,6 +22,30 @@ def trees_of_size(n: int) -> tuple[Tree, ...]:
 def trees_up_to(n: int):
     for k in range(1, n + 1):
         yield from trees_of_size(k)
+
+
+def prufer_decode(seq: Sequence[int], n: int) -> Tree:
+    """Labelled tree on ``0..n-1`` from a Prufer sequence (length n-2)."""
+    if n < 2:
+        if seq:
+            raise ValueError("sequence must be empty for n < 2")
+        return single_vertex()
+    if len(seq) != n - 2:
+        raise ValueError("sequence length must be n - 2")
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Tree(n, tuple(edges))
 
 
 @functools.lru_cache(maxsize=None)

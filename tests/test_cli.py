@@ -20,8 +20,8 @@ from treecount.matchings import (
     independent_sets,
 )
 from treecount.fqoracle import PrimeCheck, VerifyReport
-from treecount.trees import Tree, emit_graph6, prufer_decode
-from conftest import colored, trees_up_to
+from treecount.trees import Tree, emit_graph6
+from conftest import colored, prufer_decode, trees_up_to
 
 
 def run(capsys, *argv):
@@ -234,6 +234,9 @@ def test_family_dispatch():
     assert family_tree(" d ", 5) == d_tree(5)
     with pytest.raises(ValueError, match="unknown family"):
         family_tree("B", 4)
+    for build, arg in ((linear_tree, 0), (star_tree, -1), (d_tree, 3), (e_tree, 4)):
+        with pytest.raises(ValueError):
+            build(arg)
 
 
 def test_input_errors_are_not_phi_errors(capsys):
@@ -432,13 +435,14 @@ def test_cli_import_does_not_load_numpy():
     """The package is pure Python; importing the CLI must not pull numpy in,
     nor the test-side oracles, nor the stdlib modules that one function
     each needs (``fractions`` for the nullity oracle, ``datetime`` for
-    ``--json``)."""
+    ``--json``), nor ``dataclasses`` and the ``inspect`` it loads: the
+    records are NamedTuples and plain classes."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, treecount.cli; "
         "print(*(m in sys.modules for m in "
-        "('numpy', 'oracles', 'fractions', 'datetime')))"
+        "('numpy', 'oracles', 'fractions', 'datetime', 'dataclasses', 'inspect')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -447,4 +451,4 @@ def test_cli_import_does_not_load_numpy():
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["False"] * 4
+    assert out.stdout.split() == ["False"] * 6

@@ -22,6 +22,7 @@ from treecount.counting import (
     CensusReport,
     InconsistentModeError,
     Mode,
+    PhiAssignment,
     PhiError,
     PhiKind,
     _carried_size_vectors,
@@ -33,7 +34,6 @@ from treecount.counting import (
     closed_form_d,
     closed_form_e,
     count_polynomial,
-    euler_characteristic,
     phi_vertex_kinds,
     reciprocity_report,
     resolve_phi,
@@ -51,9 +51,8 @@ from treecount.trees import (
     emit_graph6,
     enumerate_free_trees,
     parse_graph6,
-    prufer_decode,
 )
-from conftest import colored, trees_up_to
+from conftest import colored, prufer_decode, trees_up_to
 from oracles import CountEngine, orange_unimodal_chain
 from test_trees import relabel, seeded_prufer_tree
 
@@ -72,6 +71,8 @@ def test_phi_resolution():
     assert resolve_phi(colored(linear_tree(4))[1], "generic").kinds == ()
     with pytest.raises(PhiError):
         resolve_phi(part, None)
+    with pytest.raises(PhiError, match="assignment length"):
+        resolve_phi(part, PhiAssignment(()))
     with pytest.raises(PhiError):
         resolve_phi(part, {5: "generic"})
     with pytest.raises(PhiError):
@@ -98,6 +99,8 @@ def test_closed_form_a_examples():
         closed_form_a(2, Mode.GENERIC)
     with pytest.raises(InconsistentModeError):
         closed_form_a(3, Mode.ORANGE)
+    with pytest.raises(ValueError, match="n >= 1"):
+        closed_form_a(0, Mode.ORANGE)
 
 
 def test_closed_form_d_examples():
@@ -116,6 +119,10 @@ def test_closed_form_e_examples():
     assert closed_form_e(7, Mode.VERSAL) == (Q**2 - Q + 1) * (Q**6 + 1)
     with pytest.raises(InconsistentModeError):
         closed_form_e(6, Mode.VERSAL)
+    with pytest.raises(InconsistentModeError):
+        closed_form_e(7, Mode.ORANGE)
+    with pytest.raises(ValueError, match="n >= 5"):
+        closed_form_e(4, Mode.ORANGE)
 
 
 def test_a7_e7_coincidence():
@@ -149,6 +156,8 @@ TEST_ONLY_NAMES = (
     "is_admissible",
     "_next_rooted",
     "_second_child",
+    "prufer_decode",
+    "euler_characteristic",
 )
 
 
@@ -442,13 +451,13 @@ def test_census_colors_through_canonical_coloring_in_no_class(
     its parent array: no class calls :func:`canonical_coloring`, and no
     :class:`Tree` is built, not even for the graph6 of a collision bucket."""
     built = []
-    post_init = Tree.__post_init__
+    init = Tree.__init__
 
-    def counted_post_init(self):
-        built.append(self.n)
-        post_init(self)
+    def counted_init(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
 
-    monkeypatch.setattr(Tree, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Tree, "__init__", counted_init)
     reports = [
         census(12, CensusClass.ORANGE),
         census(11, CensusClass.UNIMODAL_VERSAL),
@@ -498,6 +507,17 @@ def test_versal_by_independent_sets_everywhere():
 
 def test_versal_by_independent_sets_long_path():
     assert versal_by_independent_sets(linear_tree(201)) == closed_form_a(201, Mode.VERSAL)
+
+
+def euler_characteristic(t: Tree) -> int:
+    """Value of the all-versal count at q = 1; checked against vc(T)."""
+    value = count_polynomial(t, PhiKind.VERSAL)(1)
+    vc = count_maximum_independent_sets(t)
+    if value != vc:
+        raise AssertionError(
+            f"Euler characteristic {value} != maximum-independent-set count {vc}"
+        )
+    return value
 
 
 def test_euler_characteristic_examples(figure_tree):

@@ -66,6 +66,9 @@ def test_context_requires_prime():
         with pytest.raises(ValueError):
             FqContext(q)
     assert FqContext(7).q == 7
+    # the inverse table is built on first read, not by the constructor
+    ctx = FqContext(1_000_003)
+    assert "inv" not in vars(ctx)
 
 
 def test_count_fixed_examples():
@@ -73,6 +76,8 @@ def test_count_fixed_examples():
     assert count_fixed(single, FqContext(2), [1]) == 3
     assert count_fixed(single, FqContext(3), [1]) == 2
     assert count_fixed(linear_tree(2), FqContext(2), [1, 1]) == 5
+    with pytest.raises(ValueError, match="one alpha value per vertex"):
+        count_fixed(linear_tree(3), FqContext(5), [1, 1])
 
 
 def test_count_fixed_matches_naive_enumeration():

@@ -77,7 +77,7 @@ def test_jump_spreads_inverse():
     assert out.vector(0) == {} and out.vector(2) == {0: -1}
 
 
-def test_disallowed_jump_kinds():
+def test_disallowed_jump_kinds(figure_tree):
     p3 = linear_tree(3)
     c = canonical_coloring(p3)
     s = CoefficientState.initial(p3)
@@ -87,6 +87,9 @@ def test_disallowed_jump_kinds():
     c4 = canonical_coloring(p4)
     with pytest.raises(JumpError):
         jump(CoefficientState.initial(p4), p4, c4, 1, 2)  # orange pair not a domino
+    cf = canonical_coloring(figure_tree)
+    with pytest.raises(JumpError):
+        jump(CoefficientState.initial(figure_tree), figure_tree, cf, 1, 3)  # orange over green
 
 
 # -- normalization ---------------------------------------------------------------
@@ -122,6 +125,10 @@ def test_normalize_rejects_non_maximum():
     with pytest.raises(ValueError):
         normalize_to_matching(
             CoefficientState.initial(p4), p4, c, frozenset({(1, 2)})
+        )
+    with pytest.raises(ValueError, match="linear extension"):
+        normalize_to_matching(
+            CoefficientState.initial(p4), p4, c, maximum_matching(p4), order=[1, 3, 2, 0]
         )
 
 

@@ -15,6 +15,7 @@ def test_construction_trims_trailing_zeros():
     assert Poly((1, 0, 0)).coeffs == (1,)
     assert Poly(()).is_zero
     assert Poly((0,)).degree == -1
+    assert bool(Poly()) is False and bool(Q) is True
 
 
 def test_arithmetic_basics():

@@ -23,14 +23,13 @@ from treecount.trees import (
     enumerate_free_trees,
     parse_edge_list,
     parse_graph6,
-    prufer_decode,
     read_graph6,
     tree_centers,
     _free_tree_parents,
     _greedy_mates,
     _rooted_order,
 )
-from conftest import trees_of_size, trees_up_to
+from conftest import prufer_decode, trees_of_size, trees_up_to
 from oracles import _free_tree_parents as slice_walk
 from oracles import remove_vertices
 
@@ -218,6 +217,10 @@ def test_edge_list_autodetect():
     assert forced.edges == ((0, 1), (1, 2))
     with pytest.raises(ValueError):
         parse_edge_list("0 2\n")  # gap in the labels
+    with pytest.raises(ValueError, match="'u v' per line"):
+        parse_edge_list("1 2 3\n")
+    with pytest.raises(ValueError, match="auto, 0 or 1"):
+        parse_edge_list("0 1\n", indexing="2")
     assert parse_edge_list("# nothing\n\n") == Tree(1, ())  # no edges
 
 
@@ -400,6 +403,14 @@ def test_tree_identity_ignores_the_rooting():
         Tree(4, ((0, 1), (1, 2), (2, 0)))
     with pytest.raises(NotATreeError, match="not connected"):
         Tree(5, ((0, 1), (1, 2), (2, 0), (3, 4)))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Tree(0, ())
+    with pytest.raises(NotATreeError, match="duplicate edge"):
+        Tree(3, ((0, 1), (1, 0)))
+    with pytest.raises(NotATreeError, match="self-loop"):
+        Tree(2, ((0, 0),))
+    with pytest.raises(ValueError, match="out of range"):
+        Tree(2, ((0, 2),))
 
 
 # -- canonical keys ------------------------------------------------------------
