@@ -93,6 +93,8 @@ def resolve_phi(partition: RedGreenPartition, spec: PhiSpec) -> PhiAssignment:
     if isinstance(spec, (str, PhiKind)):
         kind = _kind(spec)
         return PhiAssignment(tuple(kind for _ in partition))
+    if not isinstance(spec, Mapping):
+        raise PhiError(f"phi must be a kind or a mapping of kinds, got {spec!r}")
     by_min = {comp.min_vertex: i for i, comp in enumerate(partition)}
     kinds: list[PhiKind | None] = [None] * len(partition)
     for key, val in spec.items():

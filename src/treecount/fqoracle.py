@@ -23,23 +23,23 @@ rest).  The only table is the O(q) inverse table of :class:`FqContext`, so
 memory is O(n * q), and a job whose inverse table and rows would exceed
 :data:`TABLE_BUDGET` entries is refused up front.
 Summing the factor of a versal vertex over its parameter gives a closed
-form, so versal components cost nothing extra.  Generic components are swept
-over the tuples passing the genericity condition (:func:`generic_tuples`),
-one transfer sum per orbit representative, with the count asserted
-identical across them; over a field too small for any tuple to pass, the
-count is None, a skip.  Swapping two free leaves with one neighbor is an
-automorphism of the tree that fixes the matching, the coloring, the
-components, phi and the genericity patterns, so a tuple passes and counts
-exactly as its representative does, the one with non-decreasing values on
-every such set of siblings.  Skipping the rest of each orbit thus loses no
-check.
+form, so versal components cost nothing extra.  The generic parameters of
+all components are swept together, as one lazy walk over every generic free
+vertex in ``itertools.product`` order, over the tuples passing the
+genericity condition (:func:`generic_tuples`): one transfer sum per orbit
+representative, with the count asserted identical across them.  Over a
+field too small for any tuple to pass, the count is None, a skip.
+Swapping two free leaves with one neighbor is an automorphism of the tree
+that fixes the matching, the coloring, the components, phi and the
+genericity patterns, so a tuple passes and counts exactly as its
+representative does, the one with non-decreasing values on every such set
+of siblings.  Skipping the rest of each orbit thus loses no check.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .coloring import Color
 from .counting import PhiKind, PhiSpec, ResolvedPhi, _count_resolved, resolve_tree_phi
@@ -222,12 +222,13 @@ def count_fixed(t: Tree, ctx: FqContext, alpha: Sequence[int], force: bool = Fal
 class _Plan(NamedTuple):
     """What the oracle needs of one (tree, phi) at every q."""
 
-    n: int
     walk: Walk
     versal: tuple[int, ...]
-    # free vertices, genericity patterns and tied positions (free leaves
-    # after a sibling) of each generic component
-    generic: tuple[tuple[tuple[int, ...], list[GenericityPattern], frozenset[int]], ...]
+    # the free vertices of every generic component, their genericity
+    # patterns and the tied positions (free leaves after a sibling)
+    generic: tuple[int, ...]
+    patterns: list[GenericityPattern]
+    tied: frozenset[int]
 
 
 def _check_budget(n: int, versal: int, q: int, force: bool) -> None:
@@ -249,9 +250,10 @@ def _check_budget(n: int, versal: int, q: int, force: bool) -> None:
 
 
 def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) -> _Plan:
-    """Fix the tree's maximum matching and collect the free vertices of
-    every generic component with its patterns, free leaves with one
-    neighbor next to each other and tied to the one before.
+    """Fix the tree's maximum matching and collect one sweep over the free
+    vertices of every generic component, in partition order, with all their
+    patterns; free leaves with one neighbor sit next to each other, tied to
+    the one before.
 
     The budgets are checked at every q in ``primes`` first: the patterns
     walk every subset of each generic component's reds, which alone can
@@ -263,24 +265,21 @@ def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) ->
     versal = tuple(v for v in free if kinds[v] is PhiKind.VERSAL)
     for q in primes:
         _check_budget(t.n, len(versal), q, force)
-    generic = []
+    # a free leaf is anchored at its neighbor, which is covered and in its
+    # own component, so it joins its siblings and no other free vertex
+    anchor = [nb[0] if len(nb) == 1 else v for v, nb in enumerate(t.neighbors)]
+    generic: list[int] = []
+    patterns: list[GenericityPattern] = []
     for comp, kind in zip(partition, assignment.kinds):
         if kind is PhiKind.GENERIC:
-            # never empty: a component's dimension, at least 1, is its
-            # number of free reds
-            vertices = [v for v in free if v in comp.vertices]
-            # a free leaf sorts by its neighbor, which is covered, so it
-            # joins its siblings and no other free vertex
-            anchor = {
-                v: t.neighbors[v][0] if len(t.neighbors[v]) == 1 else v for v in vertices
-            }
-            vertices.sort(key=anchor.__getitem__)
-            tied = frozenset(
-                i for i in range(1, len(vertices))
-                if anchor[vertices[i]] == anchor[vertices[i - 1]]
+            generic += sorted(
+                (v for v in free if v in comp.vertices), key=anchor.__getitem__
             )
-            generic.append((tuple(vertices), genericity_patterns(comp), tied))
-    return _Plan(t.n, _walk(t), versal, tuple(generic))
+            patterns += genericity_patterns(comp)
+    tied = frozenset(
+        i for i in range(1, len(generic)) if anchor[generic[i]] == anchor[generic[i - 1]]
+    )
+    return _Plan(_walk(t), versal, tuple(generic), patterns, tied)
 
 
 def generic_tuples(
@@ -288,12 +287,18 @@ def generic_tuples(
     vertices: Sequence[int],
     ctx: FqContext,
     tied: Collection[int],
-) -> list[tuple[int, ...]]:
-    """The nonzero value tuples on ``vertices`` that pass ``is_generic``
-    and whose value at each position in ``tied`` (none is 0) is at least the
-    one before it, in ``itertools.product(range(1, q), repeat=len(vertices))``
-    order.  With interchangeable vertices tied, that is one tuple per orbit
-    representative.
+) -> Iterator[tuple[int, ...]]:
+    """Yield the nonzero value tuples on ``vertices`` that pass
+    ``is_generic`` and whose value at each position in ``tied`` (none is 0)
+    is at least the one before it, in
+    ``itertools.product(range(1, q), repeat=len(vertices))`` order.  With
+    interchangeable vertices tied, that is one tuple per orbit
+    representative.  The walk is lazy, holding one prefix and
+    O(len(vertices)) values at a time, so the generic parameters of all
+    components are swept as one walk over every generic free vertex:
+    patterns on disjoint vertices make it the product of the per-component
+    walks, and a component with no passing value ends it with nothing
+    yielded.
 
     Each pattern is mapped onto the positions of ``vertices`` (other
     members carry the trivial value 1, so they drop out) and tested as soon
@@ -314,9 +319,11 @@ def generic_tuples(
         slots = [2 * position[v] + (sg < 0) for v, sg in signed if v in position]
         due[max(slots) // 2].append((target, slots))
     values = [0] * (2 * k)
-    out: list[tuple[int, ...]] = []
 
-    def extend(i: int, prefix: tuple[int, ...]) -> None:
+    def extend(i: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            yield prefix
+            return
         for a in range(prefix[-1] if i in tied else 1, q):
             values[2 * i], values[2 * i + 1] = a, inv[a]
             for target, slots in due[i]:
@@ -326,13 +333,9 @@ def generic_tuples(
                 if prod == target:
                     break
             else:
-                if i + 1 == k:
-                    out.append(prefix + (a,))
-                else:
-                    extend(i + 1, prefix + (a,))
+                yield from extend(i + 1, prefix + (a,))
 
-    extend(0, ())
-    return out
+    return extend(0, ())
 
 
 def count_points(
@@ -344,13 +347,15 @@ def count_points(
     """Exact point count for one generic/versal choice.
 
     Fixes a maximum matching, sums over all invertible values of the versal
-    parameters in closed form, and sweeps the generic parameters over one
-    passing tuple per orbit of the swaps of sibling free leaves, asserting
-    the count does not depend on the tuple.  Those swaps are automorphisms
-    fixing everything the count and the genericity test read, so the tuples
-    of one orbit pass and count alike, and the check over representatives
-    is the check over every tuple.  Returns None when no tuple passes,
-    which tiny fields allow: a skip, not a failure.
+    parameters in closed form, and sweeps the generic parameters of all
+    components, as one lazy walk in ``itertools.product`` order over every
+    generic free vertex, over one passing tuple per orbit of the swaps of
+    sibling free leaves, asserting the count does not depend on the tuple.
+    Those swaps are automorphisms fixing everything the count and the
+    genericity test read, so the tuples of one orbit pass and count alike,
+    and the check over representatives is the check over every tuple.
+    Returns None when no tuple passes, which tiny fields allow: a skip, not
+    a failure.
     """
     return _count_plan(_plan(t, resolve_tree_phi(t, phi), (ctx.q,), force), ctx)
 
@@ -358,22 +363,17 @@ def count_points(
 def _count_plan(plan: _Plan, ctx: FqContext) -> int | None:
     """:func:`count_points` for a plan whose budgets were checked at ctx.q."""
     q = ctx.q
-    factor = [_fixed_factor(ctx, 1)] * plan.n
+    factor = [_fixed_factor(ctx, 1)] * len(plan.walk)
     for v in plan.versal:
         factor[v] = _versal_factor(q)
-    sweeps = []
-    for vertices, patterns, tied in plan.generic:
-        passing = generic_tuples(patterns, vertices, ctx, tied)
-        if not passing:
-            return None
-        sweeps.append(passing)
     counts = set()
-    for combo in itertools.product(*sweeps):
-        for (vertices, _, _), values in zip(plan.generic, combo):
-            for v, a in zip(vertices, values):
-                factor[v] = _fixed_factor(ctx, a)
+    for values in generic_tuples(plan.patterns, plan.generic, ctx, plan.tied):
+        for v, a in zip(plan.generic, values):
+            factor[v] = _fixed_factor(ctx, a)
         counts.add(_tree_sum(plan.walk, ctx, factor))
-    if len(counts) != 1:
+    if not counts:
+        return None
+    if len(counts) > 1:
         raise ConstancyError(
             f"generic point count depends on the parameters: {sorted(counts)}"
         )

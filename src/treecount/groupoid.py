@@ -6,13 +6,13 @@ of the tree), and a jump of ``u`` over a neighbor ``v`` clears the vector
 at ``u`` while dividing every other neighbor of ``v`` by it.  Normalizing
 along a maximum matching pushes all coefficients onto the red vertices the
 matching misses; the order of jumps is a linear extension of an explicit
-acyclic auxiliary graph and the result does not depend on which extension
-is used.
+acyclic auxiliary graph, by default the one
+:class:`graphlib.TopologicalSorter` gives, and the result does not depend
+on which extension is used.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Mapping, NamedTuple, Sequence
 
 from .coloring import (
@@ -117,30 +117,6 @@ def jump_graph(t: Tree, m: frozenset[Edge]) -> dict[int, set[int]]:
                 out[u].add(w)
     return out
 
-def _topological_order(covered: list[int], succ: dict[int, set[int]]) -> list[int]:
-    """Smallest-vertex-first linear extension of the jump graph on the
-    covered vertices; raises if a cycle shows up (it never should)."""
-    covered_set = set(covered)
-    indeg = {v: 0 for v in covered}
-    for u in covered:
-        for w in succ[u]:
-            if w in covered_set:
-                indeg[w] += 1
-    ready = [v for v in covered if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for w in succ[u]:
-            if w in covered_set:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-    if len(order) != len(covered):
-        raise AssertionError("jump graph has an oriented cycle")
-    return order
-
 
 def is_linear_extension(order: Sequence[int], succ: dict[int, set[int]]) -> bool:
     pos = {v: i for i, v in enumerate(order)}
@@ -175,7 +151,14 @@ def normalize_to_matching(
     succ = jump_graph(t, m)
     covered = sorted(partner)
     if order is None:
-        order = _topological_order(covered, succ)
+        from graphlib import TopologicalSorter
+
+        pred: dict[int, list[int]] = {v: [] for v in covered}
+        for u in covered:
+            for w in succ[u]:
+                if w in partner:
+                    pred[w].append(u)
+        order = list(TopologicalSorter(pred).static_order())
     else:
         order = list(order)
         if sorted(order) != covered or not is_linear_extension(order, succ):

@@ -83,6 +83,10 @@ def test_phi_resolution():
         resolve_phi(part, {0: "bogus"})
     with pytest.raises(PhiError):
         count_polynomial(linear_tree(4), "bogus")
+    with pytest.raises(PhiError):
+        resolve_phi(part, ("generic",))
+    with pytest.raises(PhiError):
+        count_polynomial(linear_tree(3), ["versal"])
     twostars = Tree(8, ((0, 3), (1, 3), (2, 3), (3, 7), (4, 7), (5, 7), (6, 7)))
     c2, part2 = colored(twostars)
     mixed = resolve_phi(part2, {0: "generic", 4: "versal"})

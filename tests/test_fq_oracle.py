@@ -26,7 +26,7 @@ from treecount.fqoracle import (
 )
 from treecount.groupoid import genericity_check, genericity_patterns, is_generic
 from treecount.matchings import admissible_sets, maximum_matching, uncovered_vertices
-from treecount.trees import Tree
+from treecount.trees import Tree, parse_graph6
 from conftest import colored, trees_up_to
 from test_trees import relabel
 
@@ -208,6 +208,15 @@ def test_count_points_examples():
     assert count_points(single, "generic", FqContext(3)) == 2
     assert count_points(linear_tree(3), "generic", FqContext(5)) == 124
     assert count_points(d_tree(4), "generic", FqContext(5)) == 576
+    # two generic components swept in one walk: at q = 3 the first (FiaC?)
+    # or the second (HhI?GGC) has no passing tuple, so the walk yields none
+    for g6, counts in (("FiaC?", (69824, 777384)), ("HhI?GGC", (1749824, 38117736))):
+        t = parse_graph6(g6)
+        assert len(colored(t)[1]) == 2
+        for q in (2, 3):
+            assert count_points(t, "generic", FqContext(q)) is None
+        for q, count in zip((5, 7), counts):
+            assert count_points(t, "generic", FqContext(q)) == count
 
 
 def test_jump_invariance_of_counts():

@@ -257,26 +257,35 @@ def test_generic_tuples_match_filtered_product():
                     for values in itertools.product(range(1, q), repeat=len(vertices))
                     if is_generic(patterns, dict(zip(vertices, values)), q)
                 ]
-                assert generic_tuples(patterns, vertices, FqContext(q), ()) == expected
+                assert list(generic_tuples(patterns, vertices, FqContext(q), ())) == expected
 
 
 def test_generic_tuples_keep_tied_positions_non_decreasing():
-    """With the oracle's sibling groups (every component of the all-generic
-    phi with a free vertex), the walk yields exactly the filtered product
-    restricted to values that do not decrease at the tied positions, in
-    the same order."""
+    """With the oracle's one sweep (the free vertices of every component of
+    the all-generic phi, sibling groups tied), the walk yields exactly the
+    filtered product restricted to values that do not decrease at the tied
+    positions, in the same order."""
     for t in trees_up_to(8):
         plan = fqoracle._plan(t, resolve_tree_phi(t, "generic"), (), force=True)
-        for vertices, patterns, tied in plan.generic:
-            for q in (2, 3, 5, 7):
-                expected = [
-                    values
-                    for values in itertools.product(range(1, q), repeat=len(vertices))
-                    if all(values[i - 1] <= values[i] for i in tied)
-                    and is_generic(patterns, dict(zip(vertices, values)), q)
-                ]
-                got = generic_tuples(patterns, vertices, FqContext(q), tied)
-                assert got == expected, (t.edges, q)
+        vertices, patterns, tied = plan.generic, plan.patterns, plan.tied
+        for q in (2, 3, 5, 7):
+            expected = [
+                values
+                for values in itertools.product(range(1, q), repeat=len(vertices))
+                if all(values[i - 1] <= values[i] for i in tied)
+                and is_generic(patterns, dict(zip(vertices, values)), q)
+            ]
+            got = list(generic_tuples(patterns, vertices, FqContext(q), tied))
+            assert got == expected, (t.edges, q)
+
+
+def test_generic_tuples_is_a_lazy_walk():
+    """The walk is a generator: its first tuple comes without the other
+    100**40 being built, and no vertices yield the one empty tuple."""
+    assert not isinstance(generic_tuples([], [0], FqContext(3), ()), list)
+    walk = generic_tuples([], range(40), FqContext(101), ())
+    assert next(walk) == (1,) * 40
+    assert list(generic_tuples([], [], FqContext(5), ())) == [()]
 
 
 def _negated(pattern):
