@@ -300,7 +300,7 @@ def _run_count(args) -> int:
     t, off = _load_tree(args)
     spec = _shift_phi(phi_spec_parse(args.phi), off)
     poly, rank, payload = _poly_payload(t, spec)
-    if args.format == "json" or args.json:
+    if args.json:
         _emit(args, payload, json.dumps(payload, sort_keys=True))
         return EXIT_OK
     if args.format == "factored":
@@ -444,9 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = add_parser("count", help="the counting polynomial")
     _add_input_args(p_count)
     p_count.add_argument("--phi", help="generic | versal | '0=generic,2=versal'")
-    p_count.add_argument(
-        "--format", choices=["pretty", "json", "factored"], default="pretty"
-    )
+    p_count.add_argument("--format", choices=["pretty", "factored"], default="pretty")
     p_count.set_defaults(run=_run_count)
 
     p_oracle = add_parser("oracle", help="exact point count over one prime field")

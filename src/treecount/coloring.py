@@ -37,14 +37,6 @@ class Coloring(NamedTuple):
     colors: tuple[Color, ...]
     dominoes: frozenset[Edge]
 
-    @property
-    def red_count(self) -> int:
-        return sum(1 for c in self.colors if c is Color.RED)
-
-    @property
-    def green_count(self) -> int:
-        return sum(1 for c in self.colors if c is Color.GREEN)
-
 
 def _gallai_edmonds(nbrs: Sequence[Sequence[int]], mate: Sequence[int]) -> list[Color]:
     """Colors of the tree with adjacency lists ``nbrs``, read off any maximum

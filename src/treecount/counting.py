@@ -107,19 +107,6 @@ def resolve_phi(partition: RedGreenPartition, spec: PhiSpec) -> PhiAssignment:
     return PhiAssignment(tuple(kinds))  # type: ignore[arg-type]
 
 
-def phi_vertex_kinds(
-    coloring: Coloring, partition: RedGreenPartition, phi: PhiAssignment
-) -> tuple[PhiKind | None, ...]:
-    """Per-vertex view of a component-level assignment (None on orange)."""
-    if len(phi.kinds) != len(partition):
-        raise PhiError("assignment length does not match the components")
-    out: list[PhiKind | None] = [None] * len(coloring.colors)
-    for comp, kind in zip(partition, phi.kinds):
-        for v in comp.vertices:
-            out[v] = kind
-    return tuple(out)
-
-
 class ResolvedPhi(NamedTuple):
     """A choice spec resolved against one tree."""
 
@@ -131,13 +118,15 @@ class ResolvedPhi(NamedTuple):
 
 def resolve_tree_phi(t: Tree, spec: PhiSpec) -> ResolvedPhi:
     """Color ``t``, split it into red-green components and resolve ``spec``
-    to one choice per component and per vertex."""
+    to one choice per component and per vertex (None on orange)."""
     coloring = canonical_coloring(t)
     partition = red_green_components(t, coloring)
     assignment = resolve_phi(partition, spec)
-    return ResolvedPhi(
-        coloring, partition, assignment, phi_vertex_kinds(coloring, partition, assignment)
-    )
+    kinds: list[PhiKind | None] = [None] * t.n
+    for comp, kind in zip(partition, assignment.kinds):
+        for v in comp.vertices:
+            kinds[v] = kind
+    return ResolvedPhi(coloring, partition, assignment, tuple(kinds))
 
 
 def all_phi_assignments(partition: RedGreenPartition) -> list[PhiAssignment]:

@@ -91,15 +91,6 @@ class FqContext:
             raise ValueError(f"{q} is not prime")
         self.q = q
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FqContext) and self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash(self.q)
-
-    def __repr__(self) -> str:
-        return f"FqContext(q={self.q})"
-
     @cached_property
     def inv(self) -> tuple[int, ...]:
         """Multiplicative inverses, with 0 at 0."""
@@ -273,7 +264,7 @@ def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) ->
     for comp, kind in zip(partition, assignment.kinds):
         if kind is PhiKind.GENERIC:
             generic += sorted(
-                (v for v in free if v in comp.vertices), key=anchor.__getitem__
+                (v for v in comp.reds if t.mate[v] < 0), key=anchor.__getitem__
             )
             patterns += genericity_patterns(comp)
     tied = frozenset(

@@ -8,7 +8,9 @@ along a maximum matching pushes all coefficients onto the red vertices the
 matching misses; the order of jumps is a linear extension of an explicit
 acyclic auxiliary graph, by default the one
 :class:`graphlib.TopologicalSorter` gives, and the result does not depend
-on which extension is used.
+on which extension is used.  A jump rebuilds only the deg(v) vectors it
+changes, so normalizing costs O(n) vector rebuilds plus one O(n) tuple
+copy per jump.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .matchings import (
 from .trees import Edge, Tree, normalize_edge
 
 ExponentVector = dict[int, int]
+PackedVector = tuple[tuple[int, int], ...]
 
 
 class JumpError(ValueError):
@@ -38,16 +41,11 @@ class JumpError(ValueError):
 class CoefficientState(NamedTuple):
     """Per-vertex exponent vectors over the symbols ``a_w``."""
 
-    coeff: tuple[tuple[tuple[int, int], ...], ...]
+    coeff: tuple[PackedVector, ...]
 
     @staticmethod
     def from_dicts(vectors: Sequence[Mapping[int, int]]) -> CoefficientState:
-        return CoefficientState(
-            tuple(
-                tuple(sorted((s, e) for s, e in vec.items() if e))
-                for vec in vectors
-            )
-        )
+        return CoefficientState(tuple(_pack(vec) for vec in vectors))
 
     @staticmethod
     def initial(t: Tree) -> CoefficientState:
@@ -57,14 +55,15 @@ class CoefficientState(NamedTuple):
     def vector(self, v: int) -> ExponentVector:
         return dict(self.coeff[v])
 
-    def vectors(self) -> list[ExponentVector]:
-        return [dict(c) for c in self.coeff]
-
     def support(self) -> list[int]:
         return [v for v, c in enumerate(self.coeff) if c]
 
     def symbols(self, v: int) -> set[int]:
         return {s for s, _ in self.coeff[v]}
+
+
+def _pack(vec: Mapping[int, int]) -> PackedVector:
+    return tuple(sorted((s, e) for s, e in vec.items() if e))
 
 
 def _allowed_jump(c: Coloring, u: int, v: int) -> bool:
@@ -84,6 +83,8 @@ def jump(s: CoefficientState, t: Tree, c: Coloring, u: int, v: int) -> Coefficie
     The vector at ``u`` becomes trivial and every other neighbor of ``v`` is
     divided by the old vector; ``v`` itself is untouched.  Only red-over-
     green, green-over-red and orange-over-matched-orange jumps are allowed.
+    The cost is O(deg(v)) vector rebuilds plus one copy of the state tuple:
+    every other vertex keeps its entry, the same tuple object.
     """
     if not t.has_edge(u, v):
         raise JumpError(f"{u}-{v} is not an edge")
@@ -91,16 +92,17 @@ def jump(s: CoefficientState, t: Tree, c: Coloring, u: int, v: int) -> Coefficie
         raise JumpError(
             f"jump {u} over {v} is not red/green, green/red or a matched orange pair"
         )
-    old = s.vector(u)
-    vectors = s.vectors()
+    old = s.coeff[u]
+    coeff = list(s.coeff)
     for w in t.neighbors[v]:
         if w == u:
-            vectors[u] = {}
+            coeff[u] = ()
         else:
-            vec = vectors[w]
-            for sym, e in old.items():
+            vec = dict(coeff[w])
+            for sym, e in old:
                 vec[sym] = vec.get(sym, 0) - e
-    return CoefficientState.from_dicts(vectors)
+            coeff[w] = _pack(vec)
+    return CoefficientState(tuple(coeff))
 
 
 def jump_graph(t: Tree, m: frozenset[Edge]) -> dict[int, set[int]]:

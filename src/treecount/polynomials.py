@@ -163,7 +163,7 @@ def _as_poly(x: Poly | int) -> Poly:
 Q = Poly.q_power(1)
 
 
-def format_poly(p: Poly, var: str = "q") -> str:
+def format_poly(p: Poly) -> str:
     """Human form like ``q^4 - q^3 + q^2 - q + 1``, descending powers."""
     if p.is_zero:
         return "0"
@@ -176,9 +176,9 @@ def format_poly(p: Poly, var: str = "q") -> str:
         if k == 0:
             body = str(mag)
         elif k == 1:
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = "q" if mag == 1 else f"{mag}*q"
         else:
-            body = f"{var}^{k}" if mag == 1 else f"{mag}*{var}^{k}"
+            body = f"q^{k}" if mag == 1 else f"{mag}*q^{k}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

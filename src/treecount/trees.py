@@ -121,10 +121,6 @@ class Tree:
         return v in self.neighbors[u]
 
 
-def single_vertex() -> Tree:
-    return Tree(1, ())
-
-
 def _greedy_mates(order: Sequence[int], parent: Sequence[int]) -> list[int]:
     """The greedy leaf-up matching as a mate array: ``mate[v]`` is the vertex
     matched to v, -1 when v is unmatched.
@@ -263,7 +259,7 @@ def _read_edge_list(text: str, indexing: str) -> tuple[Tree, int]:
     if labels != list(range(base, base + len(labels))):
         raise ValueError("edge list labels are not contiguous from the base index")
     if not pairs:
-        return single_vertex(), base
+        return Tree(1, ()), base
     return Tree(len(labels), tuple((u - base, v - base) for u, v in pairs)), base
 
 

@@ -11,7 +11,7 @@ from typing import Sequence
 import pytest
 
 from treecount.coloring import canonical_coloring, red_green_components
-from treecount.trees import Tree, enumerate_free_trees, single_vertex
+from treecount.trees import Tree, enumerate_free_trees
 
 
 @functools.lru_cache(maxsize=None)
@@ -29,7 +29,7 @@ def prufer_decode(seq: Sequence[int], n: int) -> Tree:
     if n < 2:
         if seq:
             raise ValueError("sequence must be empty for n < 2")
-        return single_vertex()
+        return Tree(1, ())
     if len(seq) != n - 2:
         raise ValueError("sequence length must be n - 2")
     degree = [1] * n

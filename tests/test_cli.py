@@ -68,11 +68,16 @@ def test_count_factored_and_json(capsys):
     )
     assert code == 0 and out.strip() == "(q - 1)^2 * (q^2 + 2*q + 1)"
     code, out, _ = run(
-        capsys, "count", "--family", "A", "--n", "3", "--phi", "generic",
-        "--format", "json",
+        capsys, "count", "--family", "A", "--n", "3", "--phi", "generic", "--json"
     )
     payload = json.loads(out)
-    assert payload == {"coeffs": [-1, 0, 0, 1], "degree": 3, "rank": 1}
+    assert {k: payload[k] for k in ("coeffs", "degree", "rank")} == {
+        "coeffs": [-1, 0, 0, 1], "degree": 3, "rank": 1
+    }
+    # --json is the one JSON form; the old --format json is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--family", "A", "--n", "3", "--phi", "generic", "--format", "json"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_count_colors_once(capsys, coloring_calls):

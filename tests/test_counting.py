@@ -34,7 +34,6 @@ from treecount.counting import (
     closed_form_d,
     closed_form_e,
     count_polynomial,
-    phi_vertex_kinds,
     reciprocity_report,
     resolve_phi,
     resolve_tree_phi,
@@ -88,10 +87,10 @@ def test_phi_resolution():
     with pytest.raises(PhiError):
         count_polynomial(linear_tree(3), ["versal"])
     twostars = Tree(8, ((0, 3), (1, 3), (2, 3), (3, 7), (4, 7), (5, 7), (6, 7)))
-    c2, part2 = colored(twostars)
+    _, part2 = colored(twostars)
     mixed = resolve_phi(part2, {0: "generic", 4: "versal"})
     assert mixed.kinds == (PhiKind.GENERIC, PhiKind.VERSAL)
-    kinds = phi_vertex_kinds(c2, part2, mixed)
+    kinds = resolve_tree_phi(twostars, {0: "generic", 4: "versal"}).kinds
     assert kinds[0] is PhiKind.GENERIC and kinds[6] is PhiKind.VERSAL
 
 

@@ -77,6 +77,18 @@ def test_jump_spreads_inverse():
     assert out.vector(0) == {} and out.vector(2) == {0: -1}
 
 
+def test_jump_keeps_untouched_entries():
+    """A jump rebuilds only u and the other neighbors of v: every other
+    vertex keeps its entry, the same tuple object."""
+    p7 = linear_tree(7)
+    c = canonical_coloring(p7)
+    s = CoefficientState.initial(p7)
+    out = jump(s, p7, c, 2, 3)
+    assert out.vector(2) == {} and out.vector(4) == {2: -1, 4: 1}
+    for w in (0, 1, 3, 5, 6):
+        assert out.coeff[w] is s.coeff[w]
+
+
 def test_disallowed_jump_kinds(figure_tree):
     p3 = linear_tree(3)
     c = canonical_coloring(p3)

@@ -92,7 +92,8 @@ def test_parent_array_deficiency_is_the_dimension():
             unmatched = _greedy_mates(range(n - 1, -1, -1), parent).count(-1)
             fixpoint = coloring_by_fixpoint(t)
             assert unmatched == dimension(t)
-            assert unmatched == fixpoint.red_count - fixpoint.green_count
+            colors = fixpoint.colors
+            assert unmatched == colors.count(Color.RED) - colors.count(Color.GREEN)
 
 
 def test_avoiding_examples(figure_tree):
