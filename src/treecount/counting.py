@@ -8,10 +8,12 @@ one fixed-width slot per size (Kronecker substitution), so that a product of
 polynomials is a single big-integer product.  Every slot counts independent
 sets of the tree, so a slot one bit wider than the total number i(T) of
 independent sets needs can never carry into the next; i(T) comes from a
-scalar pass first.  The weighing of the size vector into N(q) is packed the
+scalar pass first.  The weighing of size vectors into N(q) is packed the
 same way: N is evaluated at q = 2**s as one integer, by Horner steps of
 shifts and additions, and its signed coefficients are read back from s-bit
-slots (:func:`_weigh_by_size`).
+slots; many vectors with one exponent are weighed in one such pass, side by
+side (:func:`_weigh_by_size`).  Slots of 1, 2, 4 or 8 bytes are read in one
+memoryview cast (:func:`_unpack`).
 
 The pass takes a children-first vertex order and a parent array, not a
 :class:`Tree`, and reads colors only at generic vertices.  A tree hands it
@@ -19,7 +21,9 @@ its own rooting at 0 (``t.order``, ``t.parent``); the coincidence census
 counts every tree straight off the parent arrays of the free-tree walk,
 colors only the unimodal-generic ones, off the same arrays, and buckets
 them on their size vector.  For the orange and unimodal-versal classes it
-carries the pass's states of closed subtrees from one array to the next.
+carries the pass's states of closed subtrees from one array to the next and
+buckets the trees on the packed size vector itself, unpacking each bucket
+once.
 
 Also here: closed forms for the linear, D- and E-shaped families (checked
 by exact division), the all-versal independent-set formula and the
@@ -31,6 +35,9 @@ live in the test suite's ``tests/oracles.py``.
 from __future__ import annotations
 
 import enum
+import struct
+import sys
+from itertools import islice, zip_longest
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
 
 from .coloring import (
@@ -188,8 +195,9 @@ def _count_sets_by_size(
     the next, and ``inn - i1`` never borrows, the sets of ``i1`` being among
     those of ``inn``.  A scalar pass finds i(T) first; B is
     bit_length(i(T)) + 1, a spare bit, rounded up to whole bytes so that the
-    root unpacks by byte slices.  The slot sums are checked against i(T):
-    equal when no vertex is generic, at most i(T) otherwise.
+    root unpacks by whole-byte slots (:func:`_unpack`).  The slot sums are
+    checked against i(T): equal when no vertex is generic, at most i(T)
+    otherwise.
     """
     n = len(parent)
     generic, green = PhiKind.GENERIC, Color.GREEN
@@ -242,13 +250,39 @@ def _count_sets_by_size(
     return counts
 
 
+#: The memoryview format of each slot width in bytes that one cast reads;
+#: a cast reads the host's byte order, so only on little-endian hosts.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
 def _unpack(packed: int, width: int) -> list[int]:
     """The slots of ``width`` bytes of a packed size-polynomial, lowest first,
-    up to its last nonzero one."""
+    up to its last nonzero one: one memoryview cast for slots of 1, 2, 4 or
+    8 bytes, byte slices otherwise."""
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt:
+        return memoryview(raw).cast(fmt).tolist()
     return [
         int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
     ]
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """The integer with ``values[i]`` in slot i of ``width`` bytes: the
+    inverse of :func:`_unpack`, in one call at the widths it casts."""
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt:
+        return int.from_bytes(struct.pack(f"{len(values)}{fmt}", *values), "little")
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+
+
+def _slot_width(bound: int) -> int:
+    """Whole bytes per slot for values up to ``bound`` with a spare bit,
+    rounded up to 4 or 8 when at most 8, which :func:`_unpack` reads by one
+    cast; a wider slot never carries either."""
+    width = (bound.bit_length() + 8) // 8
+    return width if width > 8 else 4 if width <= 4 else 8
 
 
 #: The open vertices of a pre-order parent array read up to some position,
@@ -257,12 +291,22 @@ def _unpack(packed: int, width: int) -> list[int]:
 _Fold = tuple[int, int, int, int, "_Fold"] | None
 
 
+def _carried_width(n: int) -> int:
+    """Bytes per slot of the packed size vectors of every tree on n
+    vertices: i(T) is at most 2**(n-1) + 1, the star's count (Prodinger and
+    Tichy, Fibonacci Quart. 20 (1982)), so a slot for that bound never
+    carries."""
+    return _slot_width((1 << max(n - 1, 0)) + 1)
+
+
 def _carried_size_vectors(
     n: int, arrays: Iterable[list[int]]
-) -> Iterator[tuple[list[int], list[int]]]:
+) -> Iterator[tuple[list[int], int, int]]:
     """Each pre-order parent array on n vertices with its size vector c, the
-    independence polynomial: :func:`_count_sets_by_size` with no generic
-    vertex, carried from one array to the next.
+    independence polynomial, packed in slots of :func:`_carried_width`
+    bytes, and its number i(T) of independent sets:
+    :func:`_count_sets_by_size` with no generic vertex, carried from one
+    array to the next.
 
     An array is read from left to right keeping a chain of its open
     vertices, those whose subtree has not ended (the path from the root to
@@ -276,14 +320,11 @@ def _carried_size_vectors(
     is kept, and an array is read only from the first position where it
     differs from the previous one.
 
-    One slot width serves every tree: i(T) is at most 2**(n-1) + 1, the
-    star's count (Prodinger and Tichy, Fibonacci Quart. 20 (1982)), so the
-    kernel's slot for that bound never carries.  The slot sum is checked
-    against the carried i(T).
+    One slot width serves every tree, so two trees share c exactly when
+    they share the packed integer; the caller unpacks it and checks its
+    slot sum against i(T).
     """
-    bound = (1 << max(n - 1, 0)) + 1
-    width = (bound.bit_length() + 8) // 8  # bytes per slot, as in the kernel
-    shift = 8 * width
+    shift = 8 * _carried_width(n)
     depth = [0] * n
     # chain_at[k]: the chain before position k of the array read last
     chain_at: list[_Fold] = [None, (1, 1, 1, 1, None), *[None] * n]
@@ -299,11 +340,7 @@ def _carried_size_vectors(
             chain = _close_deepest(chain, depth[v - 1] - dv + 1, shift)
             chain = chain_at[v + 1] = (1, 1, 1, 1, chain)
         inn, out, without, with_, _ = _close_deepest(chain, depth[n - 1], shift)
-        counts = _unpack(out + (inn << shift), width)
-        found, total = sum(counts), without + with_
-        if found != total:
-            raise AssertionError(f"{found} sets counted by size, {total} independent sets")
-        yield parent, counts
+        yield parent, out + (inn << shift), without + with_
         prev = parent
 
 
@@ -317,55 +354,70 @@ def _close_deepest(chain: _Fold, count: int, shift: int) -> _Fold:
     return chain
 
 
-def _weigh_by_size(counts: Sequence[int], exponent: int) -> Poly:
-    """sum_k counts[k] * (q-1)**(exponent - 2k) * q**k, by Horner in (q-1)**2.
+def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly]:
+    """Each size vector c of ``vectors`` weighed into
+    sum_k c[k] * (q-1)**(exponent - 2k) * q**k by Horner in (q-1)**2, all in
+    one pass.  A result is monic of degree ``exponent`` (n + vr for a count)
+    exactly when c[0] = 1, the empty set counted once.
 
-    The leading term is counts[0] * q**exponent, so the result is monic of
-    degree ``exponent`` (n + vr for a count) exactly when the empty set is
-    counted once.
-
-    The polynomial is evaluated at q = X = 2**s as one integer, as the
-    kernel packs its size-polynomials: a Horner step acc * (X-1)**2 +
-    c_k X**k is two shifts and three additions, and the trailing factor
-    (q-1)**(exponent - 2*top) one shift and a subtraction per power.  The
-    coefficients a_j are signed, and |a_j| is at most the coefficient sum
-    sum_k c_k 2**(exponent-2k) of sum_k c_k q**k (q+1)**(exponent-2k), which
-    bounds every coefficient of (q-1)**m by that of (q+1)**m.  So s is the
-    bound's bit length plus a sign bit, rounded up to whole bytes, and every
-    a_j + 2**(s-1) lies in [0, 2**s).  Adding 2**(s-1) to every slot before
-    unpacking the bytes and subtracting it after therefore reads each a_j
-    off its own slot, with no carry between slots.  The result is checked
-    as the kernel checks its slot sums: monic of degree ``exponent``, with
-    N(1) = counts[top] when exponent = 2*top and 0 otherwise, every
-    other term keeping a factor q-1.
+    The m results N_b are evaluated at q = X = 2**(m*s) as one integer,
+    sum_b 2**(s*b) N_b(X): coefficient j of N_b sits in slot j*m + b of s
+    bits.  A Horner step acc * (X-1)**2 + C_k X**k is two shifts and three
+    additions, C_k holding the k-th count of every vector in its own slot
+    (:func:`_pack`; with one vector, the count itself).  A shorter vector
+    counts no sets of the missing sizes, so the trailing factor
+    (q-1)**(exponent - 2*top) of the longest finishes every N_b.  Each a_j is
+    signed, and |a_j| is at most sum_k c_k 2**(exponent-2k), the coefficient
+    sum of sum_k c_k q**k (q+1)**(exponent-2k), which bounds every
+    coefficient of (q-1)**e by that of (q+1)**e; taken over the largest
+    count of each size, the sum bounds every vector's.  So s is its bit
+    length plus a sign bit (:func:`_slot_width`), every a_j + 2**(s-1) lies
+    in (0, 2**s), and biasing every slot by 2**(s-1) before unpacking reads
+    each a_j off its own slot.  Each result is checked as the kernel checks
+    its slot sums: monic of degree ``exponent``, and N(1) = c[top] when
+    exponent = 2*top, else 0, every other term keeping a factor q-1.
     """
-    if counts[0] != 1:
-        raise AssertionError(f"the empty set must count once, not {counts[0]} times")
-    top = len(counts) - 1
-    if exponent < 2 * top:
-        raise AssertionError(
-            f"{counts[top]} sets of size {top} would need (q-1)^{exponent - 2 * top}"
-        )
-    bound = sum(c << (exponent - 2 * k) for k, c in enumerate(counts))
-    width = (bound.bit_length() + 8) // 8  # bytes per slot
-    shift = 8 * width
+    for counts in vectors:
+        if counts[0] != 1:
+            raise AssertionError(f"the empty set must count once, not {counts[0]} times")
+        top = len(counts) - 1
+        if exponent < 2 * top:
+            raise AssertionError(
+                f"{counts[top]} sets of size {top} would need (q-1)^{exponent - 2 * top}"
+            )
+    m = len(vectors)
+    if m == 1:
+        largest = columns = vectors[0]
+    else:
+        columns = list(zip_longest(*vectors, fillvalue=0))
+        largest = [max(col) for col in columns]
+    top = len(largest) - 1
+    width = _slot_width(sum([c << (exponent - 2 * k) for k, c in enumerate(largest)]))
+    if m != 1:
+        columns = [_pack(col, width) for col in columns]
+    shift = 8 * width * m
     acc = 0
-    for k, c in enumerate(counts):
+    for k, c in enumerate(columns):
         # acc <- acc * (X-1)**2 + c X**k
         acc = (acc << 2 * shift) - (acc << (shift + 1)) + acc + (c << k * shift)
     for _ in range(exponent - 2 * top):
         acc = (acc << shift) - acc
-    half = 1 << (shift - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * (exponent + 1), "little")
-    # the top slot holds half + 1, so _unpack reads all exponent + 1 slots
-    coeffs = [c - half for c in _unpack(acc + bias, width)]
-    at_one = counts[top] if exponent == 2 * top else 0
-    if coeffs[-1] != 1 or sum(coeffs) != at_one:
-        raise AssertionError(
-            f"weighed polynomial has leading coefficient {coeffs[-1]} and "
-            f"N(1) = {sum(coeffs)}, not 1 and {at_one}"
-        )
-    return Poly(tuple(coeffs))
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * ((exponent + 1) * m), "little")
+    # every slot holds a_j + half > 0, so _unpack reads all of them
+    coeffs = [a - half for a in _unpack(acc + bias, width)]
+    polys = []
+    for b, counts in enumerate(vectors):
+        mine = coeffs[b::m]
+        top = len(counts) - 1
+        at_one = counts[top] if exponent == 2 * top else 0
+        if mine[-1] != 1 or sum(mine) != at_one:
+            raise AssertionError(
+                f"weighed polynomial has leading coefficient {mine[-1]} and "
+                f"N(1) = {sum(mine)}, not 1 and {at_one}"
+            )
+        polys.append(Poly(tuple(mine)))
+    return polys
 
 
 def count_polynomial(t: Tree, phi: PhiSpec = None) -> Poly:
@@ -394,7 +446,7 @@ def _count_resolved(t: Tree, resolved: ResolvedPhi) -> Poly:
     )
     colors = resolved.coloring.colors
     counts = _count_sets_by_size(t.order, t.parent, colors, resolved.kinds)
-    return _weigh_by_size(counts, t.n + versal_rank)
+    return _weigh_by_size([counts], t.n + versal_rank)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +567,12 @@ class CensusClass(enum.Enum):
     UNIMODAL_GENERIC = "unimodal-generic"
 
 
+#: Buckets unpacked and weighed in one pass of :func:`_weigh_by_size`: all
+#: of a class up to n = 14, and at n = 19 and 20 few enough that peak memory
+#: stays below that of weighing bucket by bucket.
+_WEIGH_BATCH = 1024
+
+
 class CensusReport(NamedTuple):
     n: int
     census_class: CensusClass
@@ -539,6 +597,15 @@ def _generic_size_vector(parent: list[int]) -> list[int]:
     orange, generic = Color.ORANGE, PhiKind.GENERIC
     kinds = [None if col is orange else generic for col in colors]
     return _count_sets_by_size(order, parent, colors, kinds)
+
+
+def _unpack_bucket(packed: int, width: int, total: int) -> list[int]:
+    """The size vector of a bucket of carried trees, its slot sum checked
+    against their number i(T) of independent sets."""
+    c = _unpack(packed, width)
+    if sum(c) != total:
+        raise AssertionError(f"{sum(c)} sets counted by size, {total} independent sets")
+    return c
 
 
 def census(n: int, census_class: CensusClass) -> CensusReport:
@@ -573,8 +640,15 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     which is the same as bucketing on N: within a class n and the versal
     rank vr (1 for unimodal-versal, 0 otherwise) are fixed, and
     c -> N = sum_k c_k (q-1)**(n+vr-2k) q**k is injective: the k-th term has
-    lowest power q**k, so N determines c_0, c_1, ... in turn.  Each bucket
-    is weighed into N once.  A bucket holds each tree's parent array as
+    lowest power q**k, so N determines c_0, c_1, ... in turn.  An orange or
+    versal tree's c stays packed, at one slot width for all n-vertex trees,
+    and is bucketed on that integer; each tree's i(T) must equal that of
+    the first tree of its bucket, and each bucket is unpacked once and its
+    slot sum checked against that i(T).  A generic tree's c comes unpacked
+    from the kernel, at a width of its own, and is bucketed as a tuple.
+    All buckets of a class share the exponent n + vr and are weighed into N
+    :data:`_WEIGH_BATCH` at a time, each batch in one pass
+    (:func:`_weigh_by_size`).  A bucket holds each tree's parent array as
     bytes, the root's left out, and the trees of buckets holding more than
     one are written as graph6 straight from those (:func:`_graph6`): the
     same representatives, in the same order, as
@@ -583,22 +657,26 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     target = 0 if census_class is CensusClass.ORANGE else 1
     versal_rank = 1 if census_class is CensusClass.UNIMODAL_VERSAL else 0
     walk = _free_tree_parents(n, target)
+    # every parent is below n <= 20, so one byte each; the root's is implied
+    buckets: dict[int | tuple[int, ...], list[bytes]] = {}
     if census_class is CensusClass.UNIMODAL_GENERIC:
-        counted: Iterable[tuple[list[int], list[int]]] = (
-            (parent, _generic_size_vector(parent)) for parent in walk
-        )
+        for parent in walk:
+            buckets.setdefault(tuple(_generic_size_vector(parent)), []).append(bytes(parent[1:]))
+        vectors: Iterator[Sequence[int]] = iter(buckets)
     else:
-        counted = _carried_size_vectors(n, walk)
-    tree_count = 0
-    buckets: dict[tuple[int, ...], list[bytes]] = {}
-    for parent, c in counted:
-        tree_count += 1
-        # every parent is below n <= 20, so one byte each; the root's is implied
-        buckets.setdefault(tuple(c), []).append(bytes(parent[1:]))
-    ordered = sorted(
-        ((_weigh_by_size(c, n + versal_rank), arrays) for c, arrays in buckets.items()),
-        key=lambda kv: kv[0].coeffs,
-    )
+        width = _carried_width(n)
+        totals: dict[int, int] = {}  # i(T) of the first tree of each bucket
+        for parent, packed, total in _carried_size_vectors(n, walk):
+            if totals.setdefault(packed, total) != total:
+                raise AssertionError(
+                    f"trees of one size vector have {totals[packed]} and {total} independent sets"
+                )
+            buckets.setdefault(packed, []).append(bytes(parent[1:]))
+        vectors = (_unpack_bucket(packed, width, total) for packed, total in totals.items())
+    polys: list[Poly] = []
+    while batch := list(islice(vectors, _WEIGH_BATCH)):
+        polys += _weigh_by_size(batch, n + versal_rank)
+    ordered = sorted(zip(polys, buckets.values()), key=lambda kv: kv[0].coeffs)
     collisions = tuple(
         tuple(_graph6(n, zip(a, range(1, n))) for a in arrays)
         for _, arrays in ordered
@@ -607,7 +685,7 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     return CensusReport(
         n=n,
         census_class=census_class,
-        tree_count=tree_count,
+        tree_count=sum(map(len, buckets.values())),
         distinct_polynomial_count=len(buckets),
         collisions=collisions,
         polynomials=tuple(p for p, _ in ordered),

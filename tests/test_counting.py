@@ -26,7 +26,11 @@ from treecount.counting import (
     PhiError,
     PhiKind,
     _carried_size_vectors,
+    _carried_width,
     _count_sets_by_size,
+    _pack,
+    _slot_width,
+    _unpack,
     _weigh_by_size,
     all_phi_assignments,
     census,
@@ -252,11 +256,16 @@ def test_monic_degree_law():
 def test_weigh_by_size_requires_one_empty_set():
     """c_0 sets the leading coefficient, so c_0 != 1 is the only way the
     weighted sum can miss being monic of the given degree."""
-    assert _weigh_by_size((1, 1), 2) == (Q - 1) ** 2 + Q
+    assert _weigh_by_size([(1, 1)], 2) == [(Q - 1) ** 2 + Q]
     with pytest.raises(AssertionError, match="empty set"):
-        _weigh_by_size((2, 1), 2)
+        _weigh_by_size([(2, 1)], 2)
     with pytest.raises(AssertionError):
-        _weigh_by_size((1, 1), 1)
+        _weigh_by_size([(1, 1)], 1)
+    # every vector of a batch is checked
+    with pytest.raises(AssertionError, match="empty set"):
+        _weigh_by_size([(1, 1), (2, 1)], 2)
+    with pytest.raises(AssertionError, match="size 2"):
+        _weigh_by_size([(1, 1), (1, 2, 1)], 3)
 
 
 def _weigh_by_poly(counts, exponent):
@@ -278,7 +287,48 @@ def counts_and_exponent(draw):
 def test_weigh_by_size_matches_poly_arithmetic(case):
     """The packed Horner pass reads every signed coefficient off its slot."""
     counts, exponent = case
-    assert _weigh_by_size(counts, exponent) == _weigh_by_poly(counts, exponent)
+    assert _weigh_by_size([counts], exponent) == [_weigh_by_poly(counts, exponent)]
+
+
+@st.composite
+def batches(draw):
+    """Size vectors of mixed lengths and tops with one exponent; the
+    counts are mostly small, as in a census, with the odd huge one."""
+    big = draw(st.sampled_from([2**8, 2**40, 2**300]))
+    vectors = draw(
+        st.lists(
+            st.lists(st.integers(0, 2**12) | st.integers(0, big), max_size=12).map(
+                lambda tail: [1, *tail]
+            ),
+            max_size=12,
+        )
+    )
+    top = max((len(c) - 1 for c in vectors), default=0)
+    return vectors, 2 * top + draw(st.integers(0, 6))
+
+
+@given(batches())
+@settings(max_examples=80, deadline=None)
+def test_batched_weighing_matches_poly_arithmetic(case):
+    """One pass weighs a batch of vectors of mixed lengths and tops, each as
+    plain Poly arithmetic weighs it alone."""
+    vectors, exponent = case
+    assert _weigh_by_size(vectors, exponent) == [_weigh_by_poly(c, exponent) for c in vectors]
+
+
+def test_batched_weighing_fixed_cases():
+    """A batch with one vector that forces a much wider slot than the rest,
+    vectors shorter than the longest, the trailing (q-1) power, one vector
+    and none."""
+    small = [[1], [1, 3], [1, 5, 2], [1, 7, 10, 1]]
+    wide = [1, 2**200, 0, 2**64 - 1]
+    for exponent in (6, 7, 11):
+        vectors = [*small, wide, *small]
+        assert _weigh_by_size(vectors, exponent) == [
+            _weigh_by_poly(c, exponent) for c in vectors
+        ]
+    assert _weigh_by_size([[1]], 0) == [Poly.const(1)]
+    assert _weigh_by_size([], 5) == []
 
 
 def test_weigh_by_size_fixed_cases():
@@ -287,19 +337,87 @@ def test_weigh_by_size_fixed_cases():
     c_t = 2**m - 1 with e = 2t < m gives a_t = c_t + (-1)**t * C(2t, t) and
     the width bound c_t + 2**e, which has m + 1 bits.  With m = 8w - 1 and t
     even that is 8w bits and a_t >= 2**(8w - 1), so a slot of 8w bits with
-    no spare sign bit overflows.
+    no spare sign bit overflows.  Slots are rounded up to 4 or 8 bytes up to
+    8, so m = 31 and 63 are the edges there, and m = 30 and 62 the largest
+    entries that still fit slots of 4 and 8 bytes; alone and in one batch.
     """
-    assert _weigh_by_size([1], 0) == Poly.const(1)
-    assert _weigh_by_size([1], 5) == (Q - 1) ** 5
+    assert _weigh_by_size([[1]], 0) == [Poly.const(1)]
+    assert _weigh_by_size([[1]], 5) == [(Q - 1) ** 5]
     star = star_tree(1000)
     resolved = resolve_tree_phi(star, "generic")
     colors = resolved.coloring.colors
     counts = _count_sets_by_size(star.order, star.parent, colors, resolved.kinds)
-    assert _weigh_by_size(counts, star.n) == _weigh_by_poly(counts, star.n)
-    for m, t in ((8, 1), (16, 2), (16, 7), (7, 2), (15, 4), (23, 6), (63, 30)):
+    assert _weigh_by_size([counts], star.n) == [_weigh_by_poly(counts, star.n)]
+    assert [_slot_width(2**b - 1) for b in (7, 8, 31, 32, 63, 64, 71, 72)] == [
+        4, 4, 4, 8, 8, 9, 9, 10,
+    ]
+    cases = []
+    for m, t in (
+        (8, 1), (16, 2), (16, 7), (7, 2), (15, 4), (23, 6), (63, 30),
+        (30, 2), (31, 2), (31, 14), (62, 30), (62, 2), (63, 2),
+    ):
         counts = [1] + [0] * t
         counts[t] = 2**m - 1
-        assert _weigh_by_size(counts, 2 * t) == _weigh_by_poly(counts, 2 * t)
+        assert _weigh_by_size([counts], 2 * t) == [_weigh_by_poly(counts, 2 * t)], (m, t)
+        cases.append(counts)
+    exponent = 2 * max(len(c) - 1 for c in cases)
+    assert _weigh_by_size(cases, exponent) == [_weigh_by_poly(c, exponent) for c in cases]
+
+
+def _unpack_by_slices(packed, width):
+    """:func:`_unpack` by byte slices alone."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+@st.composite
+def slots_and_width(draw):
+    width = draw(st.integers(1, 9))
+    top = 2 ** (8 * width) - 1
+    edge = st.sampled_from([0, 1, top, top >> 1, (top >> 1) + 1])
+    return draw(st.lists(st.integers(0, top) | edge, max_size=30)), width
+
+
+@given(slots_and_width())
+@settings(max_examples=150, deadline=None)
+def test_unpack_and_pack_match_byte_slices(case):
+    """_unpack reads what byte slices read, at every width from 1 to 9 (one
+    cast at 1, 2, 4 and 8 bytes), and _pack is its inverse."""
+    values, width = case
+    packed = sum(v << (8 * width * i) for i, v in enumerate(values))
+    assert _pack(values, width) == packed
+    got = _unpack(packed, width)
+    assert got == _unpack_by_slices(packed, width)
+    assert all(type(v) is int for v in got)
+    while values and not values[-1]:
+        values.pop()
+    assert got == values
+
+
+def test_byte_slice_path_decodes_as_the_cast(monkeypatch):
+    """With no cast format, as on a big-endian host, _unpack and _pack take
+    the byte-slice path and agree with the cast path at widths 1 to 9."""
+    rng = random.Random(29)
+    cases = []
+    for width in range(1, 10):
+        top = 2 ** (8 * width) - 1
+        for _ in range(20):
+            values = [rng.choice([0, 1, top, top >> 1, rng.randint(0, top)]) for _ in range(17)]
+            cases.append((values, width, sum(v << (8 * width * i) for i, v in enumerate(values))))
+    cast = [(_unpack(p, w), _pack(v, w)) for v, w, p in cases]
+    assert any(treecount.counting._SLOT_FORMATS.get(w) for w in (1, 2, 4, 8)) == (
+        sys.byteorder == "little"
+    )
+    monkeypatch.setattr(treecount.counting, "_SLOT_FORMATS", {})
+    assert [(_unpack(p, w), _pack(v, w)) for v, w, p in cases] == cast
+    assert all(packed == got for (_, _, packed), (_, got) in zip(cases, cast))
+    # the census and the weighing give the same reports on that path
+    assert _report_digest(census(12, CensusClass.ORANGE)) == CENSUS_DIGESTS[
+        CensusClass.ORANGE
+    ][12]
+    assert _report_digest(census(11, CensusClass.UNIMODAL_VERSAL)) == CENSUS_DIGESTS[
+        CensusClass.UNIMODAL_VERSAL
+    ][11]
 
 
 def test_choice_independence():
@@ -400,19 +518,59 @@ def test_size_vector_is_the_independence_polynomial():
 def test_carried_size_vectors_equal_the_kernel():
     """The census's carried fold gives, for every tree it keeps with n <= 16
     (deficiency 0 or 1), and for every array of the unpruned walk with
-    n <= 12, the size vector :func:`_count_sets_by_size` computes afresh on
-    the same array."""
+    n <= 12, a packed size vector that unpacks to the one
+    :func:`_count_sets_by_size` computes afresh on the same array, with
+    i(T) its slot sum."""
     arrays = 0
     for n in range(1, 17):
+        width = _carried_width(n)
         walks = [_free_tree_parents(n, 0), _free_tree_parents(n, 1)]
         if n <= 12:
             walks.append(_free_tree_parents(n))
         for walk in walks:
-            for parent, c in _carried_size_vectors(n, walk):
+            for parent, packed, total in _carried_size_vectors(n, walk):
+                c = _unpack(packed, width)
                 want = _count_sets_by_size(range(n - 1, -1, -1), parent, None, (None,) * n)
                 assert c == want, parent
+                assert sum(c) == total, parent
                 arrays += 1
     assert arrays == 2734 + 987  # kept, then unpruned
+
+
+def _with_totals_shifted(monkeypatch, shift):
+    """Make the census read i(T) + shift(repeated) for each carried tree,
+    repeated telling whether an earlier tree had the same packed vector."""
+
+    def shifted(n, arrays):
+        seen = set()
+        for parent, packed, total in _carried_size_vectors(n, arrays):
+            yield parent, packed, total + shift(packed in seen)
+            seen.add(packed)
+
+    monkeypatch.setattr(treecount.counting, "_carried_size_vectors", shifted)
+
+
+def test_census_checks_i_of_t_per_bucket(monkeypatch):
+    """A tree whose packed size vector matches an earlier tree's but whose
+    i(T) does not, and a bucket whose slot sum is not its i(T), stop the
+    census: census(10, orange) has two buckets of two trees."""
+    _with_totals_shifted(monkeypatch, lambda repeated: int(repeated))
+    with pytest.raises(AssertionError, match="one size vector"):
+        census(10, CensusClass.ORANGE)
+    _with_totals_shifted(monkeypatch, lambda repeated: 1)
+    with pytest.raises(AssertionError, match="sets counted by size"):
+        census(10, CensusClass.ORANGE)
+
+
+def test_census_of_an_empty_class():
+    """Classes with no tree go through the weighing with no vector."""
+    for n, census_class in (
+        (2, CensusClass.UNIMODAL_VERSAL),
+        (2, CensusClass.UNIMODAL_GENERIC),
+        (3, CensusClass.ORANGE),
+    ):
+        rep = census(n, census_class)
+        assert rep == CensusReport(n, census_class, 0, 0, (), ()), rep
 
 
 def test_kernel_takes_any_rooting():
