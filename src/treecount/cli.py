@@ -2,9 +2,10 @@
 
 Subcommands: color, sets, normalize, count, oracle, verify, census.  Input
 trees come from a graph6 string, an edge-list file (0- or 1-based), or a
-named family A/D/E with a size.  Reports echo the numbering of the input;
-``--json`` switches to a schema-stable JSON object whose only run-dependent
-field is ``generated_at``.  Exit codes: 0 success, 2 parse error, 3 size or
+named family A/D/E with a size.  Each subcommand builds one record, numbered
+as its input is: ``--json`` prints it as a schema-stable JSON object whose
+only run-dependent field is ``generated_at``, and the text report is
+rendered from it.  Exit codes: 0 success, 2 parse error, 3 size or
 work-budget guard, 4 verification mismatch.
 """
 
@@ -33,19 +34,9 @@ from .counting import (
     resolve_tree_phi,
 )
 from .families import family_tree
-from .fqoracle import (
-    ConstancyError,
-    FqContext,
-    GuardError,
-    count_points,
-    verify_polynomial,
-)
+from .fqoracle import ConstancyError, FqContext, GuardError, count_points, verify_polynomial
 from .groupoid import CoefficientState, normalize_to_matching, rank_profile
-from .matchings import (
-    admissible_sets,
-    independent_sets,
-    maximum_matching,
-)
+from .matchings import admissible_sets, independent_sets, maximum_matching
 from .polynomials import Poly, format_poly
 from .trees import (
     Graph6Error,
@@ -133,16 +124,17 @@ def phi_spec_parse(text: str | None) -> str | dict[int, str] | None:
     return out
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
+def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
+    """Print the record as JSON under ``--json``, else its rendered text."""
     if args.json:
         import datetime
 
-        payload = {
+        record = {
             "command": args.command,
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            **payload,
+            **record,
         }
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
     else:
         print(text)
 
@@ -153,6 +145,15 @@ def _shift_phi(spec, offset: int):
     return spec
 
 
+def _shift_pairs(pairs, offset: int) -> list[list[int]]:
+    """Edges in sorted order, numbered as the input is."""
+    return [[u + offset, v + offset] for u, v in sorted(pairs)]
+
+
+def _dashed(pairs, sep: str) -> str:
+    return sep.join(f"{u}-{v}" for u, v in pairs)
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners
 # ---------------------------------------------------------------------------
@@ -161,69 +162,58 @@ def _run_color(args) -> int:
     t, off = _load_tree(args)
     c = canonical_coloring(t)
     part = red_green_components(t, c)
-    lines = [
-        f"vertex {v + off}: {c.colors[v].value}" for v in range(t.n)
-    ]
-    lines.append(
-        "dominoes: " + (", ".join(f"{u + off}-{v + off}" for u, v in sorted(c.dominoes)) or "none")
-    )
-    d = dimension(t)
-    lines.append(f"dimension: {d}")
-    lines.append(
-        "components: "
-        + (
-            "; ".join(
-                ",".join(str(x + off) for x in comp.vertices) for comp in part
-            )
-            or "none"
-        )
-    )
-    payload = {
+    rec = {
         "colors": [c.colors[v].value for v in range(t.n)],
-        "dominoes": [[u + off, v + off] for u, v in sorted(c.dominoes)],
-        "dimension": d,
+        "dominoes": _shift_pairs(c.dominoes, off),
+        "dimension": dimension(t),
         "components": [[x + off for x in comp.vertices] for comp in part],
     }
-    _emit(args, payload, "\n".join(lines))
+    lines = [f"vertex {v + off}: {color}" for v, color in enumerate(rec["colors"])]
+    lines.append("dominoes: " + (_dashed(rec["dominoes"], ", ") or "none"))
+    lines.append(f"dimension: {rec['dimension']}")
+    components = "; ".join(",".join(map(str, comp)) for comp in rec["components"])
+    lines.append("components: " + (components or "none"))
+    _emit(args, rec, "\n".join(lines))
     return EXIT_OK
+
+
+def _admissible_line(a: dict) -> str:
+    signs = " ".join(f"{v}^{'+' if s > 0 else '-'}" for v, s in zip(a["vertices"], a["signs"]))
+    return f"component {a['component']}: {signs}"
+
+
+#: The listings of ``sets`` in report order, keyed by their record key (the
+#: title with spaces), each with the text of one listed item.
+_SET_LISTINGS = {
+    "maximum_matchings": lambda m: _dashed(m, " "),
+    "independent_sets": lambda s: "{" + ",".join(map(str, s)) + "}",
+    "maximum_independent_sets": None,  # counted, never listed
+    "admissible_sets": _admissible_line,
+}
+
+
+def _listing_lines(key: str, value, render) -> list[str]:
+    """The text of one listing of ``sets``: its count, or a header and one
+    indented line per item."""
+    title = key.replace("_", " ")
+    if isinstance(value, int):
+        return [f"{title}: {value}"]
+    return [f"{title} ({len(value)}):"] + ["  " + render(x) for x in value]
 
 
 def _run_sets(args) -> int:
     t, off = _load_tree(args)
-    lines: list[str] = []
-    payload: dict = {}
+    rec: dict = {}
     if args.matchings:
-        ms = all_maximum_matchings(t)
-        payload["maximum_matchings"] = (
-            len(ms)
-            if args.count_only
-            else [[[u + off, v + off] for u, v in sorted(m)] for m in ms]
-        )
-        if args.count_only:
-            lines.append(f"maximum matchings: {len(ms)}")
-        else:
-            lines.append(f"maximum matchings ({len(ms)}):")
-            lines.extend(
-                "  " + " ".join(f"{u + off}-{v + off}" for u, v in sorted(m))
-                for m in ms
-            )
-    if args.independent:
-        if args.count_only:
-            # with no generic vertex the size vector is the independence
-            # polynomial
-            sizes = _count_sets_by_size(t.order, t.parent, None, (None,) * t.n)
-            total, maximum = sum(sizes), sizes[-1]
-            payload["independent_sets"] = total
-            payload["maximum_independent_sets"] = maximum
-            lines.append(f"independent sets: {total}")
-            lines.append(f"maximum independent sets: {maximum}")
-        else:
-            sets = [sorted(x + off for x in s) for s in independent_sets(t)]
-            payload["independent_sets"] = sets
-            lines.append(f"independent sets ({len(sets)}):")
-            lines.extend("  {" + ",".join(map(str, s)) + "}" for s in sets)
+        rec["maximum_matchings"] = [_shift_pairs(m, off) for m in all_maximum_matchings(t)]
+    if args.independent and args.count_only:
+        # with no generic vertex the size vector is the independence polynomial
+        sizes = _count_sets_by_size(t.order, t.parent, None, (None,) * t.n)
+        rec["independent_sets"], rec["maximum_independent_sets"] = sum(sizes), sizes[-1]
+    elif args.independent:
+        rec["independent_sets"] = [sorted(x + off for x in s) for s in independent_sets(t)]
     if args.admissible:
-        adm = [
+        rec["admissible_sets"] = [
             {
                 "component": comp.min_vertex + off,
                 "vertices": [v + off for v in a.vertices],
@@ -232,109 +222,70 @@ def _run_sets(args) -> int:
             for comp in red_green_components(t, canonical_coloring(t))
             for a in admissible_sets(comp)
         ]
-        payload["admissible_sets"] = len(adm) if args.count_only else adm
-        if args.count_only:
-            lines.append(f"admissible sets: {len(adm)}")
-        else:
-            lines.append(f"admissible sets ({len(adm)}):")
-            lines.extend(
-                "  component {}: {}".format(
-                    a["component"],
-                    " ".join(
-                        f"{v}^{'+' if s > 0 else '-'}"
-                        for v, s in zip(a["vertices"], a["signs"])
-                    ),
-                )
-                for a in adm
-            )
-    if not lines:
+    if not rec:
         raise ValueError("pick at least one of --matchings --independent --admissible")
-    _emit(args, payload, "\n".join(lines))
+    if args.count_only:
+        rec = {k: v if isinstance(v, int) else len(v) for k, v in rec.items()}
+    lines = []
+    for key, render in _SET_LISTINGS.items():
+        if key in rec:
+            lines += _listing_lines(key, rec[key], render)
+    _emit(args, rec, "\n".join(lines))
     return EXIT_OK
 
 
 def _run_normalize(args) -> int:
     t, off = _load_tree(args)
-    c = canonical_coloring(t)
     m = maximum_matching(t)
-    state = normalize_to_matching(CoefficientState.initial(t), t, c, m)
-    rows = []
-    for v in range(t.n):
-        vec = state.vector(v)
-        if vec:
-            mono = " ".join(
-                f"a{w + off}^{e}" if e != 1 else f"a{w + off}"
-                for w, e in sorted(vec.items())
-            )
-        else:
-            mono = "1"
-        rows.append((v + off, mono, vec))
-    text = "\n".join(
-        [f"matching: {' '.join(f'{u + off}-{v + off}' for u, v in sorted(m))}"]
-        + [f"coefficient at {v}: {mono}" for v, mono, _ in rows]
-    )
-    payload = {
-        "matching": [[u + off, v + off] for u, v in sorted(m)],
+    state = normalize_to_matching(CoefficientState.initial(t), t, canonical_coloring(t), m)
+    rec = {
+        "matching": _shift_pairs(m, off),
         "coefficients": {
-            str(v): {str(w + off): e for w, e in vec.items()} for v, _, vec in rows
+            str(v + off): {str(w + off): e for w, e in sorted(state.vector(v).items())}
+            for v in range(t.n)
         },
     }
-    _emit(args, payload, text)
+    lines = [f"matching: {_dashed(rec['matching'], ' ')}"]
+    for v, vec in rec["coefficients"].items():
+        mono = " ".join(f"a{w}^{e}" if e != 1 else f"a{w}" for w, e in vec.items())
+        lines.append(f"coefficient at {v}: {mono or '1'}")
+    _emit(args, rec, "\n".join(lines))
     return EXIT_OK
-
-
-def _poly_payload(t: Tree, phi_spec) -> tuple[Poly, int, dict]:
-    resolved = resolve_tree_phi(t, phi_spec)
-    rank = rank_profile(
-        resolved.partition, [k is PhiKind.GENERIC for k in resolved.assignment.kinds]
-    ).rank
-    poly = _count_resolved(t, resolved)
-    return poly, rank, {
-        "coeffs": list(poly.coeffs),
-        "degree": poly.degree,
-        "rank": rank,
-    }
 
 
 def _run_count(args) -> int:
     t, off = _load_tree(args)
-    spec = _shift_phi(phi_spec_parse(args.phi), off)
-    poly, rank, payload = _poly_payload(t, spec)
-    if args.json:
-        _emit(args, payload, json.dumps(payload, sort_keys=True))
-        return EXIT_OK
+    resolved = resolve_tree_phi(t, _shift_phi(phi_spec_parse(args.phi), off))
+    generic = [k is PhiKind.GENERIC for k in resolved.assignment.kinds]
+    rank = rank_profile(resolved.partition, generic).rank
+    poly = _count_resolved(t, resolved)
+    rec = {"coeffs": list(poly.coeffs), "degree": poly.degree, "rank": rank}
+    text = format_poly(poly)
     if args.format == "factored":
-        quotient = poly.divexact((Poly.q_power(1) - 1) ** rank)
-        body = f"(q - 1)^{rank} * ({format_poly(quotient)})" if rank else format_poly(quotient)
-        print(body)
-        return EXIT_OK
-    print(format_poly(poly))
+        text = format_poly(poly.divexact((Poly.q_power(1) - 1) ** rank))
+        if rank:
+            text = f"(q - 1)^{rank} * ({text})"
+    _emit(args, rec, text)
     return EXIT_OK
 
 
 def _run_oracle(args) -> int:
     t, off = _load_tree(args)
     spec = _shift_phi(phi_spec_parse(args.phi), off)
-    ctx = FqContext(args.q)
-    got = count_points(t, spec, ctx, force=args.force)
-    if got is None:
-        _emit(args, {"q": args.q, "count": None, "skipped": True},
-              f"q={args.q}: no generic parameters")
-    else:
-        _emit(args, {"q": args.q, "count": got, "skipped": False},
-              f"q={args.q}: {got} points")
+    got = count_points(t, spec, FqContext(args.q), force=args.force)
+    rec = {"q": args.q, "count": got, "skipped": got is None}
+    outcome = "no generic parameters" if rec["skipped"] else f"{rec['count']} points"
+    _emit(args, rec, f"q={rec['q']}: {outcome}")
     return EXIT_OK
 
 
 def _verify_one(t: Tree, spec, primes, force: bool) -> tuple[bool, list[dict], str]:
+    """Whether the check passed, its per-prime rows and their text."""
     rep = verify_polynomial(t, spec, primes, force=force)
-    rows = [
-        {"q": c.q, "status": c.status, "oracle": c.oracle, "expected": c.expected}
-        for c in rep.checks
-    ]
+    rows = [c._asdict() for c in rep.checks]
     text = ", ".join(
-        f"q={c.q}:{c.status}" + (f"({c.oracle})" if c.oracle is not None else "")
-        for c in rep.checks
+        f"q={c['q']}:{c['status']}" + (f"({c['oracle']})" if c["oracle"] is not None else "")
+        for c in rows
     )
     return rep.passed, rows, text
 
@@ -365,27 +316,28 @@ def _run_verify(args) -> int:
         rows = []
         for n in range(1, args.max_n + 1):
             for t in enumerate_free_trees(n):
+                g6 = emit_graph6(t)
                 part = red_green_components(t, canonical_coloring(t))
                 for phi in all_phi_assignments(part):
                     ok, checks, text = _verify_one(t, phi, primes, args.force)
                     label = ",".join(k.value[0] for k in phi.kinds) or "-"
-                    rows.append(
-                        {"graph6": emit_graph6(t), "phi": label, "checks": checks}
-                    )
+                    rows.append({"graph6": g6, "phi": label, "checks": checks})
                     if not ok:
                         failures += 1
-                        print(f"FAIL {emit_graph6(t)} phi={label}: {text}")
-        verdict = "PASS" if failures == 0 else f"FAIL ({failures} mismatches)"
-        _emit(args, {"results": rows, "verdict": verdict},
-              f"{verdict}: {len(rows)} (tree, phi) pairs over primes {primes}")
+                        print(f"FAIL {g6} phi={label}: {text}")
+        rec = {
+            "results": rows,
+            "verdict": "PASS" if failures == 0 else f"FAIL ({failures} mismatches)",
+        }
+        _emit(args, rec, f"{rec['verdict']}: {len(rows)} (tree, phi) pairs over primes {primes}")
         if failures:
-            raise MismatchError(verdict)
+            raise MismatchError(rec["verdict"])
         return EXIT_OK
     t, off = _load_tree(args)
     spec = _shift_phi(phi_spec_parse(args.phi), off)
     ok, checks, text = _verify_one(t, spec, primes, args.force)
-    _emit(args, {"checks": checks, "verdict": "PASS" if ok else "FAIL"},
-          ("PASS: " if ok else "FAIL: ") + text)
+    rec = {"checks": checks, "verdict": "PASS" if ok else "FAIL"}
+    _emit(args, rec, f"{rec['verdict']}: {text}")
     if not ok:
         raise MismatchError(text)
     return EXIT_OK
@@ -393,21 +345,20 @@ def _run_verify(args) -> int:
 
 def _run_census(args) -> int:
     rep = census(args.n, CensusClass(args.census_class))
-    lines = [
-        f"n={rep.n} class={rep.census_class.value}: "
-        f"{rep.tree_count} trees, {rep.distinct_polynomial_count} distinct polynomials"
-    ]
-    if args.list_collisions:
-        for bucket in rep.collisions:
-            lines.append("collision: " + " ".join(bucket))
-    payload = {
+    rec = {
         "n": rep.n,
         "class": rep.census_class.value,
         "tree_count": rep.tree_count,
         "distinct_polynomial_count": rep.distinct_polynomial_count,
         "collisions": [list(b) for b in rep.collisions],
     }
-    _emit(args, payload, "\n".join(lines))
+    lines = [
+        f"n={rec['n']} class={rec['class']}: {rec['tree_count']} trees, "
+        f"{rec['distinct_polynomial_count']} distinct polynomials"
+    ]
+    if args.list_collisions:
+        lines.extend("collision: " + " ".join(b) for b in rec["collisions"])
+    _emit(args, rec, "\n".join(lines))
     return EXIT_OK
 
 

@@ -70,14 +70,38 @@ class ConstancyError(AssertionError):
     """Two generic parameter tuples gave different point counts."""
 
 
+#: The 13 primes up to 41.  As Miller-Rabin bases they decide primality
+#: exactly for every q below :data:`PRIMALITY_BOUND`, the least composite
+#: that is a strong pseudoprime to all of them (Sorenson and Webster,
+#: Math. Comp. 86 (2017)).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
+    """Deterministic Miller-Rabin on :data:`_PRIME_BASES`; a q up to 41 is
+    prime exactly when it is one of them.  A q from :data:`PRIMALITY_BOUND`
+    up is refused: no table over such a field could be built anyway."""
+    if q <= 41:
+        return q in _PRIME_BASES
+    if q >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"cannot tell whether {q} is prime: the test is exact only below {PRIMALITY_BOUND}"
+        )
+    d, s = q - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -277,6 +277,28 @@ def test_exit_code_guard(capsys):
         "--phi", "versal",
     )
     assert code == 3
+    # a prime far past the budget is settled at once and refused by the guard
+    code, _, err = run(
+        capsys, "verify", "--family", "A", "--n", "1", "--phi", "generic",
+        "--primes", str(10**18 + 3),
+    )
+    assert code == 3 and err.startswith("guard: ")
+
+
+def test_guard_on_a_large_prime_is_quick():
+    """Deciding that q = 10**18 + 3 is prime takes no time, so the oracle's
+    work-budget guard, not the primality test, ends the run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    argv = ["oracle", "--family", "A", "--n", "1", "--phi", "generic", "--q", str(10**18 + 3)]
+    out = subprocess.run(
+        [sys.executable, "-m", "treecount.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert out.returncode == 3 and out.stderr.startswith("guard: ")
 
 
 def test_verify_max_n_guard_fails_fast(capsys, monkeypatch):

@@ -17,7 +17,9 @@ from treecount.fqoracle import (
     ConstancyError,
     FqContext,
     GuardError,
+    PRIMALITY_BOUND,
     _fixed_factor,
+    _is_prime,
     _tree_sum,
     _walk,
     count_fixed,
@@ -69,6 +71,43 @@ def test_context_requires_prime():
     # the inverse table is built on first read, not by the constructor
     ctx = FqContext(1_000_003)
     assert "inv" not in vars(ctx)
+
+
+def _trial_division(q: int) -> bool:
+    return q >= 2 and all(q % d for d in range(2, int(q**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [q for q in range(-3, 10**5) if _is_prime(q) != _trial_division(q)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; each other q is the least strong
+    # pseudoprime to every prime base up to some bound, for growing bounds;
+    # the last passes every base up to 37, so only base 41 finds it
+    for q in (
+        561,
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,
+    ):
+        assert not _is_prime(q), q
+
+
+def test_is_prime_settles_large_primes_and_refuses_past_its_bound():
+    assert _is_prime(10**18 + 3) and not _is_prime(10**18 + 1)
+    assert not _is_prime(PRIMALITY_BOUND - 1)  # still decided, not refused
+    for q in (PRIMALITY_BOUND, 10**30):
+        with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+            _is_prime(q)
+        with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+            FqContext(q)
 
 
 def test_count_fixed_examples():
