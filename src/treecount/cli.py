@@ -17,6 +17,7 @@ import sys
 from typing import Sequence
 
 from .coloring import (
+    RedGreenPartition,
     SizeGuardError,
     all_maximum_matchings,
     canonical_coloring,
@@ -31,6 +32,7 @@ from .counting import (
     _count_sets_by_size,
     all_phi_assignments,
     census,
+    resolve_phi,
     resolve_tree_phi,
 )
 from .families import family_tree
@@ -139,10 +141,18 @@ def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
         print(text)
 
 
-def _shift_phi(spec, offset: int):
-    if isinstance(spec, dict):
-        return {k - offset: v for k, v in spec.items()}
-    return spec
+def _input_phi(t: Tree, text: str | None, offset: int):
+    """The ``--phi`` of ``t``.  A per-component mapping is resolved here,
+    against components indexed by their smallest vertex as the input
+    numbers it, so that its errors name the vertices the user wrote."""
+    spec = phi_spec_parse(text)
+    if not isinstance(spec, dict):
+        return spec
+    numbered = (
+        comp._replace(vertices=tuple(v + offset for v in comp.vertices))
+        for comp in red_green_components(t, canonical_coloring(t))
+    )
+    return resolve_phi(RedGreenPartition(numbered), spec)
 
 
 def _shift_pairs(pairs, offset: int) -> list[list[int]]:
@@ -255,7 +265,7 @@ def _run_normalize(args) -> int:
 
 def _run_count(args) -> int:
     t, off = _load_tree(args)
-    resolved = resolve_tree_phi(t, _shift_phi(phi_spec_parse(args.phi), off))
+    resolved = resolve_tree_phi(t, _input_phi(t, args.phi, off))
     generic = [k is PhiKind.GENERIC for k in resolved.assignment.kinds]
     rank = rank_profile(resolved.partition, generic).rank
     poly = _count_resolved(t, resolved)
@@ -271,7 +281,7 @@ def _run_count(args) -> int:
 
 def _run_oracle(args) -> int:
     t, off = _load_tree(args)
-    spec = _shift_phi(phi_spec_parse(args.phi), off)
+    spec = _input_phi(t, args.phi, off)
     got = count_points(t, spec, FqContext(args.q), force=args.force)
     rec = {"q": args.q, "count": got, "skipped": got is None}
     outcome = "no generic parameters" if rec["skipped"] else f"{rec['count']} points"
@@ -324,7 +334,9 @@ def _run_verify(args) -> int:
                     rows.append({"graph6": g6, "phi": label, "checks": checks})
                     if not ok:
                         failures += 1
-                        print(f"FAIL {g6} phi={label}: {text}")
+                        # under --json stdout holds the record alone
+                        out = sys.stderr if args.json else sys.stdout
+                        print(f"FAIL {g6} phi={label}: {text}", file=out)
         rec = {
             "results": rows,
             "verdict": "PASS" if failures == 0 else f"FAIL ({failures} mismatches)",
@@ -334,7 +346,7 @@ def _run_verify(args) -> int:
             raise MismatchError(rec["verdict"])
         return EXIT_OK
     t, off = _load_tree(args)
-    spec = _shift_phi(phi_spec_parse(args.phi), off)
+    spec = _input_phi(t, args.phi, off)
     ok, checks, text = _verify_one(t, spec, primes, args.force)
     rec = {"checks": checks, "verdict": "PASS" if ok else "FAIL"}
     _emit(args, rec, f"{rec['verdict']}: {text}")

@@ -2,15 +2,16 @@
 
 The production path reads the coloring off one maximum matching, the greedy
 leaf-up matching ``t.mate`` that every tree carries, by the Gallai-Edmonds
-decomposition; the census runs the same two steps on the parent arrays of
-the free-tree walk and the adjacency lists built from them.  Two
-independent exponential oracles live here too, a minimum-vertex-cover one
-and a maximum-matching one, both self-contained so they share no code with
-what they check (the recoloring fixpoint is a third, in the test suite's
-``tests/oracles.py``).  On top of the coloring sit the red-green
-components, found in linear passes over the tree's adjacency, and the
-dimension invariant r(T) - g(T), which also equals the adjacency-matrix
-nullity and the number of vertices missed by any maximum matching.
+decomposition; the census reads it off the pre-order parent arrays of the
+free-tree walk in two linear passes, with no adjacency lists and no
+matching (:func:`_parent_roles`).  Two independent exponential oracles live
+here too, a minimum-vertex-cover one and a maximum-matching one, both
+self-contained so they share no code with what they check (the recoloring
+fixpoint is a third, in the test suite's ``tests/oracles.py``).  On top of
+the coloring sit the red-green components, found in linear passes over the
+tree's adjacency, and the dimension invariant r(T) - g(T), which also
+equals the adjacency-matrix nullity and the number of vertices missed by
+any maximum matching.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ def _gallai_edmonds(nbrs: Sequence[Sequence[int]], mate: Sequence[int]) -> list[
     matched, or the path reaching it would augment the matching, and the
     path goes on to its mate; a tree is bipartite, so no vertex is reached
     both at even and at odd distance.  The colors do not depend on the order
-    of the lists: :func:`canonical_coloring` passes ``t.neighbors``, the
-    census lists it builds from a parent array.
+    of the lists.
     """
     orange, green, red = Color.ORANGE, Color.GREEN, Color.RED
     colors = [orange] * len(mate)
@@ -65,6 +65,50 @@ def _gallai_edmonds(nbrs: Sequence[Sequence[int]], mate: Sequence[int]) -> list[
                 colors[z] = red
                 stack.append(z)
     return colors
+
+
+def _parent_roles(parent: Sequence[int]) -> tuple[list[int], int]:
+    """The colors of the tree with pre-order parent array ``parent`` (-1 at
+    the root, every other parent below its child) as roles, 0 orange, 1 red
+    and 2 green, and the tree's number i(T) of independent sets.
+
+    Two linear passes, with no adjacency lists and no matching.  Call v
+    exposed when some maximum matching of its subtree misses it, which is
+    when none of its children is exposed in its own subtree.  Bottom-up,
+    ``up[v]`` counts v's exposed children, and the independent sets below v
+    without and with v give i(T) at the root.  Top-down, v's parent p is
+    exposed in the rest of the tree, rooted at p, when ``up[p]`` counts
+    none but v; then ``up[v]`` counts p too, and so counts v's neighbours
+    exposed on their side of v.  A maximum matching of the tree misses v
+    exactly when that count is 0, or else one of v and such a neighbour
+    could always be matched to the other; those are the reds
+    (:func:`_gallai_edmonds`), and their neighbours are green.  A red makes
+    its parent green.  A child c of a red v is not exposed, v being so, so
+    c has an exposed child w; as ``up[c]`` counts v and w, w is red and
+    makes c green.
+    """
+    n = len(parent)
+    up = [0] * n
+    without, with_ = [1] * n, [1] * n
+    for v in range(n - 1, 0, -1):
+        p = parent[v]
+        wo = without[v]
+        if not up[v]:
+            up[p] += 1
+        without[p] *= wo + with_[v]
+        with_[p] *= wo
+    role = [0] * n
+    if not up[0]:
+        role[0] = 1
+    for v in range(1, n):
+        p = parent[v]
+        free = not up[v]  # exposed in its own subtree
+        if up[p] == free:
+            up[v] += 1
+        elif free:
+            role[v] = 1
+            role[p] = 2
+    return role, without[0] + with_[0]
 
 
 def canonical_coloring(t: Tree) -> Coloring:

@@ -18,12 +18,11 @@ memoryview cast (:func:`_unpack`).
 The pass takes a children-first vertex order and a parent array, not a
 :class:`Tree`, and reads colors only at generic vertices.  A tree hands it
 its own rooting at 0 (``t.order``, ``t.parent``); the coincidence census
-counts every tree straight off the parent arrays of the free-tree walk,
-colors only the unimodal-generic ones, off the same arrays, and buckets
-them on their size vector.  For the orange and unimodal-versal classes it
-carries the pass's states of closed subtrees from one array to the next and
-buckets the trees on the packed size vector itself, unpacking each bucket
-once.
+counts every tree straight off the parent arrays of the free-tree walk and
+buckets it on its size vector packed at one slot width, unpacking each
+bucket once.  It carries the pass's states of closed subtrees from one
+orange or unimodal-versal array to the next, and colors the
+unimodal-generic ones off their arrays.
 
 Also here: closed forms for the linear, D- and E-shaped families (checked
 by exact division), the all-versal independent-set formula and the
@@ -44,14 +43,14 @@ from .coloring import (
     Color,
     Coloring,
     RedGreenPartition,
-    _gallai_edmonds,
+    _parent_roles,
     canonical_coloring,
     dimension,
     red_green_components,
 )
 from .matchings import independent_set_size_counts
 from .polynomials import Poly, Q
-from .trees import Tree, _free_tree_parents, _graph6, _greedy_mates
+from .trees import Tree, _free_tree_parents, _graph6
 
 
 class PhiKind(enum.Enum):
@@ -163,9 +162,40 @@ def _count_sets_by_size(
 
     The tree is given by ``parent`` (-1 at the root) and ``order``, its
     vertices children first with the root last.  ``colors`` is read only at
-    generic vertices, so it may be ``None`` when none is.  One pass folds
-    each vertex into its parent.  A vertex's state is four size-polynomials,
-    zero where a state cannot occur:
+    generic vertices, so it may be ``None`` when none is.  A scalar pass
+    finds the number i(T) of independent sets, which sizes the slots of
+    :func:`_fold_sets`: bit_length(i(T)) + 1, a spare bit, rounded up to
+    whole bytes so that the root unpacks by whole-byte slots
+    (:func:`_unpack`).  The slot sums are checked against i(T): equal when
+    no vertex is generic, at most i(T) otherwise.
+    """
+    n = len(parent)
+    generic, green = PhiKind.GENERIC, Color.GREEN
+    # 0: neither, 1: generic red, 2: generic green
+    role = [0 if k is not generic else 2 if colors[v] is green else 1 for v, k in enumerate(kinds)]
+    # i(T): per vertex, the independent sets below it without / with it
+    without, with_ = [1] * n, [1] * n
+    for v in order[:-1]:
+        p = parent[v]
+        without[p] *= without[v] + with_[v]
+        with_[p] *= without[v]
+    root = order[-1]
+    total = without[root] + with_[root]
+    width = (total.bit_length() + 8) // 8  # bytes per slot
+    counts = _unpack(_fold_sets(order, parent, role, 8 * width), width)
+    found = sum(counts)
+    if found > total or (found != total and generic not in kinds):
+        raise AssertionError(f"{found} sets counted by size, {total} independent sets")
+    return counts
+
+
+def _fold_sets(order: Sequence[int], parent: Sequence[int], role: Sequence[int], shift: int) -> int:
+    """The size-polynomial of :func:`_count_sets_by_size` packed in slots of
+    ``shift`` bits, ``role`` 1 at generic reds, 2 at generic greens and 0
+    elsewhere.
+
+    One pass folds each vertex into its parent.  A vertex's state is four
+    size-polynomials, zero where a state cannot occur:
 
     * ``o0``: v not in S, and for a generic green no child in state ``i1``;
     * ``o1``: a generic green not in S with exactly one child in ``i1``
@@ -185,69 +215,43 @@ def _count_sets_by_size(
     never the top of its component unless it is the root, where ``i1`` is
     dropped: pruning from above cannot remove it either.
 
-    Each size-polynomial is packed into one integer, the count of sets of
-    size k in bits [k*B, (k+1)*B) (Kronecker substitution), so a product of
-    two polynomials is one integer product, a sum one integer sum and a
-    factor x a left shift by B.  Every coefficient of every state, and of
-    every product formed on the way, counts distinct independent sets of a
-    subforest of T, so it is at most i(T), the number of independent sets
-    of T.  A slot of B bits with 2**B > i(T) therefore never carries into
-    the next, and ``inn - i1`` never borrows, the sets of ``i1`` being among
-    those of ``inn``.  A scalar pass finds i(T) first; B is
-    bit_length(i(T)) + 1, a spare bit, rounded up to whole bytes so that the
-    root unpacks by whole-byte slots (:func:`_unpack`).  The slot sums are
-    checked against i(T): equal when no vertex is generic, at most i(T)
-    otherwise.
+    A size-polynomial is one integer, the count of sets of size k in slot k
+    of B = ``shift`` bits (Kronecker substitution): a product of two is one
+    integer product and a factor x a shift by B.  Every coefficient of every
+    state and product counts distinct independent sets of a subforest of T,
+    so it is at most i(T); with 2**B > i(T) no slot carries into the next,
+    and ``inn - i1`` never borrows, the sets of ``i1`` being among ``inn``'s.
     """
     n = len(parent)
-    generic, green = PhiKind.GENERIC, Color.GREEN
-    # 0: neither, 1: generic red, 2: generic green
-    role = [
-        0 if k is not generic else 2 if colors[v] is green else 1
-        for v, k in enumerate(kinds)
-    ]
-    # i(T): per vertex, the independent sets below it without / with it
-    without, with_ = [1] * n, [1] * n
-    for v in order[:-1]:
-        p = parent[v]
-        without[p] *= without[v] + with_[v]
-        with_[p] *= without[v]
-    root = order[-1]
-    total = without[root] + with_[root]
-    width = (total.bit_length() + 8) // 8  # bytes per slot
-    shift = 8 * width
     inn, out = [1] * n, [1] * n
     down = [0 if r == 2 else 1 for r in role]
     for v in order:
         i0 = inn[v] << shift
-        o0 = out[v]
-        r = role[v]
-        if r == 2:
-            o1, i1 = down[v], 0
-        elif r == 1:
+        o, r = out[v], role[v]  # o: o0, then o0 + o1, v not in S
+        if r == 1:
             o1, i1 = 0, down[v] << shift
             i0 -= i1
+        elif r == 2:
+            o1, i1 = down[v], 0
+            o += o1
         else:
             o1 = i1 = 0
         p = parent[v]
         if p < 0:
             break
-        inn[p] *= o0 + o1
-        if role[p] == 2:
-            keep = o0 + o1 + i0
+        inn[p] *= o
+        keep = o + i0
+        rp = role[p]
+        if rp == 2:
             a0 = out[p]
             out[p] = a0 * keep
             down[p] = down[p] * keep + a0 * i1
         else:
-            out[p] *= o0 + o1 + i0 + i1
-            if role[p]:
+            out[p] *= keep + i1
+            if rp:
                 down[p] *= o1
         inn[v] = out[v] = down[v] = 0
-    counts = _unpack(o0 + o1 + i0, width)
-    found = sum(counts)
-    if found > total or (found != total and generic not in kinds):
-        raise AssertionError(f"{found} sets counted by size, {total} independent sets")
-    return counts
+    return o + i0
 
 
 #: The memoryview format of each slot width in bytes that one cast reads;
@@ -582,29 +586,28 @@ class CensusReport(NamedTuple):
     polynomials: tuple[Poly, ...]
 
 
-def _generic_size_vector(parent: list[int]) -> list[int]:
-    """c of a unimodal-generic pre-order parent array: colored off its greedy
-    matching and adjacency lists (:func:`_gallai_edmonds`), every red or
-    green vertex generic, counted by :func:`_count_sets_by_size`."""
-    n = len(parent)
+def _generic_size_vectors(
+    n: int, arrays: Iterable[list[int]]
+) -> Iterator[tuple[list[int], int, int]]:
+    """Each unimodal-generic pre-order parent array on n vertices with its
+    packed c and its i(T), as :func:`_carried_size_vectors` yields them:
+    colored off the array (:func:`_parent_roles`), every red or green vertex
+    generic, and folded by :func:`_fold_sets` at the carried width."""
+    shift = 8 * _carried_width(n)
     order = range(n - 1, -1, -1)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        p = parent[v]
-        nbrs[p].append(v)
-        nbrs[v].append(p)
-    colors = _gallai_edmonds(nbrs, _greedy_mates(order, parent))
-    orange, generic = Color.ORANGE, PhiKind.GENERIC
-    kinds = [None if col is orange else generic for col in colors]
-    return _count_sets_by_size(order, parent, colors, kinds)
+    for parent in arrays:
+        role, total = _parent_roles(parent)
+        yield parent, _fold_sets(order, parent, role, shift), total
 
 
-def _unpack_bucket(packed: int, width: int, total: int) -> list[int]:
-    """The size vector of a bucket of carried trees, its slot sum checked
-    against their number i(T) of independent sets."""
+def _unpack_bucket(packed: int, width: int, total: int, generic: bool) -> list[int]:
+    """The size vector of a census bucket, its slot sum checked against the
+    number i(T) of independent sets of its trees: equal, or for a generic
+    bucket at most the least i(T) of its trees."""
     c = _unpack(packed, width)
-    if sum(c) != total:
-        raise AssertionError(f"{sum(c)} sets counted by size, {total} independent sets")
+    found = sum(c)
+    if found > total or (found != total and not generic):
+        raise AssertionError(f"{found} sets counted by size, {total} independent sets")
     return c
 
 
@@ -631,23 +634,21 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     kernel states, which depend on each subtree alone, are carried from one
     kept array to the next: only the positions after the prefix it shares
     with the previous array are folded again (:func:`_carried_size_vectors`).
-    A unimodal-generic tree is colored off its greedy matching and the
-    adjacency lists of its parent array (:func:`_gallai_edmonds`) and
-    counted afresh (:func:`_generic_size_vector`); with dimension 1 it has
-    one red-green component, so every red or green vertex is generic.
+    A unimodal-generic tree is colored off its array in two linear passes
+    and folded afresh (:func:`_generic_size_vectors`); with dimension 1 it
+    has one red-green component, so every red or green vertex is generic.
 
-    Trees are bucketed on their size vector c (:func:`_count_sets_by_size`),
-    which is the same as bucketing on N: within a class n and the versal
-    rank vr (1 for unimodal-versal, 0 otherwise) are fixed, and
+    Trees are bucketed on their size vector c, which is the same as
+    bucketing on N: within a class n and the versal rank vr (1 for
+    unimodal-versal, 0 otherwise) are fixed, and
     c -> N = sum_k c_k (q-1)**(n+vr-2k) q**k is injective: the k-th term has
-    lowest power q**k, so N determines c_0, c_1, ... in turn.  An orange or
-    versal tree's c stays packed, at one slot width for all n-vertex trees,
-    and is bucketed on that integer; each tree's i(T) must equal that of
-    the first tree of its bucket, and each bucket is unpacked once and its
-    slot sum checked against that i(T).  A generic tree's c comes unpacked
-    from the kernel, at a width of its own, and is bucketed as a tuple.
-    All buckets of a class share the exponent n + vr and are weighed into N
-    :data:`_WEIGH_BATCH` at a time, each batch in one pass
+    lowest power q**k, so N determines c_0, c_1, ... in turn.  c is bucketed
+    packed, at one slot width for all n-vertex trees, and each bucket is
+    unpacked once, its slot sum checked against i(T): equal to the i(T) of
+    every tree of an orange or versal bucket, at most the least i(T) of a
+    generic bucket's trees, the kernel's check per tree (equal c, equal
+    slot sums).  The buckets share the exponent n + vr and are weighed into
+    N :data:`_WEIGH_BATCH` at a time, each batch in one pass
     (:func:`_weigh_by_size`).  A bucket holds each tree's parent array as
     bytes, the root's left out, and the trees of buckets holding more than
     one are written as graph6 straight from those (:func:`_graph6`): the
@@ -656,23 +657,22 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     """
     target = 0 if census_class is CensusClass.ORANGE else 1
     versal_rank = 1 if census_class is CensusClass.UNIMODAL_VERSAL else 0
-    walk = _free_tree_parents(n, target)
+    generic = census_class is CensusClass.UNIMODAL_GENERIC
+    sized = _generic_size_vectors if generic else _carried_size_vectors
+    width = _carried_width(n)
     # every parent is below n <= 20, so one byte each; the root's is implied
-    buckets: dict[int | tuple[int, ...], list[bytes]] = {}
-    if census_class is CensusClass.UNIMODAL_GENERIC:
-        for parent in walk:
-            buckets.setdefault(tuple(_generic_size_vector(parent)), []).append(bytes(parent[1:]))
-        vectors: Iterator[Sequence[int]] = iter(buckets)
-    else:
-        width = _carried_width(n)
-        totals: dict[int, int] = {}  # i(T) of the first tree of each bucket
-        for parent, packed, total in _carried_size_vectors(n, walk):
-            if totals.setdefault(packed, total) != total:
-                raise AssertionError(
-                    f"trees of one size vector have {totals[packed]} and {total} independent sets"
-                )
-            buckets.setdefault(packed, []).append(bytes(parent[1:]))
-        vectors = (_unpack_bucket(packed, width, total) for packed, total in totals.items())
+    buckets: dict[int, list[bytes]] = {}
+    totals: dict[int, int] = {}  # i(T) of each bucket: the first, or the least
+    for parent, packed, total in sized(n, _free_tree_parents(n, target)):
+        first = totals.setdefault(packed, total)
+        if generic:
+            totals[packed] = min(first, total)
+        elif first != total:
+            raise AssertionError(
+                f"trees of one size vector have {first} and {total} independent sets"
+            )
+        buckets.setdefault(packed, []).append(bytes(parent[1:]))
+    vectors = (_unpack_bucket(packed, width, total, generic) for packed, total in totals.items())
     polys: list[Poly] = []
     while batch := list(islice(vectors, _WEIGH_BATCH)):
         polys += _weigh_by_size(batch, n + versal_rank)

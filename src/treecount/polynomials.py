@@ -19,10 +19,15 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    """The coefficients as a tuple without trailing zeros: a trimmed tuple
+    comes back as it is, uncopied."""
+    out = tuple(coeffs)
+    if out and not out[-1]:
+        top = len(out) - 1
+        while top >= 0 and not out[top]:
+            top -= 1
+        out = out[: top + 1]
+    return out
 
 
 class Poly:

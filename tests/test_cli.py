@@ -98,6 +98,28 @@ def test_json_reports_reproduce_up_to_timestamp(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    ("edges", "phi", "message"),
+    [
+        # a 6-vertex path is orange: no index names a component
+        ("1 2\n2 3\n3 4\n4 5\n5 6\n", "1=generic", "indexed by vertex 1"),
+        ("0 1\n1 2\n2 3\n3 4\n4 5\n", "0=generic", "indexed by vertex 0"),
+        # two stars, components at input vertices 1 and 5 (1-based), 0 and 4
+        ("1 4\n2 4\n3 4\n4 9\n5 9\n6 9\n7 9\n8 9\n", "1=generic", "indexed by [5]"),
+        ("0 3\n1 3\n2 3\n3 8\n4 8\n5 8\n6 8\n7 8\n", "0=generic", "indexed by [4]"),
+    ],
+    ids=["path-1-based", "path-0-based", "stars-1-based", "stars-0-based"],
+)
+def test_phi_errors_name_vertices_as_the_input_numbers_them(
+    capsys, tmp_path, edges, phi, message
+):
+    path = tmp_path / "edges.txt"
+    path.write_text(edges, encoding="utf-8")
+    for command in (["count"], ["oracle", "--q", "3"], ["verify", "--primes", "3"]):
+        code, out, err = run(capsys, *command, "--edges", str(path), "--phi", phi)
+        assert code == 2 and message in err and out == "", (command, err)
+
+
 def test_mixed_phi_spec(capsys, tmp_path):
     # a 3-leaf star and a 4-leaf star joined center to center:
     # components indexed by smallest vertices 0 and 4
@@ -367,6 +389,23 @@ def test_verify_max_n_reports_each_mismatch(capsys, monkeypatch):
     fails = [line for line in out.splitlines() if line.startswith("FAIL ") and " phi=" in line]
     assert code == 4 and "verification failure" in err
     assert len(fails) == _pair_count(2) and "q=2:mismatch(-1)" in fails[0]
+
+
+def test_verify_max_n_json_failures_keep_stdout_json(capsys, monkeypatch):
+    """Under --json a failing sweep writes its FAIL lines to stderr, so that
+    stdout is the one JSON record, and still exits 4."""
+    import treecount.cli as cli
+
+    def mismatch(t, phi, primes, force=False):
+        return VerifyReport(tuple(PrimeCheck(q, "mismatch", -1, 0) for q in primes))
+
+    monkeypatch.setattr(cli, "verify_polynomial", mismatch)
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--primes", "2", "--json")
+    record = json.loads(out)
+    assert code == 4 and record["verdict"] == f"FAIL ({_pair_count(2)} mismatches)"
+    assert all(c["status"] == "mismatch" for row in record["results"] for c in row["checks"])
+    fails = [line for line in err.splitlines() if line.startswith("FAIL ")]
+    assert len(fails) == _pair_count(2)
 
 
 def test_census_lists_collisions(capsys):

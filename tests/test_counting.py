@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import treecount.counting
 import treecount.polynomials
-from treecount.coloring import _gallai_edmonds, canonical_coloring, dimension
+from treecount.coloring import Color, _parent_roles, canonical_coloring, dimension
 from treecount.counting import (
     CensusClass,
     CensusReport,
@@ -28,6 +28,7 @@ from treecount.counting import (
     _carried_size_vectors,
     _carried_width,
     _count_sets_by_size,
+    _generic_size_vectors,
     _pack,
     _slot_width,
     _unpack,
@@ -630,26 +631,45 @@ def test_census_colors_through_canonical_coloring_in_no_class(
     assert built == []
 
 
-def test_census_colors_equal_canonical_coloring(monkeypatch):
-    """The colors the unimodal-generic census reads off each parent array
-    are those of :func:`canonical_coloring` on the tree, for every tree it
-    keeps with n <= 15."""
-    seen = []
+def test_census_colors_equal_canonical_coloring():
+    """The roles the unimodal-generic census reads off a parent array
+    (:func:`_parent_roles`) are the colors of :func:`canonical_coloring` on
+    the tree, and its i(T) the number of independent sets, for every array
+    of the unpruned walk with n <= 14, every deficiency, and every array the
+    unimodal census keeps with n <= 15."""
+    role_of = {Color.ORANGE: 0, Color.RED: 1, Color.GREEN: 2}
+    arrays = [parent for n in range(1, 15) for parent in _free_tree_parents(n)]
+    kept = [parent for n in range(1, 16) for parent in _free_tree_parents(n, 1)]
+    assert (len(arrays), len(kept)) == (5447, 1 + 1 + 2 + 6 + 20 + 76 + 313 + 1361)
+    for parent in arrays + kept:
+        t = _tree_of(parent)
+        role, total = _parent_roles(parent)
+        assert role == [role_of[c] for c in canonical_coloring(t).colors], parent
+        assert total == sum(independent_set_size_counts(t)), parent
 
-    def recorded(nbrs, mate):
-        colors = _gallai_edmonds(nbrs, mate)
-        edges = tuple((u, v) for u, vs in enumerate(nbrs) for v in vs if u < v)
-        seen.append((len(nbrs), edges, colors))
-        return colors
 
-    monkeypatch.setattr(treecount.counting, "_gallai_edmonds", recorded)
-    for n in range(1, 16):
-        seen.clear()
-        rep = census(n, CensusClass.UNIMODAL_GENERIC)
-        assert len(seen) == rep.tree_count
-        for size, edges, colors in seen:
-            assert size == n
-            assert tuple(colors) == canonical_coloring(Tree(n, edges)).colors
+def test_census_checks_i_of_t_per_generic_bucket(monkeypatch):
+    """A unimodal-generic tree whose i(T) is below the slot sum of its
+    bucket stops the census, whether it opens the bucket or joins it: the
+    bucket keeps the least i(T) of its trees.  census(9, unimodal-generic)
+    has 20 trees in 13 buckets."""
+    width = _carried_width(9)
+
+    def lowered(first):
+        def sized(n, arrays):
+            seen = set()
+            for parent, packed, total in _generic_size_vectors(n, arrays):
+                if (packed in seen) != first:
+                    total = sum(_unpack(packed, width)) - 1
+                seen.add(packed)
+                yield parent, packed, total
+
+        return sized
+
+    for first in (True, False):
+        monkeypatch.setattr(treecount.counting, "_generic_size_vectors", lowered(first))
+        with pytest.raises(AssertionError, match="sets counted by size"):
+            census(9, CensusClass.UNIMODAL_GENERIC)
 
 
 def test_versal_by_independent_sets_examples(figure_tree):

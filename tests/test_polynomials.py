@@ -16,6 +16,10 @@ def test_construction_trims_trailing_zeros():
     assert Poly(()).is_zero
     assert Poly((0,)).degree == -1
     assert bool(Poly()) is False and bool(Q) is True
+    assert Poly([0, 2, 0, 0]).coeffs == (0, 2) and Poly(iter([0, 0])).coeffs == ()
+    # a tuple with no trailing zero is kept, not copied
+    coeffs = (1, 0, 2)
+    assert Poly(coeffs).coeffs is coeffs
 
 
 def test_arithmetic_basics():
