@@ -308,9 +308,8 @@ def _carried_size_vectors(
 ) -> Iterator[tuple[list[int], int, int]]:
     """Each pre-order parent array on n vertices with its size vector c, the
     independence polynomial, packed in slots of :func:`_carried_width`
-    bytes, and its number i(T) of independent sets:
-    :func:`_count_sets_by_size` with no generic vertex, carried from one
-    array to the next.
+    bytes, and its number i(T) of independent sets: :func:`_fold_sets`
+    with no generic vertex, carried from one array to the next.
 
     An array is read from left to right keeping a chain of its open
     vertices, those whose subtree has not ended (the path from the root to
@@ -350,8 +349,8 @@ def _carried_size_vectors(
 
 def _close_deepest(chain: _Fold, count: int, shift: int) -> _Fold:
     """Close the ``count`` deepest open vertices of a chain, folding each
-    into the one below it, its parent, as :func:`_count_sets_by_size` folds
-    a child with no generic vertex."""
+    into the one below it, its parent, as :func:`_fold_sets` folds a child
+    with no generic vertex."""
     for _ in range(count):
         inn, out, wo, wi, (pinn, pout, pwo, pwi, below) = chain
         chain = (pinn * out, pout * (out + (inn << shift)), pwo * (wo + wi), pwi * wo, below)
