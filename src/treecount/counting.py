@@ -623,16 +623,17 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     is asked for the class's deficiency, 0 or 1, and hands out only those
     parent arrays.  It carries the matching of the subtrees already closed
     from one level sequence to the next and skips whole runs of sequences:
-    an unmatched vertex depends only on its parent's subtree, and that
-    subtree is closed at a fixed position of the sequence, so once too many
-    unmatched vertices are closed no later sequence with the same prefix
-    can reach the class (:func:`_free_tree_parents`).  The arrays are
-    numbered in pre-order, so vertices n-1 down to 0 put children first,
-    and trees are counted straight off them.  An orange or all-versal tree
-    excludes no independent set, so it is counted with no coloring, and its
-    kernel states, which depend on each subtree alone, are carried from one
-    kept array to the next: only the positions after the prefix it shares
-    with the previous array are folded again (:func:`_carried_size_vectors`).
+    an unmatched vertex depends only on its parent's subtree, and a vertex
+    is certain to be left unmatched as soon as it closes free beside a free
+    sibling, so once too many such vertices are counted no later sequence
+    with the same prefix can reach the class (:func:`_free_tree_parents`).
+    The arrays are numbered in pre-order, so vertices n-1 down to 0 put
+    children first, and trees are counted straight off them.  An orange or
+    all-versal tree excludes no independent set, so it is counted with no
+    coloring, and its kernel states, which depend on each subtree alone,
+    are carried from one kept array to the next: only the positions after
+    the prefix it shares with the previous array are folded again
+    (:func:`_carried_size_vectors`).
     A unimodal-generic tree is colored off its array in two linear passes
     and folded afresh (:func:`_generic_size_vectors`); with dimension 1 it
     has one red-green component, so every red or green vertex is generic.

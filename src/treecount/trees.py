@@ -396,15 +396,23 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
     and the number of vertices left unmatched so far.  A position at level
     l closes every open vertex at level l or deeper, and the end of the
     sequence closes all of them.  A closing vertex with f > 0 free children
-    is matched to the last of them and leaves the other f - 1 unmatched;
-    one with none is free, for its parent, or unmatched if it is the root.
-    The chain and the count before every position are kept, so a sequence
-    is read again only from the lowest position that a step rewrote.
+    is matched to the last of them and leaves the other f - 1 unmatched.
+    One with none is free for its parent, or unmatched if it is the root.
+    Those f - 1 are counted as they become certain, not when their parent
+    closes: a vertex that closes free while its parent already has a free
+    child adds one unmatched vertex, since the parent can take only one of
+    them.  A closing vertex with free children adds nothing, so the final
+    count is the same.  The chain and the count before every position are
+    kept, so a sequence is read again only from the lowest position that a
+    step rewrote.
 
     Sequences come in decreasing lexicographic order, so a later one that
-    keeps the prefix before a position where a vertex closed keeps that
-    subtree and the vertices it left unmatched.  When more than d vertices
-    are unmatched once the vertices closing at position E are closed, every
+    keeps the prefix before a position E is no deeper at E than this one
+    and closes there at least the same vertices, on the same subtrees.  A
+    child that closed free stays free and an open vertex's count of free
+    children never falls, so every charge made up to E is made again and
+    the running count is a lower bound on the final one.  When more than d
+    vertices are counted once the vertices closing at E are closed, every
     later sequence that keeps the prefix before E has too many.  The walk
     stops reading there and steps at the last position before E whose level
     is not 1, as after a yield, which skips exactly those; level-1 positions
@@ -417,8 +425,8 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
     parent = list(range(-1, n - 1))
     if n > 2:
         parent[n // 2 + 1] = 0  # the second arm of the path hangs from the root
-    # chain_at[k], lost_at[k]: the open vertices and the unmatched count
-    # before position k, valid for every k up to ``read``
+    # chain_at[k], lost_at[k]: the open vertices and the count of vertices
+    # certain to be unmatched before position k, valid for every k up to ``read``
     chain_at: list[_Chain] = [None] * (n + 1)
     lost_at = [0] * (n + 1)
     chain_at[1] = (0, None)
@@ -446,11 +454,14 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
                     for _ in range(levels[k - 1] - (levels[k] if k < n else 0) + 1):
                         f, chain = chain
                         if f:
-                            lost += f - 1  # matched to one free child
-                        elif chain is None:
+                            continue  # matched to one free child
+                        if chain is None:
                             lost += 1  # a free root
                         else:
-                            chain = (chain[0] + 1, chain[1])  # free for its parent
+                            g, rest = chain
+                            if g:
+                                lost += 1  # a free child past the first
+                            chain = (g + 1, rest)  # free for its parent
                     if lost > deficiency or k == n:
                         break
                     k += 1

@@ -20,7 +20,10 @@ For :func:`treecount.trees._free_tree_parents`: the same walk with its
 validity test read off slices of the level sequence on every step (the
 root's second child by :func:`_second_child`, both heights by ``max``),
 O(n) per step.  It pins the order in which the trees, and so the census
-representatives, come out.
+representatives, come out.  Its deficiency prune keeps on purpose the
+older rule, which charges a vertex's extra free children only when the
+vertex closes, so it checks the production walk's earlier charge instead
+of repeating it.
 """
 
 from __future__ import annotations
@@ -518,6 +521,12 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
     one with none is free, for its parent, or unmatched if it is the root.
     The chain and the count before every position are kept, so a sequence
     is read again only from the lowest position that a step rewrote.
+
+    The f - 1 are charged when their parent closes, on purpose: the
+    production walk charges each of them as soon as it closes free beside a
+    free sibling, and skips more sequences for it.  Both rules give the same
+    final count, so the two walks must agree on every array they yield, and
+    this one does not share the rule it checks.
 
     Sequences come in decreasing lexicographic order, so a later one that
     keeps the prefix before a position where a vertex closed keeps that
