@@ -17,7 +17,6 @@ import sys
 from typing import Sequence
 
 from .coloring import (
-    RedGreenPartition,
     SizeGuardError,
     all_maximum_matchings,
     canonical_coloring,
@@ -27,17 +26,15 @@ from .coloring import (
 from .counting import (
     CensusClass,
     PhiError,
-    PhiKind,
     _count_resolved,
     _count_sets_by_size,
     all_phi_assignments,
     census,
-    resolve_phi,
     resolve_tree_phi,
 )
 from .families import family_tree
 from .fqoracle import ConstancyError, FqContext, GuardError, count_points, verify_polynomial
-from .groupoid import CoefficientState, normalize_to_matching, rank_profile
+from .groupoid import CoefficientState, normalize_to_matching
 from .matchings import admissible_sets, independent_sets, maximum_matching
 from .polynomials import Poly, format_poly
 from .trees import (
@@ -144,15 +141,13 @@ def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
 def _input_phi(t: Tree, text: str | None, offset: int):
     """The ``--phi`` of ``t``.  A per-component mapping is resolved here,
     against components indexed by their smallest vertex as the input
-    numbers it, so that its errors name the vertices the user wrote."""
+    numbers it, so that its errors name the vertices the user wrote, and
+    handed on numbered from 0."""
     spec = phi_spec_parse(text)
-    if not isinstance(spec, dict):
-        return spec
-    numbered = (
-        comp._replace(vertices=tuple(v + offset for v in comp.vertices))
-        for comp in red_green_components(t, canonical_coloring(t))
-    )
-    return resolve_phi(RedGreenPartition(numbered), spec)
+    if isinstance(spec, dict):
+        resolve_tree_phi(t, spec, offset)
+        spec = {key - offset: val for key, val in spec.items()}
+    return spec
 
 
 def _shift_pairs(pairs, offset: int) -> list[list[int]]:
@@ -218,7 +213,7 @@ def _run_sets(args) -> int:
         rec["maximum_matchings"] = [_shift_pairs(m, off) for m in all_maximum_matchings(t)]
     if args.independent and args.count_only:
         # with no generic vertex the size vector is the independence polynomial
-        sizes = _count_sets_by_size(t.order, t.parent, None, (None,) * t.n)
+        sizes = _count_sets_by_size(t.order, t.parent)
         rec["independent_sets"], rec["maximum_independent_sets"] = sum(sizes), sizes[-1]
     elif args.independent:
         rec["independent_sets"] = [sorted(x + off for x in s) for s in independent_sets(t)]
@@ -265,9 +260,8 @@ def _run_normalize(args) -> int:
 
 def _run_count(args) -> int:
     t, off = _load_tree(args)
-    resolved = resolve_tree_phi(t, _input_phi(t, args.phi, off))
-    generic = [k is PhiKind.GENERIC for k in resolved.assignment.kinds]
-    rank = rank_profile(resolved.partition, generic).rank
+    resolved = resolve_tree_phi(t, phi_spec_parse(args.phi), off)
+    rank = dimension(t) - resolved.versal_rank
     poly = _count_resolved(t, resolved)
     rec = {"coeffs": list(poly.coeffs), "degree": poly.degree, "rank": rank}
     text = format_poly(poly)

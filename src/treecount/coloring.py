@@ -1,17 +1,19 @@
 """The canonical red-orange-green coloring of trees and its invariants.
 
-The production path reads the coloring off one maximum matching, the greedy
-leaf-up matching ``t.mate`` that every tree carries, by the Gallai-Edmonds
-decomposition; the census reads it off the pre-order parent arrays of the
-free-tree walk in two linear passes, with no adjacency lists and no
-matching (:func:`_parent_roles`).  Two independent exponential oracles live
-here too, a minimum-vertex-cover one and a maximum-matching one, both
-self-contained so they share no code with what they check (the recoloring
-fixpoint is a third, in the test suite's ``tests/oracles.py``).  On top of
-the coloring sit the red-green components, found in linear passes over the
-tree's adjacency, and the dimension invariant r(T) - g(T), which also
-equals the adjacency-matrix nullity and the number of vertices missed by
-any maximum matching.
+One production path computes the coloring, for a :class:`Tree` and for the
+census's parent arrays alike: two linear passes over a children-first
+vertex order and a parent array, with no adjacency lists and no matching,
+give every vertex's role and the number i(T) of independent sets
+(:func:`_parent_roles`), and one more pass over the same order labels the
+red-green components (:func:`_label_components`).  The count reads those
+integers straight; :func:`canonical_coloring` and
+:func:`red_green_components` dress them as colors, dominoes and component
+records.  Two independent exponential oracles live here too, a
+minimum-vertex-cover one and a maximum-matching one, both self-contained so
+they share no code with what they check (the recoloring fixpoint is a
+third, in the test suite's ``tests/oracles.py``).  The dimension invariant
+r(T) - g(T) also equals the adjacency-matrix nullity and the number of
+vertices missed by any maximum matching.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ class Color(enum.Enum):
 
 ORACLE_MAX_VERTICES = 20
 
+#: The color of each role of :func:`_parent_roles`, and the role of each color.
+_COLORS = (Color.ORANGE, Color.RED, Color.GREEN)
+_ROLES = {color: role for role, color in enumerate(_COLORS)}
+
 
 class Coloring(NamedTuple):
     """Per-vertex colors plus the forced orange dominoes."""
@@ -39,38 +45,12 @@ class Coloring(NamedTuple):
     dominoes: frozenset[Edge]
 
 
-def _gallai_edmonds(nbrs: Sequence[Sequence[int]], mate: Sequence[int]) -> list[Color]:
-    """Colors of the tree with adjacency lists ``nbrs``, read off any maximum
-    matching ``mate`` by the Gallai-Edmonds decomposition.
-
-    Red vertices are those an even alternating path reaches from an
-    unmatched vertex, which are the vertices some maximum matching misses;
-    green vertices are their neighbours; the rest are orange, and every
-    maximum matching pairs them among themselves.  A green vertex is always
-    matched, or the path reaching it would augment the matching, and the
-    path goes on to its mate; a tree is bipartite, so no vertex is reached
-    both at even and at odd distance.  The colors do not depend on the order
-    of the lists.
-    """
-    orange, green, red = Color.ORANGE, Color.GREEN, Color.RED
-    colors = [orange] * len(mate)
-    stack = [v for v, m in enumerate(mate) if m < 0]
-    for v in stack:
-        colors[v] = red
-    while stack:
-        for y in nbrs[stack.pop()]:
-            if colors[y] is orange:
-                colors[y] = green
-                z = mate[y]
-                colors[z] = red
-                stack.append(z)
-    return colors
-
-
-def _parent_roles(parent: Sequence[int]) -> tuple[list[int], int]:
-    """The colors of the tree with pre-order parent array ``parent`` (-1 at
-    the root, every other parent below its child) as roles, 0 orange, 1 red
-    and 2 green, and the tree's number i(T) of independent sets.
+def _parent_roles(order: Sequence[int], parent: Sequence[int]) -> tuple[list[int], int]:
+    """The colors of the tree with parent array ``parent`` (-1 at the root)
+    as roles, 0 orange, 1 red and 2 green, and the tree's number i(T) of
+    independent sets.  ``order`` lists the vertices children first, the
+    root last: a tree's ``t.order``, or n - 1 down to 0 for a pre-order
+    array.
 
     Two linear passes, with no adjacency lists and no matching.  Call v
     exposed when some maximum matching of its subtree misses it, which is
@@ -81,26 +61,27 @@ def _parent_roles(parent: Sequence[int]) -> tuple[list[int], int]:
     none but v; then ``up[v]`` counts p too, and so counts v's neighbours
     exposed on their side of v.  A maximum matching of the tree misses v
     exactly when that count is 0, or else one of v and such a neighbour
-    could always be matched to the other; those are the reds
-    (:func:`_gallai_edmonds`), and their neighbours are green.  A red makes
-    its parent green.  A child c of a red v is not exposed, v being so, so
-    c has an exposed child w; as ``up[c]`` counts v and w, w is red and
-    makes c green.
+    could always be matched to the other; those are the reds, the vertices
+    some maximum matching misses (Gallai-Edmonds), and their neighbours are
+    green.  A red makes its parent green.  A child c of a red v is not
+    exposed, v being so, so c has an exposed child w; as ``up[c]`` counts v
+    and w, w is red and makes c green.
     """
     n = len(parent)
     up = [0] * n
     without, with_ = [1] * n, [1] * n
-    for v in range(n - 1, 0, -1):
+    for v in order[:-1]:
         p = parent[v]
         wo = without[v]
         if not up[v]:
             up[p] += 1
         without[p] *= wo + with_[v]
         with_[p] *= wo
+    root = order[-1]
     role = [0] * n
-    if not up[0]:
-        role[0] = 1
-    for v in range(1, n):
+    if not up[root]:
+        role[root] = 1
+    for v in order[-2::-1]:
         p = parent[v]
         free = not up[v]  # exposed in its own subtree
         if up[p] == free:
@@ -108,24 +89,70 @@ def _parent_roles(parent: Sequence[int]) -> tuple[list[int], int]:
         elif free:
             role[v] = 1
             role[p] = 2
-    return role, without[0] + with_[0]
+    return role, without[root] + with_[root]
+
+
+def _label_components(
+    order: Sequence[int], parent: Sequence[int], role: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """The red-green components of the tree of :func:`_parent_roles`: each
+    vertex's component (-1 at a vertex of role 0), and each component's
+    smallest vertex and dimension r - g.
+
+    A tree's edges are its parent edges, so one pass with parents first
+    labels them: a red or green vertex joins its parent's component when
+    the two hold roles 1 and 2, and opens a component otherwise.  So the
+    components are numbered in the order the pass reaches them, which is
+    not in general the order of their smallest vertex; whoever needs that
+    order sorts them, the count does not.  A 1-vertex tree is a single
+    all-red component.  Checked: every green meets at least two red-green
+    edges, so a component has only red leaves, and when n > 1 every red
+    meets one.
+    """
+    n = len(parent)
+    label = [-1] * n
+    degree = [0] * n  # red-green edges at each vertex
+    low: list[int] = []
+    dim: list[int] = []
+    for v in reversed(order):
+        r = role[v]
+        if not r:
+            continue
+        p = parent[v]
+        if p >= 0 and role[p] + r == 3:
+            c = label[p]
+            degree[p] += 1
+            degree[v] += 1
+            if v < low[c]:
+                low[c] = v
+        else:
+            c = len(low)
+            low.append(v)
+            dim.append(0)
+        label[v] = c
+        dim[c] += 3 - 2 * r  # +1 for a red, -1 for a green
+    need = (0, 1 if n > 1 else 0, 2)  # red-green edges each role needs
+    for r, d in zip(role, degree):
+        if d < need[r]:
+            if r == 2:
+                raise AssertionError("green leaf in a red-green component")
+            raise AssertionError("red vertex missing from all components")
+    return label, low, dim
 
 
 def canonical_coloring(t: Tree) -> Coloring:
-    """Compute the canonical coloring from one maximum matching.
+    """Compute the canonical coloring off the tree's rooting.
 
-    The tree's greedy leaf-up matching ``t.mate`` gives the colors by
-    Gallai-Edmonds (:func:`_gallai_edmonds`).  The dominoes are its edges
-    with both ends orange: the orange vertices span a forest with a perfect
-    matching, and a forest has at most one.
+    The colors are the roles of :func:`_parent_roles`.  The dominoes are the
+    edges of the greedy leaf-up matching ``t.mate`` with both ends orange:
+    the orange vertices span a forest with a perfect matching, and a forest
+    has at most one.
     """
-    mate = t.mate
-    colors = _gallai_edmonds(t.neighbors, mate)
-    orange = Color.ORANGE
+    role, _ = _parent_roles(t.order, t.parent)
     dominoes = frozenset(
-        (v, m) for v, m in enumerate(mate) if v < m and colors[v] is orange
+        (v, m) for v, m in enumerate(t.mate) if v < m and not role[v]
     )
-    return Coloring(tuple(colors), dominoes)
+    return Coloring(tuple([_COLORS[r] for r in role]), dominoes)
 
 
 # ---------------------------------------------------------------------------
@@ -264,63 +291,40 @@ def red_green_components(t: Tree, c: Coloring) -> RedGreenPartition:
     Orange vertices belong to no component.  A 1-vertex tree is a single
     all-red component.  Components come in order of their smallest vertex;
     each one lists its vertices, reds and greens in increasing order and its
-    edges in the order of ``t.edges``.
-
-    Three linear passes: a search over ``t.neighbors`` that follows
-    red-green edges only labels the components, one pass over ``t.edges``
-    fills in their edges and counts each vertex's red-green degree, and one
-    over the vertices fills in their vertices, reds and greens.  Orange
-    vertices are never labelled, so no component holds one.  Checked: every
-    green meets at least two red-green edges, so a component has only red
-    leaves, and when n > 1 every red meets one.
+    edges in the order of ``t.edges``.  They are labelled off the tree's
+    rooting by :func:`_label_components`, with its checks, and filled by
+    :func:`_fill_components`.
     """
-    colors = c.colors
-    nbrs = t.neighbors
-    n = t.n
-    orange, red, green = Color.ORANGE, Color.RED, Color.GREEN
-    label = [-1] * n
-    count = 0
-    for start in range(n):
-        if label[start] >= 0 or colors[start] is orange:
-            continue
-        label[start] = count
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            other = green if colors[x] is red else red
-            for y in nbrs[x]:
-                if label[y] < 0 and colors[y] is other:
-                    label[y] = count
-                    stack.append(y)
-        count += 1
-    edges: list[list[Edge]] = [[] for _ in range(count)]
-    degree = [0] * n
-    for e in t.edges:
+    role = [_ROLES[x] for x in c.colors]
+    label, low, _ = _label_components(t.order, t.parent, role)
+    # a component's vertices start with its smallest one, which no other holds
+    return RedGreenPartition(sorted(_fill_components(t.edges, role, label, len(low))))
+
+
+def _fill_components(
+    edges: Sequence[Edge], role: Sequence[int], label: Sequence[int], count: int
+) -> list[RedGreenComponent]:
+    """The ``count`` components of :func:`_label_components`, filled by one
+    pass over ``edges`` and one over the vertices.  Only vertices of nonzero
+    role are filled in, so a component whose roles are masked to 0 comes
+    out empty."""
+    comp_edges: list[list[Edge]] = [[] for _ in range(count)]
+    for e in edges:
         u, v = e
-        cu, cv = colors[u], colors[v]
-        if cu is not cv and cu is not orange and cv is not orange:
-            edges[label[u]].append(e)
-            degree[u] += 1
-            degree[v] += 1
+        if role[u] + role[v] == 3:
+            comp_edges[label[u]].append(e)
     vertices: list[list[int]] = [[] for _ in range(count)]
     reds: list[list[int]] = [[] for _ in range(count)]
     greens: list[list[int]] = [[] for _ in range(count)]
-    for v, i in enumerate(label):
-        if i < 0:
-            continue
-        vertices[i].append(v)
-        if colors[v] is red:
-            if not degree[v] and n > 1:
-                raise AssertionError("red vertex missing from all components")
-            reds[i].append(v)
-        else:
-            if degree[v] < 2:
-                raise AssertionError("green leaf in a red-green component")
-            greens[i].append(v)
-    return RedGreenPartition(
+    for v, r in enumerate(role):
+        if r:
+            i = label[v]
+            vertices[i].append(v)
+            (reds if r == 1 else greens)[i].append(v)
+    return [
         RedGreenComponent(tuple(vs), tuple(es), tuple(rs), tuple(gs))
-        for vs, es, rs, gs in zip(vertices, edges, reds, greens)
-    )
+        for vs, es, rs, gs in zip(vertices, comp_edges, reds, greens)
+    ]
 
 
 def dimension(t: Tree) -> int:

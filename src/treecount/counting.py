@@ -3,26 +3,31 @@
 The production path, :func:`count_polynomial`, counts by size the
 independent sets that contain no admissible set of a generic component, in
 one bottom-up pass, and weighs each size by a power of (q-1) times a power of
-q.  The pass packs each polynomial in the set size into one Python integer,
-one fixed-width slot per size (Kronecker substitution), so that a product of
+q.  Before it, φ is resolved off the tree's rooting as plain integers
+(:func:`resolve_tree_phi`): the coloring's role pass gives every vertex's
+role and the total number i(T) of independent sets, one more pass labels
+the red-green components, and the spec picks a kind per component; no
+:class:`~treecount.coloring.Coloring` or component record is built.  The
+pass packs each polynomial in the set size into one Python integer, one
+fixed-width slot per size (Kronecker substitution), so that a product of
 polynomials is a single big-integer product.  Every slot counts independent
-sets of the tree, so a slot one bit wider than the total number i(T) of
-independent sets needs can never carry into the next; i(T) comes from a
-scalar pass first.  The weighing of size vectors into N(q) is packed the
+sets of the tree, so a slot one bit wider than i(T) needs can never carry
+into the next.  The weighing of size vectors into N(q) is packed the
 same way: N is evaluated at q = 2**s as one integer, by Horner steps of
 shifts and additions, and its signed coefficients are read back from s-bit
 slots; many vectors with one exponent are weighed in one such pass, side by
 side (:func:`_weigh_by_size`).  Slots of 1, 2, 4 or 8 bytes are read in one
 memoryview cast (:func:`_unpack`).
 
-The pass takes a children-first vertex order and a parent array, not a
-:class:`Tree`, and reads colors only at generic vertices.  A tree hands it
-its own rooting at 0 (``t.order``, ``t.parent``); the coincidence census
-counts every tree straight off the parent arrays of the free-tree walk and
-buckets it on its size vector packed at one slot width, unpacking each
-bucket once.  It carries the pass's states of closed subtrees from one
-orange or unimodal-versal array to the next, and colors the
-unimodal-generic ones off their arrays.
+The pass, like the role pass, takes a children-first vertex order and a
+parent array, not a :class:`Tree`, and reads the roles of the generic
+vertices only.  A tree hands both its own rooting at 0 (``t.order``,
+``t.parent``); the coincidence census counts every tree straight off the
+parent arrays of the free-tree walk and buckets it on its size vector
+packed at one slot width, unpacking each bucket once.  It carries the
+pass's states of closed subtrees from one orange or unimodal-versal array
+to the next, and colors the unimodal-generic ones off their arrays by the
+same role pass.
 
 Also here: closed forms for the linear, D- and E-shaped families (checked
 by exact division), the all-versal independent-set formula and the
@@ -39,15 +44,7 @@ import sys
 from itertools import islice, zip_longest
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
 
-from .coloring import (
-    Color,
-    Coloring,
-    RedGreenPartition,
-    _parent_roles,
-    canonical_coloring,
-    dimension,
-    red_green_components,
-)
+from .coloring import RedGreenPartition, _label_components, _parent_roles, dimension
 from .matchings import independent_set_size_counts
 from .polynomials import Poly, Q
 from .trees import Tree, _free_tree_parents, _graph6
@@ -72,67 +69,79 @@ class PhiAssignment(NamedTuple):
 PhiSpec: TypeAlias = "str | PhiKind | Mapping[int, str | PhiKind] | PhiAssignment | None"
 
 
+#: Each kind under its value and under itself: a dict lookup, where calling
+#: the enum would run the Python code of its constructor.
+_KINDS = {**{k.value: k for k in PhiKind}, **{k: k for k in PhiKind}}
+
+
 def _kind(value: str | PhiKind) -> PhiKind:
-    if isinstance(value, PhiKind):
-        return value
     try:
-        return PhiKind(value)
-    except ValueError:
+        return _KINDS[value]
+    except (KeyError, TypeError):  # TypeError: unhashable
         raise PhiError(f"phi must be generic or versal, got {value!r}") from None
 
 
-def resolve_phi(partition: RedGreenPartition, spec: PhiSpec) -> PhiAssignment:
-    """Resolve a user-facing choice spec against the actual components.
+class ResolvedPhi(NamedTuple):
+    """A choice spec resolved against one tree, its red-green components
+    numbered as :func:`_label_components` reaches them."""
+
+    role: list[int]  # 1 at generic reds, 2 at generic greens, 0 elsewhere
+    total: int  # i(T), the number of independent sets
+    versal_rank: int  # summed dimension of the versal components
+    kinds: tuple[PhiKind, ...]  # one per component
+    label: list[int]  # each vertex's component, -1 on orange
+
+
+def resolve_tree_phi(t: Tree, spec: PhiSpec, offset: int = 0) -> ResolvedPhi:
+    """Color ``t`` off its rooting, label its red-green components and
+    resolve ``spec`` to one choice per component.
 
     Accepts a uniform kind (string or :class:`PhiKind`), a mapping keyed by
-    the smallest vertex of each component, an already-built assignment, or
-    ``None`` for trees without components.
+    the smallest vertex of each component, an assignment listing the kinds
+    in order of the components' smallest vertices, or ``None`` for trees
+    without components.  A mapping's keys are the smallest vertices plus
+    ``offset``, as an input numbered from ``offset`` names them, and so are
+    the vertices its errors name.  The roles of the versal components are
+    masked to 0, so the count reads the generic vertices off ``role`` alone.
+    The spec is resolved here, with no helper: the count runs this once per
+    tree, on code that has not run yet, where every call costs.
     """
-    if isinstance(spec, PhiAssignment):
-        if len(spec.kinds) != len(partition):
-            raise PhiError("assignment length does not match the components")
-        return spec
-    if spec is None:
-        if len(partition):
-            raise PhiError("tree has red-green components, a phi choice is required")
-        return PhiAssignment(())
+    role, total = _parent_roles(t.order, t.parent)
+    label, low, dims = _label_components(t.order, t.parent, role)
+    if offset:
+        low = [m + offset for m in low]
     if isinstance(spec, (str, PhiKind)):
-        kind = _kind(spec)
-        return PhiAssignment(tuple(kind for _ in partition))
-    if not isinstance(spec, Mapping):
+        kinds = (_kind(spec),) * len(low)
+    elif isinstance(spec, (dict, Mapping)):  # a dict skips the ABC's check
+        by_min = dict(zip(low, range(len(low))))
+        found: list[PhiKind | None] = [None] * len(low)
+        for key, val in spec.items():
+            if key not in by_min:
+                raise PhiError(f"no red-green component is indexed by vertex {key}")
+            found[by_min[key]] = _kind(val)
+        if None in found:
+            missing = sorted(m for m, k in zip(low, found) if k is None)
+            raise PhiError(f"phi missing for components indexed by {missing}")
+        kinds = tuple(found)  # type: ignore[arg-type]
+    elif isinstance(spec, PhiAssignment):
+        if len(spec.kinds) != len(low):
+            raise PhiError("assignment length does not match the components")
+        found = [None] * len(low)
+        for kind, c in zip(spec.kinds, sorted(range(len(low)), key=low.__getitem__)):
+            found[c] = kind
+        kinds = tuple(found)  # type: ignore[arg-type]
+    elif spec is None:
+        if low:
+            raise PhiError("tree has red-green components, a phi choice is required")
+        kinds = ()
+    else:
         raise PhiError(f"phi must be a kind or a mapping of kinds, got {spec!r}")
-    by_min = {comp.min_vertex: i for i, comp in enumerate(partition)}
-    kinds: list[PhiKind | None] = [None] * len(partition)
-    for key, val in spec.items():
-        if key not in by_min:
-            raise PhiError(f"no red-green component is indexed by vertex {key}")
-        kinds[by_min[key]] = _kind(val)
-    missing = [comp.min_vertex for comp, k in zip(partition, kinds) if k is None]
-    if missing:
-        raise PhiError(f"phi missing for components indexed by {missing}")
-    return PhiAssignment(tuple(kinds))  # type: ignore[arg-type]
-
-
-class ResolvedPhi(NamedTuple):
-    """A choice spec resolved against one tree."""
-
-    coloring: Coloring
-    partition: RedGreenPartition
-    assignment: PhiAssignment
-    kinds: tuple[PhiKind | None, ...]
-
-
-def resolve_tree_phi(t: Tree, spec: PhiSpec) -> ResolvedPhi:
-    """Color ``t``, split it into red-green components and resolve ``spec``
-    to one choice per component and per vertex (None on orange)."""
-    coloring = canonical_coloring(t)
-    partition = red_green_components(t, coloring)
-    assignment = resolve_phi(partition, spec)
-    kinds: list[PhiKind | None] = [None] * t.n
-    for comp, kind in zip(partition, assignment.kinds):
-        for v in comp.vertices:
-            kinds[v] = kind
-    return ResolvedPhi(coloring, partition, assignment, tuple(kinds))
+    generic = [k is PhiKind.GENERIC for k in kinds]
+    if not all(generic):
+        # an orange vertex has role 0 whatever generic[-1] says
+        role = [r if generic[c] else 0 for r, c in zip(role, label)]
+    versal_rank = sum([d for d, g in zip(dims, generic) if not g])
+    return ResolvedPhi(role, total, versal_rank, kinds, label)
 
 
 def all_phi_assignments(partition: RedGreenPartition) -> list[PhiAssignment]:
@@ -154,37 +163,31 @@ def all_phi_assignments(partition: RedGreenPartition) -> list[PhiAssignment]:
 def _count_sets_by_size(
     order: Sequence[int],
     parent: Sequence[int],
-    colors: Sequence[Color] | None,
-    kinds: Sequence[PhiKind | None],
+    role: Sequence[int] | None = None,
+    total: int | None = None,
 ) -> list[int]:
     """``c[k]``: independent sets S with |S| = k that contain no admissible
     set of a generic component.
 
     The tree is given by ``parent`` (-1 at the root) and ``order``, its
-    vertices children first with the root last.  ``colors`` is read only at
-    generic vertices, so it may be ``None`` when none is.  A scalar pass
-    finds the number i(T) of independent sets, which sizes the slots of
-    :func:`_fold_sets`: bit_length(i(T)) + 1, a spare bit, rounded up to
-    whole bytes so that the root unpacks by whole-byte slots
+    vertices children first with the root last.  ``role`` is 1 at generic
+    reds, 2 at generic greens and 0 elsewhere (:func:`resolve_tree_phi`),
+    ``None`` when no vertex is generic.  ``total`` is the tree's number
+    i(T) of independent sets, which the role pass of the coloring finds
+    (:func:`_parent_roles`, run here when ``total`` is not given).  It sizes
+    the slots of :func:`_fold_sets`: bit_length(i(T)) + 1, a spare bit,
+    rounded up to whole bytes so that the root unpacks by whole-byte slots
     (:func:`_unpack`).  The slot sums are checked against i(T): equal when
     no vertex is generic, at most i(T) otherwise.
     """
-    n = len(parent)
-    generic, green = PhiKind.GENERIC, Color.GREEN
-    # 0: neither, 1: generic red, 2: generic green
-    role = [0 if k is not generic else 2 if colors[v] is green else 1 for v, k in enumerate(kinds)]
-    # i(T): per vertex, the independent sets below it without / with it
-    without, with_ = [1] * n, [1] * n
-    for v in order[:-1]:
-        p = parent[v]
-        without[p] *= without[v] + with_[v]
-        with_[p] *= without[v]
-    root = order[-1]
-    total = without[root] + with_[root]
+    if total is None:
+        total = _parent_roles(order, parent)[1]
+    if role is None:
+        role = [0] * len(parent)
     width = (total.bit_length() + 8) // 8  # bytes per slot
     counts = _unpack(_fold_sets(order, parent, role, 8 * width), width)
     found = sum(counts)
-    if found > total or (found != total and generic not in kinds):
+    if found > total or (found != total and not any(role)):
         raise AssertionError(f"{found} sets counted by size, {total} independent sets")
     return counts
 
@@ -442,14 +445,8 @@ def count_polynomial(t: Tree, phi: PhiSpec = None) -> Poly:
 
 def _count_resolved(t: Tree, resolved: ResolvedPhi) -> Poly:
     """:func:`count_polynomial` for a choice already resolved against ``t``."""
-    versal_rank = sum(
-        comp.dimension
-        for comp, kind in zip(resolved.partition, resolved.assignment.kinds)
-        if kind is PhiKind.VERSAL
-    )
-    colors = resolved.coloring.colors
-    counts = _count_sets_by_size(t.order, t.parent, colors, resolved.kinds)
-    return _weigh_by_size([counts], t.n + versal_rank)[0]
+    counts = _count_sets_by_size(t.order, t.parent, resolved.role, resolved.total)
+    return _weigh_by_size([counts], t.n + resolved.versal_rank)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +590,9 @@ def _generic_size_vectors(
     colored off the array (:func:`_parent_roles`), every red or green vertex
     generic, and folded by :func:`_fold_sets` at the carried width."""
     shift = 8 * _carried_width(n)
-    order = range(n - 1, -1, -1)
+    order = tuple(range(n - 1, -1, -1))  # a tuple slices and iterates faster
     for parent in arrays:
-        role, total = _parent_roles(parent)
+        role, total = _parent_roles(order, parent)
         yield parent, _fold_sets(order, parent, role, shift), total
 
 

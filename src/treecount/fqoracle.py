@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Collection, Iterator, NamedTuple, Sequence
 
-from .coloring import Color
+from .coloring import _fill_components
 from .counting import PhiKind, PhiSpec, ResolvedPhi, _count_resolved, resolve_tree_phi
 from .groupoid import GenericityPattern, genericity_patterns
 from .trees import Tree
@@ -273,11 +273,11 @@ def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) ->
     The budgets are checked at every q in ``primes`` first: the patterns
     walk every subset of each generic component's reds, which alone can
     take longer than the work budget allows."""
-    coloring, partition, assignment, kinds = resolved
+    role, label, kinds = resolved.role, resolved.label, resolved.kinds
     free = [v for v, m in enumerate(t.mate) if m < 0]
-    if any(coloring.colors[v] is not Color.RED for v in free):
+    if any(label[v] < 0 or role[v] == 2 for v in free):
         raise AssertionError("a non-red vertex escaped the maximum matching")
-    versal = tuple(v for v in free if kinds[v] is PhiKind.VERSAL)
+    versal = tuple(v for v in free if kinds[label[v]] is PhiKind.VERSAL)
     for q in primes:
         _check_budget(t.n, len(versal), q, force)
     # a free leaf is anchored at its neighbor, which is covered and in its
@@ -285,12 +285,12 @@ def _plan(t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool) ->
     anchor = [nb[0] if len(nb) == 1 else v for v, nb in enumerate(t.neighbors)]
     generic: list[int] = []
     patterns: list[GenericityPattern] = []
-    for comp, kind in zip(partition, assignment.kinds):
-        if kind is PhiKind.GENERIC:
-            generic += sorted(
-                (v for v in comp.reds if t.mate[v] < 0), key=anchor.__getitem__
-            )
-            patterns += genericity_patterns(comp)
+    # the roles of the versal components are masked, so only the generic
+    # ones are filled in; they go in order of their smallest vertex
+    components = _fill_components(t.edges, role, label, len(kinds))
+    for comp in sorted(c for c, k in zip(components, kinds) if k is PhiKind.GENERIC):
+        generic += sorted((v for v in comp.reds if t.mate[v] < 0), key=anchor.__getitem__)
+        patterns += genericity_patterns(comp)
     tied = frozenset(
         i for i in range(1, len(generic)) if anchor[generic[i]] == anchor[generic[i - 1]]
     )

@@ -2,7 +2,7 @@
 
 The combinatorial substrate under the variety constructions: the greedy
 maximum matching of a tree (the mate array of :mod:`treecount.trees`,
-which also gives the coloring and the dimension), the independent sets,
+which also gives the orange dominoes and the dimension), the independent sets,
 and the admissible sets of red vertices that carry the genericity
 condition, with their canonical signs and shared-green blocks.  vc(T) and
 the independent sets counted by size check the counting kernel, each by

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import pytest
 
-from treecount.coloring import canonical_coloring, red_green_components
+from treecount.coloring import _parent_roles, canonical_coloring, red_green_components
 from treecount.trees import Tree, enumerate_free_trees
 
 
@@ -75,4 +75,22 @@ def coloring_calls(monkeypatch) -> list[int]:
             vars(mod).get("canonical_coloring") is canonical_coloring
         ):
             monkeypatch.setattr(mod, "canonical_coloring", counted)
+    return calls
+
+
+@pytest.fixture
+def role_passes(monkeypatch) -> list[int]:
+    """Records the size of every tree whose roles and i(T) are computed
+    (:func:`_parent_roles`) through any treecount module that bound it."""
+    calls: list[int] = []
+
+    def counted(order, parent):
+        calls.append(len(parent))
+        return _parent_roles(order, parent)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("treecount") and (
+            vars(mod).get("_parent_roles") is _parent_roles
+        ):
+            monkeypatch.setattr(mod, "_parent_roles", counted)
     return calls

@@ -245,7 +245,9 @@ class CountEngine:
         self.rng = rng
 
     def count(self, t: Tree, phi: PhiSpec) -> Poly:
-        return self.tree_poly(t, resolve_tree_phi(t, phi).kinds)
+        resolved = resolve_tree_phi(t, phi)
+        kinds = tuple(resolved.kinds[c] if c >= 0 else None for c in resolved.label)
+        return self.tree_poly(t, kinds)
 
     def tree_poly(self, t: Tree, kinds: VertexKinds) -> Poly:
         key = canonical_key(t, [_KIND_LABEL[k] for k in kinds])

@@ -80,12 +80,16 @@ def test_count_factored_and_json(capsys):
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
-def test_count_colors_once(capsys, coloring_calls):
-    code, out, _ = run(
-        capsys, "count", "--family", "D", "--n", "6", "--phi", "generic", "--json"
-    )
-    assert code == 0 and json.loads(out)["rank"] == 2
-    assert coloring_calls == [6]
+def test_count_colors_once(capsys, coloring_calls, role_passes):
+    """``count`` resolves phi once, a per-component mapping too, off one
+    role pass, and builds no :class:`Coloring`."""
+    for phi in ("generic", "0=generic"):
+        code, out, _ = run(
+            capsys, "count", "--family", "D", "--n", "6", "--phi", phi, "--json"
+        )
+        assert code == 0 and json.loads(out)["rank"] == 2
+    assert role_passes == [6, 6]
+    assert coloring_calls == []
 
 
 def test_json_reports_reproduce_up_to_timestamp(capsys):

@@ -12,6 +12,8 @@ from treecount.coloring import (
     Color,
     Coloring,
     SizeGuardError,
+    _label_components,
+    _parent_roles,
     adjacency_nullity,
     all_maximum_matchings,
     canonical_coloring,
@@ -22,12 +24,27 @@ from treecount.coloring import (
     red_green_components,
 )
 from treecount.families import linear_tree, star_tree
+from treecount.matchings import independent_set_size_counts
 from treecount.trees import Tree, enumerate_free_trees
 from conftest import colored, trees_up_to
 from oracles import coloring_by_fixpoint, remove_vertices
-from test_trees import random_tree, seeded_prufer_tree
+from test_trees import random_tree, relabel, seeded_prufer_tree
 
 R, O, G = Color.RED, Color.ORANGE, Color.GREEN
+ROLE_OF = {O: 0, R: 1, G: 2}
+
+
+def relabelled_prufer_trees() -> list[Tree]:
+    """Seeded Prüfer trees with 3 <= n <= 200, each relabelled by a seeded
+    permutation, so that its rooting is not a pre-order."""
+    rng = random.Random(2014)
+    out = []
+    for n in range(3, 201, 7):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(relabel(seeded_prufer_tree(n, n), perm))
+    assert all(t.order != tuple(range(t.n - 1, -1, -1)) for t in out)
+    return out
 
 
 def check_local_description(t: Tree, c: Coloring) -> None:
@@ -122,11 +139,26 @@ def test_order_independence():
             assert coloring_by_fixpoint(t, rng=rng) == base
 
 
-def test_gallai_edmonds_equals_the_fixpoint():
-    """Colors and dominoes read off the greedy matching equal the recoloring
-    fixpoint, which never looks at a matching: on every free tree with
-    n <= 16, on random trees past a thousand vertices, a wide star and a
-    long path."""
+def test_parent_roles_equal_the_fixpoint():
+    """The roles read off a tree's own rooting (:func:`_parent_roles` on
+    ``t.order`` and ``t.parent``) are the colors of the recoloring fixpoint,
+    which never looks at a matching, and its i(T) the number of independent
+    sets: on every free tree with n <= 10, where the colors also equal those
+    of :func:`coloring_by_matchings`, and on seeded Prüfer trees with
+    n <= 200 relabelled so that their rooting is not a pre-order.  With the
+    dominoes of the greedy matching, :func:`canonical_coloring` equals the
+    fixpoint on every free tree with n <= 16, on random trees past a
+    thousand vertices, a wide star and a long path."""
+    small = [t for n in range(1, 11) for t in enumerate_free_trees(n)]
+    prufer = relabelled_prufer_trees()
+    for t in small + prufer:
+        role, total = _parent_roles(t.order, t.parent)
+        colors = coloring_by_fixpoint(t).colors
+        assert role == [ROLE_OF[c] for c in colors], t.edges
+        assert total == sum(independent_set_size_counts(t)), t.edges
+        if t.n <= 10:
+            assert coloring_by_matchings(t).colors == colors, t.edges
+    assert len(small) + len(prufer) == 201 + 29
     free = (t for n in range(1, 17) for t in enumerate_free_trees(n))
     large = (seeded_prufer_tree(1200, 1200), seeded_prufer_tree(2000, 2000))
     large += (star_tree(1000), linear_tree(1201))
@@ -265,6 +297,49 @@ def test_components_equal_union_find():
         assert got == _components_by_union_find(t, c.colors), t.edges
         most = max(most, len(part))
     assert most >= 20
+
+
+def test_labels_equal_union_find():
+    """The labels of :func:`_label_components` are the components of the
+    union-find rebuild, with the smallest vertex and the dimension r - g of
+    each, numbered in the order the pass reaches them, parents first: on
+    every free tree with n <= 10 and on the relabelled Prüfer trees, whose
+    rooting is not a pre-order.  Sorted by that vertex, they come in the
+    union-find's order.  Flipping one role fires each of its checks: a red
+    leaf turned green is a green leaf, and a green turned orange next to a
+    red leaf leaves that red with no red-green edge."""
+    flips = {"green leaf": 0, "red vertex missing": 0}
+    unsorted = 0  # trees whose pass reaches the components out of that order
+    small = [t for n in range(1, 11) for t in enumerate_free_trees(n)]
+    for t in small + relabelled_prufer_trees():
+        role, _ = _parent_roles(t.order, t.parent)
+        colors = [(O, R, G)[r] for r in role]
+        want = _components_by_union_find(t, colors)
+        label, low, dims = _label_components(t.order, t.parent, role)
+        by_low = sorted(range(len(low)), key=low.__getitem__)
+        assert [low[c] for c in by_low] == [vs[0] for vs, _, _, _ in want], t.edges
+        assert [dims[c] for c in by_low] == [len(rs) - len(gs) for _, _, rs, gs in want]
+        where = {v: by_low[i] for i, (vs, _, _, _) in enumerate(want) for v in vs}
+        assert label == [where.get(v, -1) for v in range(t.n)], t.edges
+        reached = [label[v] for v in reversed(t.order) if label[v] >= 0]
+        assert list(dict.fromkeys(reached)) == list(range(len(low))), t.edges
+        unsorted += by_low != sorted(by_low)
+        if t.n > 10:
+            continue
+        red_leaf = [role[v] == 1 and t.degree(v) == 1 for v in range(t.n)]
+        for v in range(t.n):
+            if red_leaf[v]:
+                flipped, message = 2, "green leaf"
+            elif role[v] == 2 and any(red_leaf[w] for w in t.neighbors[v]):
+                flipped, message = 0, "red vertex missing"
+            else:
+                continue
+            wrong = role[:v] + [flipped] + role[v + 1 :]
+            with pytest.raises(AssertionError, match=message):
+                _label_components(t.order, t.parent, wrong)
+            flips[message] += 1
+    assert flips == {"green leaf": 746, "red vertex missing": 363}, flips
+    assert unsorted == 42
 
 
 # -- dimension -----------------------------------------------------------------

@@ -40,7 +40,6 @@ from treecount.counting import (
     closed_form_e,
     count_polynomial,
     reciprocity_report,
-    resolve_phi,
     resolve_tree_phi,
     versal_by_independent_sets,
 )
@@ -69,34 +68,109 @@ def test_base_cases():
 
 
 def test_phi_resolution():
-    t = linear_tree(3)
-    _, part = colored(t)
-    assert resolve_phi(part, "versal").kinds == (PhiKind.VERSAL,)
-    assert resolve_phi(colored(linear_tree(4))[1], "generic").kinds == ()
-    with pytest.raises(PhiError):
-        resolve_phi(part, None)
-    with pytest.raises(PhiError, match="assignment length"):
-        resolve_phi(part, PhiAssignment(()))
-    with pytest.raises(PhiError):
-        resolve_phi(part, {5: "generic"})
-    with pytest.raises(PhiError):
-        resolve_phi(part, {})
-    with pytest.raises(PhiError):
-        resolve_phi(part, "bogus")
-    with pytest.raises(PhiError):
-        resolve_phi(part, {0: "bogus"})
+    p3 = linear_tree(3)
+    assert resolve_tree_phi(p3, "versal").kinds == (PhiKind.VERSAL,)
+    assert resolve_tree_phi(linear_tree(4), "generic").kinds == ()
+    for spec, message in (
+        (None, "a phi choice is required"),
+        (PhiAssignment(()), "assignment length"),
+        ({5: "generic"}, "indexed by vertex 5"),
+        ({}, r"missing for components indexed by \[0\]"),
+        ("bogus", "generic or versal, got 'bogus'"),
+        ({0: "bogus"}, "generic or versal, got 'bogus'"),
+        ({0: ["generic"]}, "generic or versal, got \\['generic'\\]"),
+        (("generic",), "a kind or a mapping of kinds"),
+        (["versal"], "a kind or a mapping of kinds"),
+    ):
+        with pytest.raises(PhiError, match=message):
+            resolve_tree_phi(p3, spec)
     with pytest.raises(PhiError):
         count_polynomial(linear_tree(4), "bogus")
-    with pytest.raises(PhiError):
-        resolve_phi(part, ("generic",))
-    with pytest.raises(PhiError):
-        count_polynomial(linear_tree(3), ["versal"])
     twostars = Tree(8, ((0, 3), (1, 3), (2, 3), (3, 7), (4, 7), (5, 7), (6, 7)))
-    _, part2 = colored(twostars)
-    mixed = resolve_phi(part2, {0: "generic", 4: "versal"})
-    assert mixed.kinds == (PhiKind.GENERIC, PhiKind.VERSAL)
-    kinds = resolve_tree_phi(twostars, {0: "generic", 4: "versal"}).kinds
-    assert kinds[0] is PhiKind.GENERIC and kinds[6] is PhiKind.VERSAL
+    resolved = resolve_tree_phi(twostars, {0: "generic", 4: "versal"})
+    assert resolved.kinds == (PhiKind.GENERIC, PhiKind.VERSAL)
+    assert resolved.label == [0, 0, 0, 0, 1, 1, 1, 1]
+    # the versal star's roles are masked, and its dimension 2 is the versal rank
+    assert resolved.role == [1, 1, 1, 2, 0, 0, 0, 0]
+    assert (resolved.versal_rank, resolved.total) == (2, 2**6 + 2 * 2**3)
+    # numbered from 1, a mapping names the components 1 and 5, and so do its errors
+    assert resolve_tree_phi(twostars, {1: "generic", 5: "versal"}, 1) == resolved
+    with pytest.raises(PhiError, match=r"indexed by \[5\]"):
+        resolve_tree_phi(twostars, {1: "generic"}, 1)
+
+
+def test_resolution_matches_the_partition():
+    """Resolved against the components as the label pass numbers them, an
+    assignment (in order of the smallest vertex) and the equivalent mapping
+    give every vertex the kind of its component in
+    :func:`red_green_components`, the roles of the coloring at generic
+    vertices and 0 elsewhere, the partition's versal rank and i(T): for
+    every (tree, phi) with n <= 9, each tree also relabelled, and for four
+    random phi on each of 40 relabelled Prüfer trees with n <= 60, which
+    the pass mostly reaches out of the order of their smallest vertex."""
+    role_of = {Color.ORANGE: 0, Color.RED: 1, Color.GREEN: 2}
+    trees = list(trees_up_to(9))
+    rng = random.Random(9)
+    for t in trees + [seeded_prufer_tree(n, n) for n in range(21, 61)]:
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        trees.append(relabel(t, perm))
+    pairs = unsorted = 0
+    for t in trees:
+        coloring, partition = colored(t)
+        total = sum(independent_set_size_counts(t))
+        choices = all_phi_assignments(partition)
+        for assignment in choices if t.n <= 9 else rng.sample(choices, min(4, len(choices))):
+            want = [None] * t.n
+            for comp, kind in zip(partition, assignment.kinds):
+                for v in comp.vertices:
+                    want[v] = kind
+            mapping = {comp.min_vertex: k.value for comp, k in zip(partition, assignment.kinds)}
+            for spec in (assignment, mapping):
+                r = resolve_tree_phi(t, spec)
+                assert [r.kinds[c] if c >= 0 else None for c in r.label] == want, t.edges
+                assert r.role == [
+                    role_of[c] if k is PhiKind.GENERIC else 0
+                    for c, k in zip(coloring.colors, want)
+                ]
+                versal = sum(
+                    comp.dimension
+                    for comp, k in zip(partition, assignment.kinds)
+                    if k is PhiKind.VERSAL
+                )
+                assert (r.versal_rank, r.total) == (versal, total)
+            pairs += 1
+        # the labels in order of their smallest vertex
+        by_low = list(dict.fromkeys(c for c in r.label if c >= 0))
+        unsorted += by_low != sorted(by_low)
+    assert (pairs, unsorted) == (2 * 221 + 149, 33), (pairs, unsorted)
+
+
+def test_count_builds_no_coloring(monkeypatch):
+    """The count reads roles, labels and i(T) straight off the tree's
+    rooting: with :func:`canonical_coloring` and
+    :func:`red_green_components` made to raise in every treecount module,
+    it still counts, by a uniform kind, a mapping and an assignment."""
+    twostars = Tree(8, ((0, 3), (1, 3), (2, 3), (3, 7), (4, 7), (5, 7), (6, 7)))
+    cases = [
+        (twostars, {0: "generic", 4: "versal"}),
+        (twostars, PhiAssignment((PhiKind.VERSAL, PhiKind.GENERIC))),
+        (d_tree(7), "generic"),
+        (linear_tree(6), None),
+    ]
+    want = [count_polynomial(t, phi) for t, phi in cases]
+
+    def refuse(*args):
+        raise AssertionError("the count built a coloring")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("treecount"):
+            for name in ("canonical_coloring", "red_green_components"):
+                if name in vars(mod):
+                    monkeypatch.setattr(mod, name, refuse)
+    with pytest.raises(AssertionError, match="built a coloring"):
+        treecount.coloring.canonical_coloring(twostars)
+    assert [count_polynomial(t, phi) for t, phi in cases] == want
 
 
 def test_closed_form_a_examples():
@@ -346,8 +420,7 @@ def test_weigh_by_size_fixed_cases():
     assert _weigh_by_size([[1]], 5) == [(Q - 1) ** 5]
     star = star_tree(1000)
     resolved = resolve_tree_phi(star, "generic")
-    colors = resolved.coloring.colors
-    counts = _count_sets_by_size(star.order, star.parent, colors, resolved.kinds)
+    counts = _count_sets_by_size(star.order, star.parent, resolved.role, resolved.total)
     assert _weigh_by_size([counts], star.n) == [_weigh_by_poly(counts, star.n)]
     assert [_slot_width(2**b - 1) for b in (7, 8, 31, 32, 63, 64, 71, 72)] == [
         4, 4, 4, 8, 8, 9, 9, 10,
@@ -512,7 +585,7 @@ def test_size_vector_is_the_independence_polynomial():
     cases += [(star_tree(600), "versal"), (seeded_prufer_tree(400, 2014), "versal")]
     for t, phi in cases:
         resolved = resolve_tree_phi(t, phi)
-        c = _count_sets_by_size(t.order, t.parent, resolved.coloring.colors, resolved.kinds)
+        c = _count_sets_by_size(t.order, t.parent, resolved.role, resolved.total)
         assert c == independent_set_size_counts(t), emit_graph6(t)
 
 
@@ -531,7 +604,7 @@ def test_carried_size_vectors_equal_the_kernel():
         for walk in walks:
             for parent, packed, total in _carried_size_vectors(n, walk):
                 c = _unpack(packed, width)
-                want = _count_sets_by_size(range(n - 1, -1, -1), parent, None, (None,) * n)
+                want = _count_sets_by_size(range(n - 1, -1, -1), parent)
                 assert c == want, parent
                 assert sum(c) == total, parent
                 arrays += 1
@@ -578,25 +651,21 @@ def test_kernel_takes_any_rooting():
     """The size vector of every (tree, phi) pair with n <= 11 is the same
     from the pre-order parent array the census walks, vertices n-1..0, as
     from the tree's own rooting at every root: the tree is relabelled so
-    that the root becomes vertex 0, with its colors and kinds."""
+    that the root becomes vertex 0, with its roles."""
     pairs = 0
     for n in range(1, 12):
         for parent in _free_tree_parents(n):
             t = _tree_of(parent)
             _, partition = colored(t)
             for phi in all_phi_assignments(partition):
-                resolved = resolve_tree_phi(t, phi)
-                colors, kinds = resolved.coloring.colors, resolved.kinds
-                c = _count_sets_by_size(range(n - 1, -1, -1), parent, colors, kinds)
+                role = resolve_tree_phi(t, phi).role
+                c = _count_sets_by_size(range(n - 1, -1, -1), parent, role)
                 for root in range(n):
                     perm = list(range(n))
                     perm[0], perm[root] = root, 0  # an involution
                     rooted = relabel(t, perm)
-                    moved = [colors[perm[v]] for v in range(n)]
-                    moved_kinds = [kinds[perm[v]] for v in range(n)]
-                    got = _count_sets_by_size(
-                        rooted.order, rooted.parent, moved, moved_kinds
-                    )
+                    moved = [role[perm[v]] for v in range(n)]
+                    got = _count_sets_by_size(rooted.order, rooted.parent, moved)
                     assert got == c, (
                         emit_graph6(t),
                         phi,
@@ -632,20 +701,25 @@ def test_census_colors_through_canonical_coloring_in_no_class(
 
 
 def test_census_colors_equal_canonical_coloring():
-    """The roles the unimodal-generic census reads off a parent array
-    (:func:`_parent_roles`) are the colors of :func:`canonical_coloring` on
-    the tree, and its i(T) the number of independent sets, for every array
-    of the unpruned walk with n <= 14, every deficiency, and every array the
+    """The roles the unimodal-generic census reads off a parent array in
+    pre-order (:func:`_parent_roles` on vertices n-1 down to 0) are the
+    colors :func:`canonical_coloring` reads off the tree's own rooting, and
+    its i(T) the number of independent sets, for every array of the
+    unpruned walk with n <= 14, every deficiency, and every array the
     unimodal census keeps with n <= 15."""
     role_of = {Color.ORANGE: 0, Color.RED: 1, Color.GREEN: 2}
     arrays = [parent for n in range(1, 15) for parent in _free_tree_parents(n)]
     kept = [parent for n in range(1, 16) for parent in _free_tree_parents(n, 1)]
     assert (len(arrays), len(kept)) == (5447, 1 + 1 + 2 + 6 + 20 + 76 + 313 + 1361)
+    reordered = 0  # trees whose own rooting is not the pre-order
     for parent in arrays + kept:
         t = _tree_of(parent)
-        role, total = _parent_roles(parent)
+        order = range(len(parent) - 1, -1, -1)
+        reordered += t.order != tuple(order)
+        role, total = _parent_roles(order, parent)
         assert role == [role_of[c] for c in canonical_coloring(t).colors], parent
         assert total == sum(independent_set_size_counts(t)), parent
+    assert reordered == len(arrays) + len(kept) - 3  # all but n = 1 (twice) and 2
 
 
 def test_census_checks_i_of_t_per_generic_bucket(monkeypatch):

@@ -327,12 +327,13 @@ def test_verify_all_small_trees():
             assert any(c.status == "ok" for c in rep.checks)
 
 
-def test_verify_colors_once(coloring_calls):
-    """verify_polynomial resolves phi once: one coloring serves both the
-    polynomial and the oracle's plan."""
+def test_verify_colors_once(coloring_calls, role_passes):
+    """verify_polynomial resolves phi once: one role pass serves both the
+    polynomial and the oracle's plan, and no :class:`Coloring` is built."""
     rep = verify_polynomial(d_tree(6), "generic", [3, 5, 7])
     assert rep.passed
-    assert coloring_calls == [6]
+    assert role_passes == [6]
+    assert coloring_calls == []
 
 
 def test_generic_constancy_is_asserted():

@@ -180,7 +180,7 @@ def test_vc_is_the_top_size_count_past_enumeration():
     for t in (linear_tree(201), seeded_prufer_tree(200, 200), seeded_prufer_tree(400, 400)):
         vc = count_maximum_independent_sets(t)
         sizes = independent_set_size_counts(t)
-        kernel = _count_sets_by_size(t.order, t.parent, None, (None,) * t.n)
+        kernel = _count_sets_by_size(t.order, t.parent)
         assert sizes[-1] == kernel[-1] == vc
         assert sizes == kernel
 
