@@ -25,9 +25,9 @@ vertices only.  A tree hands both its own rooting at 0 (``t.order``,
 ``t.parent``); the coincidence census counts every tree straight off the
 parent arrays of the free-tree walk and buckets it on its size vector
 packed at one slot width, unpacking each bucket once.  It carries the
-pass's states of closed subtrees from one orange or unimodal-versal array
-to the next, and colors the unimodal-generic ones off their arrays by the
-same role pass.
+pass's states of closed subtrees from one array to the next in every
+class, with no role pass: a unimodal-generic vertex, whose role depends on
+one bit from outside its subtree, keeps what either value of it needs.
 
 Also here: closed forms for the linear, D- and E-shaped families (checked
 by exact division), the all-versal independent-set formula and the
@@ -293,9 +293,9 @@ def _slot_width(bound: int) -> int:
 
 
 #: The open vertices of a pre-order parent array read up to some position,
-#: deepest first: (inn, out, without, with_, the rest of the chain), None
-#: below the root.
-_Fold = tuple[int, int, int, int, "_Fold"] | None
+#: deepest first: each vertex's products (:func:`_step`,
+#: :func:`_step_generic`), then the rest of the chain, None at the end.
+_Fold = tuple | None
 
 
 def _carried_width(n: int) -> int:
@@ -307,33 +307,38 @@ def _carried_width(n: int) -> int:
 
 
 def _carried_size_vectors(
-    n: int, arrays: Iterable[list[int]]
+    n: int, arrays: Iterable[list[int]], generic: bool = False
 ) -> Iterator[tuple[list[int], int, int]]:
-    """Each pre-order parent array on n vertices with its size vector c, the
-    independence polynomial, packed in slots of :func:`_carried_width`
-    bytes, and its number i(T) of independent sets: :func:`_fold_sets`
-    with no generic vertex, carried from one array to the next.
+    """Each pre-order parent array on n vertices with its size vector c
+    packed in slots of :func:`_carried_width` bytes, and its number i(T) of
+    independent sets: :func:`_fold_sets` carried from one array to the
+    next, with no generic vertex, or with every red and green vertex
+    generic (a unimodal-generic tree, whose one red-green component holds
+    them all).
 
     An array is read from left to right keeping a chain of its open
     vertices, those whose subtree has not ended (the path from the root to
-    the last position read), deepest first.  Each carries the products over
-    its children closed so far of the kernel's packed states, ``inn`` (v in
-    S) and ``out`` (v not in S), and of the scalar counts ``without`` and
-    ``with_`` that give i(T).  A position at depth l closes every open
-    vertex at depth l or more, folding each into the one below it, and
-    opens a leaf; the end closes all of them but the root.  A vertex's
-    states depend on its subtree alone, so the chain before every position
-    is kept, and an array is read only from the first position where it
-    differs from the previous one.
+    the last position read), deepest first.  Each carries products over its
+    children closed so far: of the kernel's packed states and of the scalar
+    counts ``without`` and ``with_`` that give i(T).  A position at depth l
+    closes every open vertex at depth l or more, folding each into the one
+    below it, and opens a leaf (:func:`_step` without generic vertices,
+    :func:`_step_generic` with them).  The root sits on a fresh vertex of
+    its own, and the end closes every vertex into that one, whose ``out``
+    is c and ``without`` i(T).  A vertex's products depend on its
+    subtree alone, so the chain before every position is kept, and an array
+    is read only from the first position where it differs from the previous
+    one.
 
     One slot width serves every tree, so two trees share c exactly when
     they share the packed integer; the caller unpacks it and checks its
     slot sum against i(T).
     """
     shift = 8 * _carried_width(n)
+    step = _step_generic if generic else _step
     depth = [0] * n
     # chain_at[k]: the chain before position k of the array read last
-    chain_at: list[_Fold] = [None, (1, 1, 1, 1, None), *[None] * n]
+    chain_at: list[_Fold] = [None, step(step(None, 0, shift), 0, shift), *[None] * n]
     prev: list[int] = []
     for parent in arrays:
         k = 1
@@ -343,21 +348,67 @@ def _carried_size_vectors(
         chain = chain_at[k]
         for v in range(k, n):
             dv = depth[v] = depth[parent[v]] + 1
-            chain = _close_deepest(chain, depth[v - 1] - dv + 1, shift)
-            chain = chain_at[v + 1] = (1, 1, 1, 1, chain)
-        inn, out, without, with_, _ = _close_deepest(chain, depth[n - 1], shift)
-        yield parent, out + (inn << shift), without + with_
+            chain = chain_at[v + 1] = step(chain, depth[v - 1] - dv + 1, shift)
+        top = step(chain, depth[n - 1] + 1, shift)[-1]
+        yield parent, top[0], top[1]
         prev = parent
 
 
-def _close_deepest(chain: _Fold, count: int, shift: int) -> _Fold:
+def _step(chain: _Fold, count: int, shift: int) -> _Fold:
     """Close the ``count`` deepest open vertices of a chain, folding each
     into the one below it, its parent, as :func:`_fold_sets` folds a child
-    with no generic vertex."""
+    with no generic vertex, and open a leaf on the rest.  A vertex keeps
+    (``out``, ``without``, ``inn``, ``with_``): its parent's ``out`` (not
+    in S) takes o0 + i0, its ``inn`` (in S) o0."""
     for _ in range(count):
-        inn, out, wo, wi, (pinn, pout, pwo, pwi, below) = chain
-        chain = (pinn * out, pout * (out + (inn << shift)), pwo * (wo + wi), pwi * wo, below)
-    return chain
+        out, wo, inn, wi, (pout, pwo, pinn, pwi, below) = chain
+        chain = (pout * (out + (inn << shift)), pwo * (wo + wi), pinn * out, pwi * wo, below)
+    return (1, 1, 1, 1, chain)
+
+
+def _step_generic(chain: _Fold, count: int, shift: int) -> _Fold:
+    """:func:`_step` with every red and green vertex generic.
+
+    A vertex's role depends on its subtree and one bit from outside it, e:
+    1 when its parent is exposed in T minus v's subtree (the top-down pass
+    of :func:`_parent_roles`), which is when the parent's e and its free
+    children (those exposed in their own subtree) other than v are all 0.
+    With f free children v is red at e = 0 and orange at e = 1 when f = 0,
+    orange at e = 0 and green at e = 1 when f = 1, and green when f >= 2.
+
+    Only the split of v's sets among the kernel's states depends on e: o
+    (v not in S) and o + i0 + i1 are products of the children's, which by
+    induction do not.  So an open vertex keeps its green products over the
+    children closed so far, ``inn``, ``out`` and ``down`` (seeded 0), and
+    ``f``.  While f = 0 no child is red, so ``down`` is 0 and ``inn`` and
+    ``out`` are the orange and the red products too; the red one's
+    ``rdown`` takes its children's o1 at e = 1.  The first free child turns
+    ``rdown`` to 0, and then an orange v's ``out`` is ``out + down``: its
+    free child, at e = 1 in an orange, counts its sets with i1 too.
+
+    Closed with f = 0, v offers o = ``out``, and i1 = ``rdown`` shifted up
+    one slot at e = 0; its parent has a free child, so is green or orange
+    and folds it at e = 0, as the kernel folds a red child into a green.
+    Closed with f >= 1, v offers o = ``out + down`` and no i1 at either e,
+    and o1 = ``down`` at e = 1, which only a red parent reads.  The root is
+    read at e = 0 by the vertex below it, as a green: a red root's i1 is
+    dropped, as :func:`_fold_sets` drops it.
+    """
+    for _ in range(count):
+        out, wo, inn, wi, f, down, rdown, (pout, pwo, pinn, pwi, pf, pdown, prdown, below) = chain
+        if f:
+            o = out + down
+            keep = o + (inn << shift)
+            pdown *= keep
+            prdown *= down
+        else:
+            o = out
+            i1 = rdown << shift
+            keep = out + (inn << shift) - i1
+            pdown = pdown * keep + pout * i1
+            pf, prdown = pf + 1, 0
+        chain = (pout * keep, pwo * (wo + wi), pinn * o, pwi * wo, pf, pdown, prdown, below)
+    return (1, 1, 1, 1, 0, 0, 1, chain)
 
 
 def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly]:
@@ -582,20 +633,6 @@ class CensusReport(NamedTuple):
     polynomials: tuple[Poly, ...]
 
 
-def _generic_size_vectors(
-    n: int, arrays: Iterable[list[int]]
-) -> Iterator[tuple[list[int], int, int]]:
-    """Each unimodal-generic pre-order parent array on n vertices with its
-    packed c and its i(T), as :func:`_carried_size_vectors` yields them:
-    colored off the array (:func:`_parent_roles`), every red or green vertex
-    generic, and folded by :func:`_fold_sets` at the carried width."""
-    shift = 8 * _carried_width(n)
-    order = tuple(range(n - 1, -1, -1))  # a tuple slices and iterates faster
-    for parent in arrays:
-        role, total = _parent_roles(order, parent)
-        yield parent, _fold_sets(order, parent, role, shift), total
-
-
 def _unpack_bucket(packed: int, width: int, total: int, generic: bool) -> list[int]:
     """The size vector of a census bucket, its slot sum checked against the
     number i(T) of independent sets of its trees: equal, or for a generic
@@ -625,15 +662,16 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     sibling, so once too many such vertices are counted no later sequence
     with the same prefix can reach the class (:func:`_free_tree_parents`).
     The arrays are numbered in pre-order, so vertices n-1 down to 0 put
-    children first, and trees are counted straight off them.  An orange or
-    all-versal tree excludes no independent set, so it is counted with no
-    coloring, and its kernel states, which depend on each subtree alone,
-    are carried from one kept array to the next: only the positions after
-    the prefix it shares with the previous array are folded again
-    (:func:`_carried_size_vectors`).
-    A unimodal-generic tree is colored off its array in two linear passes
-    and folded afresh (:func:`_generic_size_vectors`); with dimension 1 it
-    has one red-green component, so every red or green vertex is generic.
+    children first, and trees are counted straight off them, with no
+    coloring.  The kernel states of each closed subtree are carried from
+    one kept array to the next, so only the positions after the prefix an
+    array shares with the previous one are folded again
+    (:func:`_carried_size_vectors`).  An orange or all-versal tree excludes
+    no independent set, and its states depend on each subtree alone.  A
+    unimodal-generic tree has one red-green component, so every red or
+    green vertex is generic; a vertex's role depends on its subtree and
+    one bit from outside it, and its subtree's states are carried for
+    either value of that bit (:func:`_step_generic`).
 
     Trees are bucketed on their size vector c, which is the same as
     bucketing on N: within a class n and the versal rank vr (1 for
@@ -655,12 +693,12 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     target = 0 if census_class is CensusClass.ORANGE else 1
     versal_rank = 1 if census_class is CensusClass.UNIMODAL_VERSAL else 0
     generic = census_class is CensusClass.UNIMODAL_GENERIC
-    sized = _generic_size_vectors if generic else _carried_size_vectors
     width = _carried_width(n)
     # every parent is below n <= 20, so one byte each; the root's is implied
     buckets: dict[int, list[bytes]] = {}
     totals: dict[int, int] = {}  # i(T) of each bucket: the first, or the least
-    for parent, packed, total in sized(n, _free_tree_parents(n, target)):
+    sized = _carried_size_vectors(n, _free_tree_parents(n, target), generic)
+    for parent, packed, total in sized:
         first = totals.setdefault(packed, total)
         if generic:
             totals[packed] = min(first, total)

@@ -28,7 +28,6 @@ from treecount.counting import (
     _carried_size_vectors,
     _carried_width,
     _count_sets_by_size,
-    _generic_size_vectors,
     _pack,
     _slot_width,
     _unpack,
@@ -594,30 +593,38 @@ def test_carried_size_vectors_equal_the_kernel():
     (deficiency 0 or 1), and for every array of the unpruned walk with
     n <= 12, a packed size vector that unpacks to the one
     :func:`_count_sets_by_size` computes afresh on the same array, with
-    i(T) its slot sum."""
+    i(T) its slot sum; and, with every red and green vertex generic, the
+    vector of the roles the role pass reads off the array, with i(T) the
+    role pass's."""
     arrays = 0
     for n in range(1, 17):
         width = _carried_width(n)
+        order = range(n - 1, -1, -1)
         walks = [_free_tree_parents(n, 0), _free_tree_parents(n, 1)]
         if n <= 12:
             walks.append(_free_tree_parents(n))
         for walk in walks:
+            walk = list(walk)
             for parent, packed, total in _carried_size_vectors(n, walk):
                 c = _unpack(packed, width)
-                want = _count_sets_by_size(range(n - 1, -1, -1), parent)
-                assert c == want, parent
+                assert c == _count_sets_by_size(order, parent), parent
                 assert sum(c) == total, parent
                 arrays += 1
-    assert arrays == 2734 + 987  # kept, then unpruned
+            for parent, packed, total in _carried_size_vectors(n, walk, True):
+                role, want = _parent_roles(order, parent)
+                assert _unpack(packed, width) == _count_sets_by_size(order, parent, role), parent
+                assert total == want, parent
+                arrays += 1
+    assert arrays == 2 * (2734 + 987)  # kept, then unpruned; both folds
 
 
 def _with_totals_shifted(monkeypatch, shift):
     """Make the census read i(T) + shift(repeated) for each carried tree,
     repeated telling whether an earlier tree had the same packed vector."""
 
-    def shifted(n, arrays):
+    def shifted(n, arrays, generic=False):
         seen = set()
-        for parent, packed, total in _carried_size_vectors(n, arrays):
+        for parent, packed, total in _carried_size_vectors(n, arrays, generic):
             yield parent, packed, total + shift(packed in seen)
             seen.add(packed)
 
@@ -676,11 +683,12 @@ def test_kernel_takes_any_rooting():
 
 
 def test_census_colors_through_canonical_coloring_in_no_class(
-    coloring_calls, monkeypatch
+    coloring_calls, role_passes, monkeypatch
 ):
-    """Every census tree is counted, and a unimodal-generic one colored, off
-    its parent array: no class calls :func:`canonical_coloring`, and no
-    :class:`Tree` is built, not even for the graph6 of a collision bucket."""
+    """Every census tree is counted off its parent array, a unimodal-generic
+    one with no coloring: no class calls :func:`canonical_coloring` or the
+    role pass, and no :class:`Tree` is built, not even for the graph6 of a
+    collision bucket."""
     built = []
     init = Tree.__init__
 
@@ -695,15 +703,15 @@ def test_census_colors_through_canonical_coloring_in_no_class(
         census(11, CensusClass.UNIMODAL_GENERIC),
     ]
     assert reports[2].tree_count == 76
-    assert coloring_calls == []
+    assert coloring_calls == role_passes == []
     assert sum(len(b) for rep in reports for b in rep.collisions) > 0
     assert built == []
 
 
 def test_census_colors_equal_canonical_coloring():
-    """The roles the unimodal-generic census reads off a parent array in
-    pre-order (:func:`_parent_roles` on vertices n-1 down to 0) are the
-    colors :func:`canonical_coloring` reads off the tree's own rooting, and
+    """The roles the role pass reads off a parent array in pre-order
+    (:func:`_parent_roles` on vertices n-1 down to 0), against which the
+    census's carried unimodal-generic fold is checked, are the colors :func:`canonical_coloring` reads off the tree's own rooting, and
     its i(T) the number of independent sets, for every array of the
     unpruned walk with n <= 14, every deficiency, and every array the
     unimodal census keeps with n <= 15."""
@@ -730,9 +738,10 @@ def test_census_checks_i_of_t_per_generic_bucket(monkeypatch):
     width = _carried_width(9)
 
     def lowered(first):
-        def sized(n, arrays):
+        def sized(n, arrays, generic=False):
+            assert generic
             seen = set()
-            for parent, packed, total in _generic_size_vectors(n, arrays):
+            for parent, packed, total in _carried_size_vectors(n, arrays, generic):
                 if (packed in seen) != first:
                     total = sum(_unpack(packed, width)) - 1
                 seen.add(packed)
@@ -741,7 +750,7 @@ def test_census_checks_i_of_t_per_generic_bucket(monkeypatch):
         return sized
 
     for first in (True, False):
-        monkeypatch.setattr(treecount.counting, "_generic_size_vectors", lowered(first))
+        monkeypatch.setattr(treecount.counting, "_carried_size_vectors", lowered(first))
         with pytest.raises(AssertionError, match="sets counted by size"):
             census(9, CensusClass.UNIMODAL_GENERIC)
 
