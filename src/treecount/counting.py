@@ -323,22 +323,21 @@ def _carried_size_vectors(
     counts ``without`` and ``with_`` that give i(T).  A position at depth l
     closes every open vertex at depth l or more, folding each into the one
     below it, and opens a leaf (:func:`_step` without generic vertices,
-    :func:`_step_generic` with them).  The root sits on a fresh vertex of
-    its own, and the end closes every vertex into that one, whose ``out``
-    is c and ``without`` i(T).  A vertex's products depend on its
-    subtree alone, so the chain before every position is kept, and an array
-    is read only from the first position where it differs from the previous
-    one.
+    :func:`_step_generic` with them); the end closes all of them but the
+    root, and reads c and i(T) off the root's products.  A vertex's
+    products depend on its subtree alone, so the chain before every
+    position is kept, and an array is read only from the first position
+    where it differs from the previous one.
 
     One slot width serves every tree, so two trees share c exactly when
     they share the packed integer; the caller unpacks it and checks its
     slot sum against i(T).
     """
     shift = 8 * _carried_width(n)
-    step = _step_generic if generic else _step
+    step, read = (_step_generic, _read_generic) if generic else (_step, _read)
     depth = [0] * n
     # chain_at[k]: the chain before position k of the array read last
-    chain_at: list[_Fold] = [None, step(step(None, 0, shift), 0, shift), *[None] * n]
+    chain_at: list[_Fold] = [None, step(None, 0, shift), *[None] * n]
     prev: list[int] = []
     for parent in arrays:
         k = 1
@@ -349,8 +348,8 @@ def _carried_size_vectors(
         for v in range(k, n):
             dv = depth[v] = depth[parent[v]] + 1
             chain = chain_at[v + 1] = step(chain, depth[v - 1] - dv + 1, shift)
-        top = step(chain, depth[n - 1] + 1, shift)[-1]
-        yield parent, top[0], top[1]
+        packed, total = read(step(chain, depth[n - 1], shift)[-1], shift)
+        yield parent, packed, total
         prev = parent
 
 
@@ -358,12 +357,18 @@ def _step(chain: _Fold, count: int, shift: int) -> _Fold:
     """Close the ``count`` deepest open vertices of a chain, folding each
     into the one below it, its parent, as :func:`_fold_sets` folds a child
     with no generic vertex, and open a leaf on the rest.  A vertex keeps
-    (``out``, ``without``, ``inn``, ``with_``): its parent's ``out`` (not
-    in S) takes o0 + i0, its ``inn`` (in S) o0."""
+    (``out``, ``without``, ``inn``, ``with_``): ``out`` (v not in S) takes
+    each child's o0 + i0, ``inn`` (v in S) its o0."""
     for _ in range(count):
         out, wo, inn, wi, (pout, pwo, pinn, pwi, below) = chain
         chain = (pout * (out + (inn << shift)), pwo * (wo + wi), pinn * out, pwi * wo, below)
     return (1, 1, 1, 1, chain)
+
+
+def _read(root: tuple, shift: int) -> tuple[int, int]:
+    """c and i(T) off the products of a root of :func:`_step`."""
+    out, wo, inn, wi, _ = root
+    return out + (inn << shift), wo + wi
 
 
 def _step_generic(chain: _Fold, count: int, shift: int) -> _Fold:
@@ -375,40 +380,44 @@ def _step_generic(chain: _Fold, count: int, shift: int) -> _Fold:
     children (those exposed in their own subtree) other than v are all 0.
     With f free children v is red at e = 0 and orange at e = 1 when f = 0,
     orange at e = 0 and green at e = 1 when f = 1, and green when f >= 2.
+    Every child of a red is read at e = 1, as is the one free child of an
+    orange; every other child at e = 0.
 
     Only the split of v's sets among the kernel's states depends on e: o
     (v not in S) and o + i0 + i1 are products of the children's, which by
-    induction do not.  So an open vertex keeps its green products over the
-    children closed so far, ``inn``, ``out`` and ``down`` (seeded 0), and
-    ``f``.  While f = 0 no child is red, so ``down`` is 0 and ``inn`` and
-    ``out`` are the orange and the red products too; the red one's
-    ``rdown`` takes its children's o1 at e = 1.  The first free child turns
-    ``rdown`` to 0, and then an orange v's ``out`` is ``out + down``: its
-    free child, at e = 1 in an orange, counts its sets with i1 too.
+    induction do not.  So v keeps its green products over the children
+    closed so far, ``out``, ``inn`` and ``down`` (seeded 0), and the red
+    one's ``rdown``, the product of its children's o1 at e = 1 (seeded 1).
+    While f = 0 no child is red, so ``down`` is 0 and ``out`` and ``inn``
+    are the red and the orange products too; a free child has ``down`` 0,
+    so it turns ``rdown`` to 0.  An orange v with f = 1 reads its free
+    child at e = 1, i1 sets and all, so its ``out`` is ``out + down``.
 
-    Closed with f = 0, v offers o = ``out``, and i1 = ``rdown`` shifted up
-    one slot at e = 0; its parent has a free child, so is green or orange
-    and folds it at e = 0, as the kernel folds a red child into a green.
-    Closed with f >= 1, v offers o = ``out + down`` and no i1 at either e,
-    and o1 = ``down`` at e = 1, which only a red parent reads.  The root is
-    read at e = 0 by the vertex below it, as a green: a red root's i1 is
-    dropped, as :func:`_fold_sets` drops it.
+    Closed, v offers o = ``out + down`` and o + i0 + i1 = o + ``inn`` x at
+    either e, x shifting by one slot; i1 = ``rdown`` x at e = 0, which is 0
+    unless v is red there (f = 0); and o1 = ``down`` at e = 1, 0 unless v
+    is green there (f >= 1).  That is all its parent reads: a red one reads
+    its children at e = 1, none free, so o1 and no i1; a green one reads
+    i1 at e = 0 and no o1; an orange one only o and o + i0 + i1.
     """
     for _ in range(count):
-        out, wo, inn, wi, f, down, rdown, (pout, pwo, pinn, pwi, pf, pdown, prdown, below) = chain
-        if f:
-            o = out + down
-            keep = o + (inn << shift)
-            pdown *= keep
-            prdown *= down
-        else:
-            o = out
-            i1 = rdown << shift
-            keep = out + (inn << shift) - i1
-            pdown = pdown * keep + pout * i1
-            pf, prdown = pf + 1, 0
-        chain = (pout * keep, pwo * (wo + wi), pinn * o, pwi * wo, pf, pdown, prdown, below)
-    return (1, 1, 1, 1, 0, 0, 1, chain)
+        out, wo, inn, wi, down, rdown, (pout, pwo, pinn, pwi, pdown, prdown, below) = chain
+        o = out + down
+        i1 = rdown << shift
+        keep = o + (inn << shift) - i1
+        chain = (
+            pout * keep, pwo * (wo + wi), pinn * o, pwi * wo,
+            pdown * keep + pout * i1, prdown * down, below,
+        )
+    return (1, 1, 1, 1, 0, 1, chain)
+
+
+def _read_generic(root: tuple, shift: int) -> tuple[int, int]:
+    """c and i(T) off the products of a root of :func:`_step_generic`: the
+    root is read at e = 0, and a red root's i1 is dropped, as
+    :func:`_fold_sets` drops it."""
+    out, wo, inn, wi, down, rdown, _ = root
+    return out + down + ((inn - rdown) << shift), wo + wi
 
 
 def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly]:
@@ -694,33 +703,35 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     versal_rank = 1 if census_class is CensusClass.UNIMODAL_VERSAL else 0
     generic = census_class is CensusClass.UNIMODAL_GENERIC
     width = _carried_width(n)
-    # every parent is below n <= 20, so one byte each; the root's is implied
-    buckets: dict[int, list[bytes]] = {}
-    totals: dict[int, int] = {}  # i(T) of each bucket: the first, or the least
-    sized = _carried_size_vectors(n, _free_tree_parents(n, target), generic)
-    for parent, packed, total in sized:
-        first = totals.setdefault(packed, total)
-        if generic:
-            totals[packed] = min(first, total)
-        elif first != total:
-            raise AssertionError(
-                f"trees of one size vector have {first} and {total} independent sets"
-            )
-        buckets.setdefault(packed, []).append(bytes(parent[1:]))
-    vectors = (_unpack_bucket(packed, width, total, generic) for packed, total in totals.items())
+    # each bucket: the i(T) of its first tree, or for generic ones the least,
+    # then every tree's parent array, one byte a parent (all are below
+    # n <= 20), the root's implied
+    buckets: dict[int, list] = {}
+    for parent, packed, total in _carried_size_vectors(
+        n, _free_tree_parents(n, target), generic
+    ):
+        bucket = buckets.setdefault(packed, [total])
+        if total != bucket[0]:
+            if not generic:
+                raise AssertionError(
+                    f"trees of one size vector have {bucket[0]} and {total} independent sets"
+                )
+            bucket[0] = min(bucket[0], total)
+        bucket.append(bytes(parent[1:]))
+    vectors = (_unpack_bucket(packed, width, b[0], generic) for packed, b in buckets.items())
     polys: list[Poly] = []
     while batch := list(islice(vectors, _WEIGH_BATCH)):
         polys += _weigh_by_size(batch, n + versal_rank)
     ordered = sorted(zip(polys, buckets.values()), key=lambda kv: kv[0].coeffs)
     collisions = tuple(
-        tuple(_graph6(n, zip(a, range(1, n))) for a in arrays)
-        for _, arrays in ordered
-        if len(arrays) > 1
+        tuple(_graph6(n, zip(a, range(1, n))) for a in bucket[1:])
+        for _, bucket in ordered
+        if len(bucket) > 2
     )
     return CensusReport(
         n=n,
         census_class=census_class,
-        tree_count=sum(map(len, buckets.values())),
+        tree_count=sum(map(len, buckets.values())) - len(buckets),
         distinct_polynomial_count=len(buckets),
         collisions=collisions,
         polynomials=tuple(p for p, _ in ordered),
