@@ -359,7 +359,8 @@ def _step(chain: _Fold, count: int, shift: int) -> _Fold:
     with no generic vertex, and open a leaf on the rest.  A vertex keeps
     (``out``, ``without``, ``inn``, ``with_``): ``out`` (v not in S) takes
     each child's o0 + i0, ``inn`` (v in S) its o0."""
-    for _ in range(count):
+    while count:  # no range to build for the many steps that close nothing
+        count -= 1
         out, wo, inn, wi, (pout, pwo, pinn, pwi, below) = chain
         chain = (pout * (out + (inn << shift)), pwo * (wo + wi), pinn * out, pwi * wo, below)
     return (1, 1, 1, 1, chain)
@@ -400,7 +401,8 @@ def _step_generic(chain: _Fold, count: int, shift: int) -> _Fold:
     its children at e = 1, none free, so o1 and no i1; a green one reads
     i1 at e = 0 and no o1; an orange one only o and o + i0 + i1.
     """
-    for _ in range(count):
+    while count:
+        count -= 1
         out, wo, inn, wi, down, rdown, (pout, pwo, pinn, pwi, pdown, prdown, below) = chain
         o = out + down
         i1 = rdown << shift
