@@ -1,8 +1,8 @@
 """The canonical red-orange-green coloring of trees and its invariants.
 
-One production path computes the coloring, for a :class:`Tree` and for the
-census's parent arrays alike: two linear passes over a children-first
-vertex order and a parent array, with no adjacency lists and no matching,
+One production path computes the coloring: two linear passes over a
+children-first vertex order and a parent array, a :class:`Tree`'s own
+rooting or a pre-order array, with no adjacency lists and no matching,
 give every vertex's role and the number i(T) of independent sets
 (:func:`_parent_roles`), and one more pass over the same order labels the
 red-green components (:func:`_label_components`).  The count reads those
