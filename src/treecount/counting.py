@@ -307,7 +307,7 @@ def _carried_width(n: int) -> int:
 
 
 def _carried_size_vectors(
-    n: int, arrays: Iterable[list[int]], generic: bool = False
+    n: int, arrays: Iterable[tuple[list[int], int]], generic: bool = False
 ) -> Iterator[tuple[list[int], int, int]]:
     """Each pre-order parent array on n vertices with its size vector c
     packed in slots of :func:`_carried_width` bytes, and its number i(T) of
@@ -326,8 +326,9 @@ def _carried_size_vectors(
     :func:`_step_generic` with them); the end closes all of them but the
     root, and reads c and i(T) off the root's products.  A vertex's
     products depend on its subtree alone, so the chain before every
-    position is kept, and an array is read only from the first position
-    where it differs from the previous one.
+    position is kept, and each array is read only from the position that
+    comes with it, the first where it differs from the previous one
+    (:func:`_free_tree_parents`).
 
     One slot width serves every tree, so two trees share c exactly when
     they share the packed integer; the caller unpacks it and checks its
@@ -338,19 +339,13 @@ def _carried_size_vectors(
     depth = [0] * n
     # chain_at[k]: the chain before position k of the array read last
     chain_at: list[_Fold] = [None, step(None, 0, shift), *[None] * n]
-    prev: list[int] = []
-    for parent in arrays:
-        k = 1
-        if prev:
-            while k < n and parent[k] == prev[k]:
-                k += 1
-        chain = chain_at[k]
-        for v in range(k, n):
+    for parent, low in arrays:
+        chain = chain_at[low]
+        for v in range(low, n):
             dv = depth[v] = depth[parent[v]] + 1
             chain = chain_at[v + 1] = step(chain, depth[v - 1] - dv + 1, shift)
         packed, total = read(step(chain, depth[n - 1], shift)[-1], shift)
         yield parent, packed, total
-        prev = parent
 
 
 def _step(chain: _Fold, count: int, shift: int) -> _Fold:
@@ -675,8 +670,8 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
     The arrays are numbered in pre-order, so vertices n-1 down to 0 put
     children first, and trees are counted straight off them, with no
     coloring.  The kernel states of each closed subtree are carried from
-    one kept array to the next, so only the positions after the prefix an
-    array shares with the previous one are folded again
+    one kept array to the next, so only the positions from the lowest one
+    the walk rewrote since the previous array are folded again
     (:func:`_carried_size_vectors`).  An orange or all-versal tree excludes
     no independent set, and its states depend on each subtree alone.  A
     unimodal-generic tree has one red-green component, so every red or

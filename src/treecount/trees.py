@@ -18,9 +18,10 @@ greedy matching treats every subtree already closed (a chain of the open
 vertices, each with its number of free children), so a step re-reads only
 the positions it rewrote; it yields only the trees that have the
 deficiency and skips the sequences that cannot.
-:func:`enumerate_free_trees` builds a :class:`Tree` from each parent array
-it yields; the census colors, counts and prints the arrays themselves, with
-a chain of its own for the counting, and builds no :class:`Tree`.
+Each array comes with the lowest position the walk rewrote since the one
+before.  :func:`enumerate_free_trees` builds a :class:`Tree` from each
+parent array; the census counts and prints the arrays themselves, refolding
+a chain of its own from that position on, and builds no :class:`Tree`.
 """
 
 from __future__ import annotations
@@ -355,8 +356,9 @@ def check_enumeration_size(n: int) -> None:
 _Chain = tuple[int, "_Chain"] | None
 
 
-def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[int]]:
-    """Parent array of one rooted representative per free tree on n vertices.
+def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[tuple[list[int], int]]:
+    """Parent array of one rooted representative per free tree on n vertices,
+    with the lowest position rewritten since the previous array.
 
     Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15 (1986) 540-548:
     walk the level sequences of trees rooted at a centre in Beyer-Hedetniemi
@@ -372,7 +374,12 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
     path from the root as deep as the new ``left``.  Vertices are numbered
     in pre-order, so ``parent[0] == -1`` and ``parent[v] < v`` otherwise.
     Each step rewrites ``levels`` and ``parent`` in place from its position
-    on; every yielded array is a copy, which the caller may keep.
+    on; every yielded array is a copy, which the caller may keep.  It comes
+    with ``low``, the lowest position rewritten since the previous yield (1
+    for the first array).  That is where the array first differs from the
+    previous one: the steps keep the prefix before it, a step lowers the
+    level at its own position, and the deep tail's path starts at level 1
+    where the sequence was deeper.
 
     The validity test costs O(1) but for the rare list comparison: the loop
     that rewrites the sequence from p also keeps the position m of the
@@ -430,7 +437,7 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
     chain_at: list[_Chain] = [None] * (n + 1)
     lost_at = [0] * (n + 1)
     chain_at[1] = (0, None)
-    read = 1
+    read = low = 1
     # both arms of the path climb from the root, so hi starts as levels
     m = n // 2 + 1
     hi = levels[:]
@@ -444,9 +451,7 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
         )
         if valid:
             p = n - 1
-            if deficiency is None:
-                yield parent[:]
-            else:
+            if deficiency is not None:
                 k = read
                 chain, lost = chain_at[k], lost_at[k]
                 while True:
@@ -470,8 +475,9 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
                 read = k
                 if lost > deficiency:
                     p = k - 1
-                elif lost == deficiency:
-                    yield parent[:]
+            if deficiency is None or lost == deficiency:
+                yield parent[:], low
+                low = n
             while levels[p] == 1:
                 p -= 1
             if p == 0:
@@ -507,12 +513,15 @@ def _free_tree_parents(n: int, deficiency: int | None = None) -> Iterator[list[i
             # then already at or below its start, but nothing proves
             # that, so the min keeps the chain restore correct anyway.
             p = min(p, m)
-        read = min(read, p)
+        if p < read:
+            read = p
+        if p < low:
+            low = p
 
 
 def enumerate_free_trees(n: int) -> Iterator[Tree]:
     """One representative per isomorphism class of trees on n vertices, in
     the order of the Wright-Richmond-Odlyzko-McKay walk
     (:func:`_free_tree_parents`), each built from its parent array."""
-    for parent in _free_tree_parents(n):
+    for parent, _ in _free_tree_parents(n):
         yield Tree(n, tuple(zip(parent[1:], range(1, n))))

@@ -568,7 +568,7 @@ def _tree_of(parent):
 
 
 def _census_trees(n, dim):
-    for parent in _free_tree_parents(n):
+    for parent, _ in _free_tree_parents(n):
         if _greedy_mates(range(n - 1, -1, -1), parent).count(-1) == dim:
             yield _tree_of(parent)
 
@@ -661,7 +661,7 @@ def test_kernel_takes_any_rooting():
     that the root becomes vertex 0, with its roles."""
     pairs = 0
     for n in range(1, 12):
-        for parent in _free_tree_parents(n):
+        for parent, _ in _free_tree_parents(n):
             t = _tree_of(parent)
             _, partition = colored(t)
             for phi in all_phi_assignments(partition):
@@ -716,8 +716,8 @@ def test_census_colors_equal_canonical_coloring():
     unpruned walk with n <= 14, every deficiency, and every array the
     unimodal census keeps with n <= 15."""
     role_of = {Color.ORANGE: 0, Color.RED: 1, Color.GREEN: 2}
-    arrays = [parent for n in range(1, 15) for parent in _free_tree_parents(n)]
-    kept = [parent for n in range(1, 16) for parent in _free_tree_parents(n, 1)]
+    arrays = [parent for n in range(1, 15) for parent, _ in _free_tree_parents(n)]
+    kept = [parent for n in range(1, 16) for parent, _ in _free_tree_parents(n, 1)]
     assert (len(arrays), len(kept)) == (5447, 1 + 1 + 2 + 6 + 20 + 76 + 313 + 1361)
     reordered = 0  # trees whose own rooting is not the pre-order
     for parent in arrays + kept:

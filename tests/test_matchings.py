@@ -88,7 +88,7 @@ def test_parent_array_deficiency_is_the_dimension():
     fixpoint coloring, which reads no matching."""
     for n in range(1, 17):
         walk = zip(_free_tree_parents(n), enumerate_free_trees(n), strict=True)
-        for parent, t in walk:
+        for (parent, _), t in walk:
             unmatched = _greedy_mates(range(n - 1, -1, -1), parent).count(-1)
             fixpoint = coloring_by_fixpoint(t)
             assert unmatched == dimension(t)

@@ -277,6 +277,24 @@ def test_enumeration_counts_and_distinct_keys():
         assert len(set(keys)) == len(keys), n
 
 
+def _walk_arrays(n, d=None):
+    """The parent arrays of the walk, without the positions they come with."""
+    return [parent for parent, _ in _free_tree_parents(n, d)]
+
+
+def _first_changes(arrays):
+    """For each array, the first position where it differs from the one
+    before it, 1 for the first."""
+    found = []
+    for before, parent in zip([None, *arrays], arrays):
+        k = 1
+        if before is not None:
+            while parent[k] == before[k]:
+                k += 1
+        found.append(k)
+    return found
+
+
 def test_walk_counts_past_the_tree_builds():
     """The walk alone, with no Tree built, still gives A000055 at n = 17, 18."""
     for n in (17, 18):
@@ -288,7 +306,7 @@ def test_walk_yields_arrays_it_keeps_no_hold_on():
     copy: collected first and compared after, the arrays are still one per
     class."""
     for n in range(1, 13):
-        arrays = list(_free_tree_parents(n))
+        arrays = _walk_arrays(n)
         assert len({tuple(p) for p in arrays}) == EXPECTED_COUNTS[n - 1], n
 
 
@@ -298,12 +316,12 @@ def test_walk_pruned_on_deficiency_equals_filtered_walk():
     unmatched: every d up to n (the star leaves n - 2) for n <= 12, and
     d <= 3 up to n = 16."""
     for n in range(1, 17):
-        full = list(_free_tree_parents(n))
+        full = _walk_arrays(n)
         unmatched = [_greedy_mates(range(n - 1, -1, -1), p).count(-1) for p in full]
         for d in range(4 if n > 12 else max(n, 3) + 1):
             want = [p for p, u in zip(full, unmatched) if u == d]
-            assert list(_free_tree_parents(n, d)) == want, (n, d)
-    assert list(_free_tree_parents(1, 1)) == [[-1]]
+            assert _walk_arrays(n, d) == want, (n, d)
+    assert list(_free_tree_parents(1, 1)) == [([-1], 1)]
     assert list(_free_tree_parents(1, 0)) == []
 
 
@@ -316,7 +334,26 @@ def test_walk_order_equals_slice_walk():
     cases += [(n, d) for n in (17, 18) for d in (0, 1)]
     cases += [(19, 1), (20, 0)]
     for n, d in cases:
-        assert list(_free_tree_parents(n, d)) == list(slice_walk(n, d)), (n, d)
+        assert _walk_arrays(n, d) == list(slice_walk(n, d)), (n, d)
+
+
+def test_walk_reports_where_each_array_first_differs():
+    """Each array comes with the first position where it differs from the
+    array yielded before it (1 for the first), for every deficiency and
+    with none, to n = 14: the position the census refolds from.  The
+    expected positions are read off the walk's own arrays and off those of
+    the slice walk (tests/oracles.py).  A position below the first change
+    would still count right, only refolding more, so this is the test that
+    sees the walk forget to raise it again after a yield."""
+    arrays = 0
+    for n in range(1, 15):
+        for d in (None, *range(n + 1)):
+            pairs = list(_free_tree_parents(n, d))
+            lows = [low for _, low in pairs]
+            assert lows == _first_changes([p for p, _ in pairs]), (n, d)
+            assert lows == _first_changes(list(slice_walk(n, d))), (n, d)
+            arrays += len(pairs)
+    assert arrays == 2 * sum(EXPECTED_COUNTS[:14])  # every d, then none
 
 
 def test_free_tree_counts_vs_prufer_oracle_small():
