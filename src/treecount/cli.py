@@ -33,7 +33,8 @@ from .counting import (
     resolve_tree_phi,
 )
 from .families import family_tree
-from .fqoracle import ConstancyError, FqContext, GuardError, count_points, verify_polynomial
+from .fqoracle import ConstancyError, FqContext, GuardError, VerifyReport, verify_polynomial
+from .fqoracle import _count_plan, _plan, _verify_resolved
 from .groupoid import CoefficientState, normalize_to_matching
 from .matchings import admissible_sets, independent_sets, maximum_matching
 from .polynomials import Poly, format_poly
@@ -136,18 +137,6 @@ def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
         print(json.dumps(record, sort_keys=True))
     else:
         print(text)
-
-
-def _input_phi(t: Tree, text: str | None, offset: int):
-    """The ``--phi`` of ``t``.  A per-component mapping is resolved here,
-    against components indexed by their smallest vertex as the input
-    numbers it, so that its errors name the vertices the user wrote, and
-    handed on numbered from 0."""
-    spec = phi_spec_parse(text)
-    if isinstance(spec, dict):
-        resolve_tree_phi(t, spec, offset)
-        spec = {key - offset: val for key, val in spec.items()}
-    return spec
 
 
 def _shift_pairs(pairs, offset: int) -> list[list[int]]:
@@ -275,17 +264,18 @@ def _run_count(args) -> int:
 
 def _run_oracle(args) -> int:
     t, off = _load_tree(args)
-    spec = _input_phi(t, args.phi, off)
-    got = count_points(t, spec, FqContext(args.q), force=args.force)
+    resolved = resolve_tree_phi(t, phi_spec_parse(args.phi), off)
+    ctx = FqContext(args.q)
+    got = _count_plan(_plan(t, resolved, (ctx.q,), args.force), ctx)
     rec = {"q": args.q, "count": got, "skipped": got is None}
     outcome = "no generic parameters" if rec["skipped"] else f"{rec['count']} points"
     _emit(args, rec, f"q={rec['q']}: {outcome}")
     return EXIT_OK
 
 
-def _verify_one(t: Tree, spec, primes, force: bool) -> tuple[bool, list[dict], str]:
-    """Whether the check passed, its per-prime rows and their text."""
-    rep = verify_polynomial(t, spec, primes, force=force)
+def _verify_one(rep: VerifyReport) -> tuple[bool, list[dict], str]:
+    """Whether the check of one (tree, phi) passed, its per-prime rows and
+    their text."""
     rows = [c._asdict() for c in rep.checks]
     text = ", ".join(
         f"q={c['q']}:{c['status']}" + (f"({c['oracle']})" if c["oracle"] is not None else "")
@@ -323,7 +313,8 @@ def _run_verify(args) -> int:
                 g6 = emit_graph6(t)
                 part = red_green_components(t, canonical_coloring(t))
                 for phi in all_phi_assignments(part):
-                    ok, checks, text = _verify_one(t, phi, primes, args.force)
+                    rep = verify_polynomial(t, phi, primes, force=args.force)
+                    ok, checks, text = _verify_one(rep)
                     label = ",".join(k.value[0] for k in phi.kinds) or "-"
                     rows.append({"graph6": g6, "phi": label, "checks": checks})
                     if not ok:
@@ -340,8 +331,8 @@ def _run_verify(args) -> int:
             raise MismatchError(rec["verdict"])
         return EXIT_OK
     t, off = _load_tree(args)
-    spec = _input_phi(t, args.phi, off)
-    ok, checks, text = _verify_one(t, spec, primes, args.force)
+    resolved = resolve_tree_phi(t, phi_spec_parse(args.phi), off)
+    ok, checks, text = _verify_one(_verify_resolved(t, resolved, primes, args.force))
     rec = {"checks": checks, "verdict": "PASS" if ok else "FAIL"}
     _emit(args, rec, f"{rec['verdict']}: {text}")
     if not ok:

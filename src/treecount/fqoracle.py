@@ -427,7 +427,13 @@ def verify_polynomial(
     check."""
     if not primes:
         raise ValueError("verify_polynomial needs at least one prime")
-    resolved = resolve_tree_phi(t, phi)
+    return _verify_resolved(t, resolve_tree_phi(t, phi), primes, force)
+
+
+def _verify_resolved(
+    t: Tree, resolved: ResolvedPhi, primes: Sequence[int], force: bool
+) -> VerifyReport:
+    """:func:`verify_polynomial` for a phi already resolved on ``t``."""
     poly = _count_resolved(t, resolved)
     contexts = [FqContext(q) for q in primes]
     plan = _plan(t, resolved, primes, force)

@@ -92,6 +92,17 @@ def test_count_colors_once(capsys, coloring_calls, role_passes):
     assert coloring_calls == []
 
 
+def test_oracle_and_verify_resolve_phi_once(capsys, coloring_calls, role_passes):
+    """``oracle`` and ``verify`` resolve phi once as well, a per-component
+    mapping against the input's numbering too, and hand the result on."""
+    for command in (["oracle", "--q", "3"], ["verify", "--primes", "3"]):
+        for phi in ("generic", "0=generic"):
+            code, _, _ = run(capsys, *command, "--family", "D", "--n", "6", "--phi", phi)
+            assert code == 0, (command, phi)
+    assert role_passes == [6] * 4
+    assert coloring_calls == []
+
+
 def test_json_reports_reproduce_up_to_timestamp(capsys):
     argv = ["census", "--n", "8", "--class", "orange", "--json"]
     _, out1, _ = run(capsys, *argv)
