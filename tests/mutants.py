@@ -11,7 +11,6 @@ Run from the root of the checkout (standard library only)::
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named ones
-    python tests/mutants.py --list       # names and subsets
 
 The exit status is 0 when every mutant is killed but those listed as
 equivalent, which must survive; 1 otherwise; 2 when a rewrite no longer
@@ -32,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300  # seconds per pytest run; every subset takes a few
 
 WALK_TESTS = (
     "tests/test_trees.py::test_walk_reports_where_each_array_first_differs",
@@ -80,10 +80,10 @@ MUTANTS = {
         "            read = min(read, m)\n",
         WALK_TESTS + FOLD_TESTS,
         equivalent=(
-            "a deep tail starts before its step in 1,440 of 50,559 cases at n = 18 "
-            "over every deficiency and with none, but for every n <= 20 (the guard) "
-            "``low`` is then already at or below its start; nothing proves that, "
-            "so the code lowers ``low`` there anyway, as it does ``read``"
+            "a deep tail starts before its step position in 1,440 of 50,559 cases "
+            "at n = 18, but ``low`` is then already at or below its start: counted "
+            "over every n <= 20 (the guard) and every deficiency, not proved, so "
+            "the code lowers ``low`` there anyway, as it does ``read``"
         ),
     ),
     # the carried fold (counting._carried_size_vectors)
@@ -129,17 +129,17 @@ def _copy_checkout(into: Path) -> None:
     shutil.copy(ROOT / "pyproject.toml", into / "pyproject.toml")
 
 
-def _pytest(checkout: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, str]:
+def _pytest(checkout: Path, tests: tuple[str, ...]) -> tuple[str, str]:
     """("passed" | "failed" | "timeout", the last line pytest printed)."""
     # the copy's pyproject.toml puts its own src/ first on the path
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
         proc = subprocess.run(
-            cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=timeout
+            cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT
         )
     except subprocess.TimeoutExpired:
-        return "timeout", f"no result in {timeout:g} s"
+        return "timeout", f"no result in {TIMEOUT} s"
     lines = proc.stdout.strip().splitlines() or [proc.stderr.strip()]
     return ("passed" if proc.returncode == 0 else "failed"), lines[-1]
 
@@ -147,24 +147,18 @@ def _pytest(checkout: Path, tests: tuple[str, ...], timeout: float) -> tuple[str
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per pytest run")
-    ap.add_argument("--list", action="store_true", help="print the mutants and exit")
     args = ap.parse_args(argv)
     unknown = [name for name in args.names if name not in MUTANTS]
     if unknown:
         ap.error(f"unknown mutants: {', '.join(unknown)}")
     names = args.names or list(MUTANTS)
-    if args.list:
-        for name in names:
-            print(name, *MUTANTS[name].tests)
-        return 0
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="treecount-mutants-") as tmp:
         checkout = Path(tmp)
         _copy_checkout(checkout)
         subsets = sorted({MUTANTS[name].tests for name in names})
         for tests in subsets:
-            outcome, last = _pytest(checkout, tests, args.timeout)
+            outcome, last = _pytest(checkout, tests)
             if outcome != "passed":
                 print(f"unmutated subset {outcome}: {last}\n  {' '.join(tests)}")
                 return 2
@@ -178,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
             try:
-                outcome, last = _pytest(checkout, mutant.tests, args.timeout)
+                outcome, last = _pytest(checkout, mutant.tests)
             finally:
                 target.write_text(original, encoding="utf-8")
             survived = outcome == "passed"
