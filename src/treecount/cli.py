@@ -28,12 +28,12 @@ from .counting import (
     PhiError,
     _count_resolved,
     _count_sets_by_size,
-    all_phi_assignments,
+    _resolve_every_phi,
     census,
     resolve_tree_phi,
 )
 from .families import family_tree
-from .fqoracle import ConstancyError, FqContext, GuardError, VerifyReport, verify_polynomial
+from .fqoracle import ConstancyError, FqContext, GuardError, VerifyReport
 from .fqoracle import _count_plan, _plan, _verify_resolved
 from .groupoid import CoefficientState, normalize_to_matching
 from .matchings import admissible_sets, independent_sets, maximum_matching
@@ -311,9 +311,8 @@ def _run_verify(args) -> int:
         for n in range(1, args.max_n + 1):
             for t in enumerate_free_trees(n):
                 g6 = emit_graph6(t)
-                part = red_green_components(t, canonical_coloring(t))
-                for phi in all_phi_assignments(part):
-                    rep = verify_polynomial(t, phi, primes, force=args.force)
+                for phi, resolved in _resolve_every_phi(t):
+                    rep = _verify_resolved(t, resolved, primes, args.force)
                     ok, checks, text = _verify_one(rep)
                     label = ",".join(k.value[0] for k in phi.kinds) or "-"
                     rows.append({"graph6": g6, "phi": label, "checks": checks})

@@ -41,10 +41,10 @@ from __future__ import annotations
 import enum
 import struct
 import sys
-from itertools import islice, zip_longest
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
+from itertools import islice, product, zip_longest
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Sized, TypeAlias
 
-from .coloring import RedGreenPartition, _label_components, _parent_roles, dimension
+from .coloring import _label_components, _parent_roles, dimension
 from .matchings import independent_set_size_counts
 from .polynomials import Poly, Q
 from .trees import Tree, _free_tree_parents, _graph6
@@ -103,11 +103,30 @@ def resolve_tree_phi(t: Tree, spec: PhiSpec, offset: int = 0) -> ResolvedPhi:
     ``offset``, as an input numbered from ``offset`` names them, and so are
     the vertices its errors name.  The roles of the versal components are
     masked to 0, so the count reads the generic vertices off ``role`` alone.
-    The spec is resolved here, with no helper: the count runs this once per
-    tree, on code that has not run yet, where every call costs.
+    The spec is resolved by :func:`_resolve_spec`, which
+    :func:`_resolve_every_phi` runs on one pair of passes for every choice.
     """
     role, total = _parent_roles(t.order, t.parent)
     label, low, dims = _label_components(t.order, t.parent, role)
+    return _resolve_spec(role, total, label, low, dims, spec, offset)
+
+
+def _resolve_every_phi(t: Tree) -> Iterator[tuple[PhiAssignment, ResolvedPhi]]:
+    """Each choice of :func:`all_phi_assignments` over the red-green
+    components of ``t`` with its resolution, the role and label passes run
+    once for all of them."""
+    role, total = _parent_roles(t.order, t.parent)
+    label, low, dims = _label_components(t.order, t.parent, role)
+    for phi in all_phi_assignments(low):
+        yield phi, _resolve_spec(role, total, label, low, dims, phi, 0)
+
+
+def _resolve_spec(
+    role: list[int], total: int, label: list[int], low: list[int], dims: list[int],
+    spec: PhiSpec, offset: int,
+) -> ResolvedPhi:
+    """:func:`resolve_tree_phi` on the results of its two passes, which it
+    leaves as they are."""
     if offset:
         low = [m + offset for m in low]
     if isinstance(spec, (str, PhiKind)):
@@ -144,16 +163,13 @@ def resolve_tree_phi(t: Tree, spec: PhiSpec, offset: int = 0) -> ResolvedPhi:
     return ResolvedPhi(role, total, versal_rank, kinds, label)
 
 
-def all_phi_assignments(partition: RedGreenPartition) -> list[PhiAssignment]:
-    """Every generic/versal choice over the components of a partition."""
-    out = [PhiAssignment(())]
-    for _ in partition:
-        out = [
-            PhiAssignment(p.kinds + (k,))
-            for p in out
-            for k in (PhiKind.GENERIC, PhiKind.VERSAL)
-        ]
-    return out
+def all_phi_assignments(partition: Sized) -> list[PhiAssignment]:
+    """Every generic/versal choice over a sized collection of red-green
+    components (a :class:`~treecount.coloring.RedGreenPartition`, or any
+    other with one entry per component), each listing its kinds in order of
+    the components' smallest vertex, as :func:`resolve_tree_phi` reads it."""
+    kinds = (PhiKind.GENERIC, PhiKind.VERSAL)
+    return [PhiAssignment(k) for k in product(kinds, repeat=len(partition))]
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +193,15 @@ def _count_sets_by_size(
     (:func:`_parent_roles`, run here when ``total`` is not given).  It sizes
     the slots of :func:`_fold_sets`: bit_length(i(T)) + 1, a spare bit,
     rounded up to whole bytes so that the root unpacks by whole-byte slots
-    (:func:`_unpack`).  The slot sums are checked against i(T): equal when
-    no vertex is generic, at most i(T) otherwise.
+    (:func:`_unpack`); their sum is checked against i(T)
+    (:func:`_unpack_checked`).
     """
     if total is None:
         total = _parent_roles(order, parent)[1]
     if role is None:
         role = [0] * len(parent)
     width = (total.bit_length() + 8) // 8  # bytes per slot
-    counts = _unpack(_fold_sets(order, parent, role, 8 * width), width)
-    found = sum(counts)
-    if found > total or (found != total and not any(role)):
-        raise AssertionError(f"{found} sets counted by size, {total} independent sets")
-    return counts
+    return _unpack_checked(_fold_sets(order, parent, role, 8 * width), width, total, any(role))
 
 
 def _fold_sets(order: Sequence[int], parent: Sequence[int], role: Sequence[int], shift: int) -> int:
@@ -273,6 +285,19 @@ def _unpack(packed: int, width: int) -> list[int]:
     return [
         int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
     ]
+
+
+def _unpack_checked(packed: int, width: int, total: int, generic: bool) -> list[int]:
+    """The size vector c packed in slots of ``width`` bytes (:func:`_unpack`),
+    its slot sum checked against i(T), ``total``: the sets of c are
+    independent sets of the tree, so at most i(T), and all of them when no
+    vertex is ``generic``.  A census bucket passes the least i(T) of its
+    trees."""
+    c = _unpack(packed, width)
+    found = sum(c)
+    if found > total or (found != total and not generic):
+        raise AssertionError(f"{found} sets counted by size, {total} independent sets")
+    return c
 
 
 def _pack(values: Sequence[int], width: int) -> int:
@@ -639,17 +664,6 @@ class CensusReport(NamedTuple):
     polynomials: tuple[Poly, ...]
 
 
-def _unpack_bucket(packed: int, width: int, total: int, generic: bool) -> list[int]:
-    """The size vector of a census bucket, its slot sum checked against the
-    number i(T) of independent sets of its trees: equal, or for a generic
-    bucket at most the least i(T) of its trees."""
-    c = _unpack(packed, width)
-    found = sum(c)
-    if found > total or (found != total and not generic):
-        raise AssertionError(f"{found} sets counted by size, {total} independent sets")
-    return c
-
-
 def census(n: int, census_class: CensusClass) -> CensusReport:
     """Bucket the n-vertex trees of a class by their polynomial.
 
@@ -715,7 +729,7 @@ def census(n: int, census_class: CensusClass) -> CensusReport:
                 )
             bucket[0] = min(bucket[0], total)
         bucket.append(bytes(parent[1:]))
-    vectors = (_unpack_bucket(packed, width, b[0], generic) for packed, b in buckets.items())
+    vectors = (_unpack_checked(packed, width, b[0], generic) for packed, b in buckets.items())
     polys: list[Poly] = []
     while batch := list(islice(vectors, _WEIGH_BATCH)):
         polys += _weigh_by_size(batch, n + versal_rank)

@@ -1,4 +1,6 @@
-"""Mutation checks of the free-tree walk and the census's carried fold.
+"""Mutation checks of the fast paths: the free-tree walk, the census's
+carried fold, the kernel and its slot-sum check, the weighing, and the φ
+assignments that ``verify --max-n`` sweeps.
 
 Each mutant is one text rewrite of one file under ``src/``.  It is applied
 to a temporary copy of the checkout (``src/``, ``tests/`` and
@@ -42,6 +44,19 @@ FOLD_TESTS = (
     "tests/test_counting.py::test_carried_size_vectors_equal_the_kernel",
     "tests/test_counting.py::test_census_matches_reference",
     "tests/test_counting.py::test_census_reports_are_pinned",
+)
+KERNEL_TESTS = (
+    "tests/test_counting.py::test_base_cases",
+    "tests/test_counting.py::test_count_matches_recursion_everywhere",
+)
+WEIGH_TESTS = (
+    "tests/test_counting.py::test_batched_weighing_fixed_cases",
+    "tests/test_counting.py::test_batched_weighing_matches_poly_arithmetic",
+)
+SWEEP_TESTS = (
+    "tests/test_counting.py::test_resolution_matches_the_partition",
+    "tests/test_cli.py::test_verify_max_n_sweeps_every_pair",
+    "tests/test_cli_pins.py",
 )
 
 
@@ -118,6 +133,51 @@ MUTANTS = {
         "    return out + down + ((inn - rdown) << shift), wo + wi\n",
         "    return out + down + (inn << shift), wo + wi\n",
         FOLD_TESTS,
+    ),
+    # the kernel (counting._fold_sets) and the slot-sum check of its sizes
+    "green-keeps-two-children-in-i1": Mutant(
+        "counting.py",
+        "            down[p] = down[p] * keep + a0 * i1\n",
+        "            down[p] = down[p] * (keep + i1) + a0 * i1\n",
+        KERNEL_TESTS,
+    ),
+    "slot-sum-check-loses-not-generic": Mutant(
+        "counting.py",
+        "    if found > total or (found != total and not generic):\n",
+        "    if found > total or found != total:\n",
+        KERNEL_TESTS + FOLD_TESTS,
+    ),
+    # the weighing (counting._weigh_by_size)
+    "trailing-factor-from-the-first-vector": Mutant(
+        "counting.py",
+        "    top = len(largest) - 1\n",
+        "    top = len(vectors[0]) - 1\n",
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
+    # the assignments of verify --max-n (counting._resolve_every_phi)
+    "sweep-resolves-every-phi-all-generic": Mutant(
+        "counting.py",
+        "        yield phi, _resolve_spec(role, total, label, low, dims, phi, 0)\n",
+        "        yield phi, _resolve_spec(role, total, label, low, dims, PhiKind.GENERIC, 0)\n",
+        SWEEP_TESTS,
+    ),
+    "sweep-maps-kinds-in-pass-order": Mutant(
+        "counting.py",
+        "        yield phi, _resolve_spec(role, total, label, low, dims, phi, 0)\n",
+        "        yield phi, _resolve_spec(role, total, label, low, dims, dict(zip(low, phi.kinds)), 0)\n",
+        SWEEP_TESTS,
+    ),
+    "assignment-mapped-in-label-order": Mutant(
+        "counting.py",
+        "        for kind, c in zip(spec.kinds, sorted(range(len(low)), key=low.__getitem__)):\n",
+        "        for kind, c in zip(spec.kinds, range(len(low))):\n",
+        SWEEP_TESTS,
+    ),
+    "assignments-versal-first": Mutant(
+        "counting.py",
+        "    kinds = (PhiKind.GENERIC, PhiKind.VERSAL)\n",
+        "    kinds = (PhiKind.VERSAL, PhiKind.GENERIC)\n",
+        SWEEP_TESTS,
     ),
 }
 

@@ -12,7 +12,16 @@ from pathlib import Path
 import pytest
 
 from treecount.cli import build_parser, main, phi_spec_parse
-from treecount.counting import CensusClass, PhiError, all_phi_assignments, census
+from treecount.coloring import _label_components, _parent_roles
+from treecount.counting import (
+    CensusClass,
+    PhiAssignment,
+    PhiError,
+    PhiKind,
+    all_phi_assignments,
+    census,
+    count_polynomial,
+)
 from treecount.families import d_tree, e_tree, family_tree, linear_tree, star_tree
 from treecount.matchings import (
     count_maximum_independent_sets,
@@ -20,7 +29,7 @@ from treecount.matchings import (
     independent_sets,
 )
 from treecount.fqoracle import PrimeCheck, VerifyReport
-from treecount.trees import Tree, emit_graph6
+from treecount.trees import Tree, emit_graph6, parse_graph6
 from conftest import colored, prufer_decode, trees_up_to
 
 
@@ -383,23 +392,57 @@ def _pair_count(max_n: int) -> int:
 
 
 def test_verify_max_n_sweeps_every_pair(capsys):
-    code, out, _ = run(capsys, "verify", "--max-n", "4", "--primes", "2,3", "--json")
+    """Every (tree, phi) is checked at every prime, and every row's expected
+    values are N(q) of its tree under the phi it lists, whose kinds are in
+    order of the components' smallest vertex.  The label pass numbers the
+    components of 2 trees at n = 8 and 3 at n = 9 out of that order, so an
+    assignment mapped in pass order fails here."""
+    code, out, _ = run(capsys, "verify", "--max-n", "9", "--primes", "2,3", "--json")
     payload = json.loads(out)
     assert code == 0 and payload["verdict"] == "PASS"
-    assert len(payload["results"]) == _pair_count(4) == 8
+    assert len(payload["results"]) == _pair_count(9) == 221
+    kind_of = {k.value[0]: k for k in PhiKind}
+    unordered = {}
     for row in payload["results"]:
         assert [c["q"] for c in row["checks"]] == [2, 3]
         assert all(c["status"] != "mismatch" for c in row["checks"])
+        t = parse_graph6(row["graph6"])
+        kinds = tuple(kind_of[k] for k in row["phi"].split(",") if k != "-")
+        poly = count_polynomial(t, PhiAssignment(kinds))
+        assert [c["expected"] for c in row["checks"]] == [poly(2), poly(3)], row
+        low = _label_components(t.order, t.parent, _parent_roles(t.order, t.parent)[0])[1]
+        if low != sorted(low):
+            unordered[row["graph6"]] = t.n
+    assert sorted(unordered.values()) == [8, 8, 9, 9, 9]
+
+
+def test_verify_max_n_resolves_each_tree_once(capsys, monkeypatch, coloring_calls, role_passes):
+    """The sweep runs one role pass and one label pass per tree, resolves
+    every assignment off them and builds no coloring."""
+    import treecount.counting as counting
+
+    label_passes: list[int] = []
+
+    def counted(order, parent, role):
+        label_passes.append(len(parent))
+        return _label_components(order, parent, role)
+
+    monkeypatch.setattr(counting, "_label_components", counted)
+    code, _, _ = run(capsys, "verify", "--max-n", "8", "--primes", "2")
+    sizes = [t.n for t in trees_up_to(8)]
+    assert code == 0 and len(sizes) == 48
+    assert role_passes == label_passes == sizes
+    assert coloring_calls == []
 
 
 def test_verify_max_n_reports_each_mismatch(capsys, monkeypatch):
     """A mismatch in the sweep prints one FAIL line per pair and exits 4."""
     import treecount.cli as cli
 
-    def mismatch(t, phi, primes, force=False):
+    def mismatch(t, resolved, primes, force):
         return VerifyReport(tuple(PrimeCheck(q, "mismatch", -1, 0) for q in primes))
 
-    monkeypatch.setattr(cli, "verify_polynomial", mismatch)
+    monkeypatch.setattr(cli, "_verify_resolved", mismatch)
     code, out, err = run(capsys, "verify", "--max-n", "2", "--primes", "2")
     fails = [line for line in out.splitlines() if line.startswith("FAIL ") and " phi=" in line]
     assert code == 4 and "verification failure" in err
@@ -411,10 +454,10 @@ def test_verify_max_n_json_failures_keep_stdout_json(capsys, monkeypatch):
     stdout is the one JSON record, and still exits 4."""
     import treecount.cli as cli
 
-    def mismatch(t, phi, primes, force=False):
+    def mismatch(t, resolved, primes, force):
         return VerifyReport(tuple(PrimeCheck(q, "mismatch", -1, 0) for q in primes))
 
-    monkeypatch.setattr(cli, "verify_polynomial", mismatch)
+    monkeypatch.setattr(cli, "_verify_resolved", mismatch)
     code, out, err = run(capsys, "verify", "--max-n", "2", "--primes", "2", "--json")
     record = json.loads(out)
     assert code == 4 and record["verdict"] == f"FAIL ({_pair_count(2)} mismatches)"
