@@ -926,7 +926,8 @@ def _report_digest(rep: CensusReport) -> str:
 
 
 # Digests of the reports given by the walk that reads its validity test off
-# slices (tests/oracles.py).  Sizes with no tree in the class (odd n for
+# slices (tests/oracles.py); those of both unimodal classes at n = 15 are
+# also those of reference_census.  Sizes with no tree in the class (odd n for
 # orange, even n for unimodal) are left out.
 CENSUS_DIGESTS = {
     CensusClass.ORANGE: {
@@ -946,6 +947,7 @@ CENSUS_DIGESTS = {
         9: "3e6f48e0e87ef81e",
         11: "371cf5e9764b1cb2",
         13: "634eff9ac982d4ab",
+        15: "6e48560a40c4d453",
     },
     CensusClass.UNIMODAL_GENERIC: {
         1: "bad1d6a52ef9cac1",
@@ -955,6 +957,7 @@ CENSUS_DIGESTS = {
         9: "a0491aef26ff4949",
         11: "416b985c69af129f",
         13: "87f5aed0f708115d",
+        15: "1e50bd7a0a8e71f5",
     },
 }
 
@@ -962,7 +965,7 @@ CENSUS_DIGESTS = {
 def test_census_reports_are_pinned():
     """Whole reports, collision representatives and their order included,
     hash as pinned: census(n, orange) for n <= 14, both unimodal classes for
-    n <= 13."""
+    n <= 15."""
     for census_class, digests in CENSUS_DIGESTS.items():
         for n, digest in digests.items():
             assert _report_digest(census(n, census_class)) == digest, (census_class, n)
