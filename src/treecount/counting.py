@@ -15,16 +15,18 @@ sets of the tree, so a slot one bit wider than i(T) needs can never carry
 into the next.  The weighing of size vectors into N(q) is packed the
 same way: N is evaluated at q = 2**s as one integer, by Horner steps of
 shifts and additions, and its signed coefficients are read back from s-bit
-slots; many vectors with one exponent are weighed in one such pass, side by
-side (:func:`_weigh_by_size`).  Slots of 1, 2, 4 or 8 bytes are read in one
-memoryview cast (:func:`_unpack`).
+slots in two's complement; many vectors with one exponent are weighed in
+one such pass, side by side (:func:`_weigh_by_size`).  Slots of up to 8
+bytes are rounded up to 1, 2, 4 or 8 (:func:`_slot_width`), which one
+memoryview cast reads (:func:`_unpack`), signed or not.
 
 The pass, like the role pass, takes a children-first vertex order and a
 parent array, not a :class:`Tree`, and reads the roles of the generic
 vertices only.  A tree hands both its own rooting at 0 (``t.order``,
 ``t.parent``); the coincidence census counts every tree straight off the
 parent arrays of the free-tree walk and buckets it on its size vector
-packed at one slot width, unpacking each bucket once.  It carries the
+packed at one slot width, 1 byte up to n = 7, 2 up to n = 15 and 4 up to
+n = 20, unpacking each bucket once.  It carries the
 pass's states of closed subtrees from one array to the next in every
 class, with no role pass: a unimodal-generic vertex, whose role depends on
 one bit from outside its subtree, keeps what either value of it needs.
@@ -272,6 +274,8 @@ def _fold_sets(order: Sequence[int], parent: Sequence[int], role: Sequence[int],
 #: The memoryview format of each slot width in bytes that one cast reads;
 #: a cast reads the host's byte order, so only on little-endian hosts.
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+#: The same widths read as two's complement, as :func:`_weigh_by_size` reads.
+_SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 
 def _unpack(packed: int, width: int) -> list[int]:
@@ -311,10 +315,10 @@ def _pack(values: Sequence[int], width: int) -> int:
 
 def _slot_width(bound: int) -> int:
     """Whole bytes per slot for values up to ``bound`` with a spare bit,
-    rounded up to 4 or 8 when at most 8, which :func:`_unpack` reads by one
-    cast; a wider slot never carries either."""
+    rounded up to 1, 2, 4 or 8 when at most 8, which one memoryview cast
+    reads; a wider slot never carries either."""
     width = (bound.bit_length() + 8) // 8
-    return width if width > 8 else 4 if width <= 4 else 8
+    return width if width > 8 else 1 << (width - 1).bit_length()
 
 
 #: The open vertices of a pre-order parent array read up to some position,
@@ -327,7 +331,8 @@ def _carried_width(n: int) -> int:
     """Bytes per slot of the packed size vectors of every tree on n
     vertices: i(T) is at most 2**(n-1) + 1, the star's count (Prodinger and
     Tichy, Fibonacci Quart. 20 (1982)), so a slot for that bound never
-    carries."""
+    carries.  That is 1 byte up to n = 7, 2 up to n = 15 and 4 up to n = 31
+    (:func:`_slot_width`)."""
     return _slot_width((1 << max(n - 1, 0)) + 1)
 
 
@@ -459,9 +464,12 @@ def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly
     sum of sum_k c_k q**k (q+1)**(exponent-2k), which bounds every
     coefficient of (q-1)**e by that of (q+1)**e; taken over the largest
     count of each size, the sum bounds every vector's.  So s is its bit
-    length plus a sign bit (:func:`_slot_width`), every a_j + 2**(s-1) lies
-    in (0, 2**s), and biasing every slot by 2**(s-1) before unpacking reads
-    each a_j off its own slot.  Each result is checked as the kernel checks
+    length plus a sign bit (:func:`_slot_width`), and every a_j + 2**(s-1)
+    lies in (0, 2**s): biased by 2**(s-1) in every slot, the integer holds
+    each a_j + 2**(s-1) in its own slot with no carry, and XORing the bias
+    back out leaves each a_j there in s-bit two's complement, which one
+    signed memoryview cast reads (``_SIGNED_FORMATS``), or signed byte
+    slices past 8 bytes.  Each result is checked as the kernel checks
     its slot sums: monic of degree ``exponent``, and N(1) = c[top] when
     exponent = 2*top, else 0, every other term keeping a factor q-1.
     """
@@ -490,10 +498,19 @@ def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly
         acc = (acc << 2 * shift) - (acc << (shift + 1)) + acc + (c << k * shift)
     for _ in range(exponent - 2 * top):
         acc = (acc << shift) - acc
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * ((exponent + 1) * m), "little")
-    # every slot holds a_j + half > 0, so _unpack reads all of them
-    coeffs = [a - half for a in _unpack(acc + bias, width)]
+    halves = (1 << (8 * width - 1)).to_bytes(width, "little") * ((exponent + 1) * m)
+    bias = int.from_bytes(halves, "little")
+    # every slot of acc + bias holds a_j + half in (0, 2**s), so no carry;
+    # the XOR leaves a_j there in s-bit two's complement
+    raw = ((acc + bias) ^ bias).to_bytes(len(halves), "little")
+    fmt = _SIGNED_FORMATS.get(width)
+    if fmt:
+        coeffs = memoryview(raw).cast(fmt).tolist()
+    else:
+        coeffs = [
+            int.from_bytes(raw[i : i + width], "little", signed=True)
+            for i in range(0, len(raw), width)
+        ]
     polys = []
     for b, counts in enumerate(vectors):
         mine = coeffs[b::m]

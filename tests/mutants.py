@@ -1,6 +1,7 @@
 """Mutation checks of the fast paths: the free-tree walk, the census's
-carried fold, the kernel and its slot-sum check, the weighing, and the φ
-assignments that ``verify --max-n`` sweeps.
+carried fold and its slot width, the kernel and its slot-sum check, the
+weighing and its signed slots, and the φ assignments that
+``verify --max-n`` sweeps.
 
 Each mutant is one text rewrite of one file under ``src/``.  It is applied
 to a temporary copy of the checkout (``src/``, ``tests/`` and
@@ -51,6 +52,8 @@ KERNEL_TESTS = (
 )
 WEIGH_TESTS = (
     "tests/test_counting.py::test_batched_weighing_fixed_cases",
+    "tests/test_counting.py::test_weigh_by_size_fixed_cases",
+    "tests/test_counting.py::test_byte_slice_path_decodes_as_the_cast",
     "tests/test_counting.py::test_batched_weighing_matches_poly_arithmetic",
 )
 SWEEP_TESTS = (
@@ -147,12 +150,49 @@ MUTANTS = {
         "    if found > total or found != total:\n",
         KERNEL_TESTS + FOLD_TESTS,
     ),
-    # the weighing (counting._weigh_by_size)
+    # the weighing (counting._weigh_by_size) and its slots
     "trailing-factor-from-the-first-vector": Mutant(
         "counting.py",
         "    top = len(largest) - 1\n",
         "    top = len(vectors[0]) - 1\n",
         WEIGH_TESTS + FOLD_TESTS,
+    ),
+    "slot-width-without-its-sign-bit": Mutant(
+        "counting.py",
+        "    width = (bound.bit_length() + 8) // 8\n",
+        "    width = (bound.bit_length() + 7) // 8\n",
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
+    "weighing-read-without-the-xor": Mutant(
+        "counting.py",
+        "    raw = ((acc + bias) ^ bias).to_bytes(len(halves), \"little\")\n",
+        "    raw = (acc + bias).to_bytes(len(halves), \"little\")\n",
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
+    "signed-table-reads-2-byte-slots-unsigned": Mutant(
+        "counting.py",
+        '2: "h"',
+        '2: "H"',
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
+    "signed-slices-read-unsigned": Mutant(
+        "counting.py",
+        '            int.from_bytes(raw[i : i + width], "little", signed=True)\n',
+        '            int.from_bytes(raw[i : i + width], "little")\n',
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
+    # the census's carried slots (counting._carried_width)
+    "carried-width-for-2-to-the-n-minus-2": Mutant(
+        "counting.py",
+        "    return _slot_width((1 << max(n - 1, 0)) + 1)\n",
+        "    return _slot_width((1 << max(n - 2, 0)) + 1)\n",
+        FOLD_TESTS,
+        equivalent=(
+            "it drops the spare bit of the carried slots, which only a signed read "
+            "needs: the widths differ only at n = 8 and 16, where the mutant's 1 and "
+            "2 bytes still hold every count, at most i(T) <= 2**(n-1) + 1 < 2**n, "
+            "and the carried vectors are read unsigned"
+        ),
     ),
     # the assignments of verify --max-n (counting._resolve_every_phi)
     "sweep-resolves-every-phi-all-generic": Mutant(

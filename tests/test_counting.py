@@ -411,9 +411,10 @@ def test_weigh_by_size_fixed_cases():
     c_t = 2**m - 1 with e = 2t < m gives a_t = c_t + (-1)**t * C(2t, t) and
     the width bound c_t + 2**e, which has m + 1 bits.  With m = 8w - 1 and t
     even that is 8w bits and a_t >= 2**(8w - 1), so a slot of 8w bits with
-    no spare sign bit overflows.  Slots are rounded up to 4 or 8 bytes up to
-    8, so m = 31 and 63 are the edges there, and m = 30 and 62 the largest
-    entries that still fit slots of 4 and 8 bytes; alone and in one batch.
+    no spare sign bit overflows.  Slots are rounded up to 1, 2, 4 or 8 bytes
+    up to 8, so m = 7, 15, 31 and 63 are the edges there, and m = 6, 14, 30
+    and 62 the largest entries that still fit slots of 1, 2, 4 and 8 bytes;
+    alone and in one batch.
     """
     assert _weigh_by_size([[1]], 0) == [Poly.const(1)]
     assert _weigh_by_size([[1]], 5) == [(Q - 1) ** 5]
@@ -421,12 +422,13 @@ def test_weigh_by_size_fixed_cases():
     resolved = resolve_tree_phi(star, "generic")
     counts = _count_sets_by_size(star.order, star.parent, resolved.role, resolved.total)
     assert _weigh_by_size([counts], star.n) == [_weigh_by_poly(counts, star.n)]
-    assert [_slot_width(2**b - 1) for b in (7, 8, 31, 32, 63, 64, 71, 72)] == [
-        4, 4, 4, 8, 8, 9, 9, 10,
+    assert [_slot_width(2**b - 1) for b in (7, 8, 15, 16, 31, 32, 63, 64, 71, 72)] == [
+        1, 2, 2, 4, 4, 8, 8, 9, 9, 10,
     ]
     cases = []
     for m, t in (
         (8, 1), (16, 2), (16, 7), (7, 2), (15, 4), (23, 6), (63, 30),
+        (6, 2), (14, 2), (15, 2),
         (30, 2), (31, 2), (31, 14), (62, 30), (62, 2), (63, 2),
     ):
         counts = [1] + [0] * t
@@ -469,7 +471,9 @@ def test_unpack_and_pack_match_byte_slices(case):
 
 def test_byte_slice_path_decodes_as_the_cast(monkeypatch):
     """With no cast format, as on a big-endian host, _unpack and _pack take
-    the byte-slice path and agree with the cast path at widths 1 to 9."""
+    the byte-slice path and agree with the cast path at widths 1 to 9, and
+    _weigh_by_size reads its signed slots by byte slices as the cast path
+    reads them, at slot widths 1 to 9 when they are not rounded up."""
     rng = random.Random(29)
     cases = []
     for width in range(1, 10):
@@ -478,19 +482,38 @@ def test_byte_slice_path_decodes_as_the_cast(monkeypatch):
             values = [rng.choice([0, 1, top, top >> 1, rng.randint(0, top)]) for _ in range(17)]
             cases.append((values, width, sum(v << (8 * width * i) for i, v in enumerate(values))))
     cast = [(_unpack(p, w), _pack(v, w)) for v, w, p in cases]
-    assert any(treecount.counting._SLOT_FORMATS.get(w) for w in (1, 2, 4, 8)) == (
-        sys.byteorder == "little"
-    )
-    monkeypatch.setattr(treecount.counting, "_SLOT_FORMATS", {})
+    # c_2 = 2**m - 1 with (q-1)**4 needs m + 1 bits with the sign bit: w
+    # bytes at m = 8w - 2, w + 1 at m = 8w - 1
+    weighings = [
+        ([[1, 0, 2**m - 1], [1, 3], [1, 7, 10]], 4)
+        for w in range(1, 10)
+        for m in (8 * w - 2, 8 * w - 1)
+    ]
+    weighed = [_weigh_by_size(v, e) for v, e in weighings]
+    for table in ("_SLOT_FORMATS", "_SIGNED_FORMATS"):
+        formats = getattr(treecount.counting, table)
+        assert any(formats.get(w) for w in (1, 2, 4, 8)) == (sys.byteorder == "little")
+        monkeypatch.setattr(treecount.counting, table, {})
     assert [(_unpack(p, w), _pack(v, w)) for v, w, p in cases] == cast
     assert all(packed == got for (_, _, packed), (_, got) in zip(cases, cast))
-    # the census and the weighing give the same reports on that path
+    # the census and the weighing give the same reports on that path, the
+    # census carrying 2-byte slots
+    assert _carried_width(12) == _carried_width(11) == 2
     assert _report_digest(census(12, CensusClass.ORANGE)) == CENSUS_DIGESTS[
         CensusClass.ORANGE
     ][12]
     assert _report_digest(census(11, CensusClass.UNIMODAL_VERSAL)) == CENSUS_DIGESTS[
         CensusClass.UNIMODAL_VERSAL
     ][11]
+    widths = []
+
+    def unrounded(bound):
+        widths.append((bound.bit_length() + 8) // 8)
+        return widths[-1]
+
+    monkeypatch.setattr(treecount.counting, "_slot_width", unrounded)
+    assert [_weigh_by_size(v, e) for v, e in weighings] == weighed
+    assert sorted(set(widths)) == list(range(1, 11))
 
 
 def test_choice_independence():
