@@ -15,18 +15,16 @@ sets of the tree, so a slot one bit wider than i(T) needs can never carry
 into the next.  The weighing of size vectors into N(q) is packed the
 same way: N is evaluated at q = 2**s as one integer, by Horner steps of
 shifts and additions, and its signed coefficients are read back from s-bit
-slots in two's complement; many vectors with one exponent are weighed in
-one such pass, side by side (:func:`_weigh_by_size`).  Slots of up to 8
-bytes are rounded up to 1, 2, 4 or 8 (:func:`_slot_width`), which one
-memoryview cast reads (:func:`_unpack`), signed or not.
+slots; many vectors with one exponent are weighed in one such pass, side by
+side (:func:`_weigh_by_size`).  Slots of 1, 2, 4 or 8 bytes are read in one
+memoryview cast, signed or not.
 
 The pass, like the role pass, takes a children-first vertex order and a
 parent array, not a :class:`Tree`, and reads the roles of the generic
 vertices only.  A tree hands both its own rooting at 0 (``t.order``,
 ``t.parent``); the coincidence census counts every tree straight off the
 parent arrays of the free-tree walk and buckets it on its size vector
-packed at one slot width, 1 byte up to n = 7, 2 up to n = 15 and 4 up to
-n = 20, unpacking each bucket once.  It carries the
+packed at one slot width, unpacking each bucket once.  It carries the
 pass's states of closed subtrees from one array to the next in every
 class, with no role pass: a unimodal-generic vertex, whose role depends on
 one bit from outside its subtree, keeps what either value of it needs.
@@ -274,7 +272,7 @@ def _fold_sets(order: Sequence[int], parent: Sequence[int], role: Sequence[int],
 #: The memoryview format of each slot width in bytes that one cast reads;
 #: a cast reads the host's byte order, so only on little-endian hosts.
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
-#: The same widths read as two's complement, as :func:`_weigh_by_size` reads.
+#: The same, read as two's complement.
 _SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 
@@ -331,8 +329,7 @@ def _carried_width(n: int) -> int:
     """Bytes per slot of the packed size vectors of every tree on n
     vertices: i(T) is at most 2**(n-1) + 1, the star's count (Prodinger and
     Tichy, Fibonacci Quart. 20 (1982)), so a slot for that bound never
-    carries.  That is 1 byte up to n = 7, 2 up to n = 15 and 4 up to n = 31
-    (:func:`_slot_width`)."""
+    carries: 1 byte up to n = 7, 2 up to n = 15, 4 up to n = 31."""
     return _slot_width((1 << max(n - 1, 0)) + 1)
 
 
@@ -464,12 +461,10 @@ def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly
     sum of sum_k c_k q**k (q+1)**(exponent-2k), which bounds every
     coefficient of (q-1)**e by that of (q+1)**e; taken over the largest
     count of each size, the sum bounds every vector's.  So s is its bit
-    length plus a sign bit (:func:`_slot_width`), and every a_j + 2**(s-1)
-    lies in (0, 2**s): biased by 2**(s-1) in every slot, the integer holds
-    each a_j + 2**(s-1) in its own slot with no carry, and XORing the bias
-    back out leaves each a_j there in s-bit two's complement, which one
-    signed memoryview cast reads (``_SIGNED_FORMATS``), or signed byte
-    slices past 8 bytes.  Each result is checked as the kernel checks
+    length plus a sign bit (:func:`_slot_width`), every a_j + 2**(s-1) lies
+    in (0, 2**s), so biasing every slot by 2**(s-1) and XORing the bias back
+    out leaves each a_j in its own slot in two's complement, read by one
+    signed cast up to 8 bytes.  Each result is checked as the kernel checks
     its slot sums: monic of degree ``exponent``, and N(1) = c[top] when
     exponent = 2*top, else 0, every other term keeping a factor q-1.
     """
@@ -500,8 +495,6 @@ def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly
         acc = (acc << shift) - acc
     halves = (1 << (8 * width - 1)).to_bytes(width, "little") * ((exponent + 1) * m)
     bias = int.from_bytes(halves, "little")
-    # every slot of acc + bias holds a_j + half in (0, 2**s), so no carry;
-    # the XOR leaves a_j there in s-bit two's complement
     raw = ((acc + bias) ^ bias).to_bytes(len(halves), "little")
     fmt = _SIGNED_FORMATS.get(width)
     if fmt:
