@@ -473,7 +473,7 @@ def test_byte_slice_path_decodes_as_the_cast(monkeypatch):
     """With no cast format, as on a big-endian host, _unpack and _pack take
     the byte-slice path and agree with the cast path at widths 1 to 9, and
     _weigh_by_size reads its signed slots by byte slices as the cast path
-    reads them, at slot widths 1 to 9 when they are not rounded up."""
+    reads them, at slot widths 1 to 10 when they are not rounded up."""
     rng = random.Random(29)
     cases = []
     for width in range(1, 10):
@@ -949,8 +949,8 @@ def _report_digest(rep: CensusReport) -> str:
 
 
 # Digests of the reports given by the walk that reads its validity test off
-# slices (tests/oracles.py); those of both unimodal classes at n = 15 are
-# also those of reference_census.  Sizes with no tree in the class (odd n for
+# slices (tests/oracles.py); those of both unimodal classes at n = 15, the
+# largest n carried in 2-byte slots, are also those of reference_census.  Sizes with no tree in the class (odd n for
 # orange, even n for unimodal) are left out.
 CENSUS_DIGESTS = {
     CensusClass.ORANGE: {
