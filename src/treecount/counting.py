@@ -11,13 +11,15 @@ the red-green components, and the spec picks a kind per component; no
 pass packs each polynomial in the set size into one Python integer, one
 fixed-width slot per size (Kronecker substitution), so that a product of
 polynomials is a single big-integer product.  Every slot counts independent
-sets of the tree, so a slot one bit wider than i(T) needs can never carry
-into the next.  The weighing of size vectors into N(q) is packed the
-same way: N is evaluated at q = 2**s as one integer, by Horner steps of
-shifts and additions, and its signed coefficients are read back from s-bit
-slots; many vectors with one exponent are weighed in one such pass, side by
-side (:func:`_weigh_by_size`).  Slots of 1, 2, 4 or 8 bytes are read in one
-memoryview cast, signed or not.
+sets of the tree, so a slot sized from i(T) by :func:`_slot_width`, with a
+spare bit, can never carry into the next.  The weighing of size vectors
+into N(q) is packed the same way: N is evaluated at q = 2**s as one
+integer, by Horner steps of shifts and additions, and its signed
+coefficients are read back from s-bit slots, the spare bit a sign bit;
+many vectors with one exponent are weighed in one such pass, side by side
+(:func:`_weigh_by_size`).  Every slot width comes from :func:`_slot_width`
+and every packed integer is read by :func:`_unpack`, signed or not, in
+one memoryview cast at 1, 2, 4 or 8 bytes.
 
 The pass, like the role pass, takes a children-first vertex order and a
 parent array, not a :class:`Tree`, and reads the roles of the generic
@@ -191,16 +193,14 @@ def _count_sets_by_size(
     ``None`` when no vertex is generic.  ``total`` is the tree's number
     i(T) of independent sets, which the role pass of the coloring finds
     (:func:`_parent_roles`, run here when ``total`` is not given).  It sizes
-    the slots of :func:`_fold_sets`: bit_length(i(T)) + 1, a spare bit,
-    rounded up to whole bytes so that the root unpacks by whole-byte slots
-    (:func:`_unpack`); their sum is checked against i(T)
-    (:func:`_unpack_checked`).
+    the slots of :func:`_fold_sets` (:func:`_slot_width`), and their sum is
+    checked against it (:func:`_unpack_checked`).
     """
     if total is None:
         total = _parent_roles(order, parent)[1]
     if role is None:
         role = [0] * len(parent)
-    width = (total.bit_length() + 8) // 8  # bytes per slot
+    width = _slot_width(total)
     return _unpack_checked(_fold_sets(order, parent, role, 8 * width), width, total, any(role))
 
 
@@ -269,23 +269,23 @@ def _fold_sets(order: Sequence[int], parent: Sequence[int], role: Sequence[int],
     return o + i0
 
 
-#: The memoryview format of each slot width in bytes that one cast reads;
-#: a cast reads the host's byte order, so only on little-endian hosts.
+#: The memoryview format of each slot width in bytes that one cast reads,
+#: unsigned; its lower case reads two's complement.  A cast reads the
+#: host's byte order, so only on little-endian hosts.
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
-#: The same, read as two's complement.
-_SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 
-def _unpack(packed: int, width: int) -> list[int]:
-    """The slots of ``width`` bytes of a packed size-polynomial, lowest first,
-    up to its last nonzero one: one memoryview cast for slots of 1, 2, 4 or
-    8 bytes, byte slices otherwise."""
+def _unpack(packed: int, width: int, signed: bool = False) -> list[int]:
+    """The slots of ``width`` bytes of a packed integer, lowest first, up to
+    its last nonzero one, read as two's complement when ``signed``: one
+    memoryview cast for slots of 1, 2, 4 or 8 bytes, byte slices otherwise."""
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
     fmt = _SLOT_FORMATS.get(width)
     if fmt:
-        return memoryview(raw).cast(fmt).tolist()
+        return memoryview(raw).cast(fmt.lower() if signed else fmt).tolist()
     return [
-        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+        int.from_bytes(raw[i : i + width], "little", signed=signed)
+        for i in range(0, len(raw), width)
     ]
 
 
@@ -312,9 +312,13 @@ def _pack(values: Sequence[int], width: int) -> int:
 
 
 def _slot_width(bound: int) -> int:
-    """Whole bytes per slot for values up to ``bound`` with a spare bit,
-    rounded up to 1, 2, 4 or 8 when at most 8, which one memoryview cast
-    reads; a wider slot never carries either."""
+    """Bytes per slot for values up to ``bound``, the one width rule of the
+    kernel, the census and the weighing: the bit length of ``bound`` plus a
+    spare bit, in whole bytes, rounded up to 1, 2, 4 or 8 when at most 8,
+    which one memoryview cast reads (:func:`_unpack`).  Only the weighing's
+    signed read needs the spare bit, as a sign bit; an unsigned slot keeps
+    it so that every packed integer follows one rule, and a wider slot
+    never carries either."""
     width = (bound.bit_length() + 8) // 8
     return width if width > 8 else 1 << (width - 1).bit_length()
 
@@ -463,8 +467,8 @@ def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly
     count of each size, the sum bounds every vector's.  So s is its bit
     length plus a sign bit (:func:`_slot_width`), every a_j + 2**(s-1) lies
     in (0, 2**s), so biasing every slot by 2**(s-1) and XORing the bias back
-    out leaves each a_j in its own slot in two's complement, read by one
-    signed cast up to 8 bytes.  Each result is checked as the kernel checks
+    out leaves each a_j in its own slot in two's complement, read back
+    signed by :func:`_unpack`.  Each result is checked as the kernel checks
     its slot sums: monic of degree ``exponent``, and N(1) = c[top] when
     exponent = 2*top, else 0, every other term keeping a factor q-1.
     """
@@ -495,24 +499,16 @@ def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly
         acc = (acc << shift) - acc
     halves = (1 << (8 * width - 1)).to_bytes(width, "little") * ((exponent + 1) * m)
     bias = int.from_bytes(halves, "little")
-    raw = ((acc + bias) ^ bias).to_bytes(len(halves), "little")
-    fmt = _SIGNED_FORMATS.get(width)
-    if fmt:
-        coeffs = memoryview(raw).cast(fmt).tolist()
-    else:
-        coeffs = [
-            int.from_bytes(raw[i : i + width], "little", signed=True)
-            for i in range(0, len(raw), width)
-        ]
+    coeffs = _unpack((acc + bias) ^ bias, width, signed=True)
     polys = []
     for b, counts in enumerate(vectors):
         mine = coeffs[b::m]
         top = len(counts) - 1
         at_one = counts[top] if exponent == 2 * top else 0
-        if mine[-1] != 1 or sum(mine) != at_one:
+        if len(mine) != exponent + 1 or mine[-1] != 1 or sum(mine) != at_one:
             raise AssertionError(
-                f"weighed polynomial has leading coefficient {mine[-1]} and "
-                f"N(1) = {sum(mine)}, not 1 and {at_one}"
+                f"weighed polynomial has {len(mine)} coefficients, the last "
+                f"{mine[-1:]}, and N(1) = {sum(mine)}, not {exponent + 1}, [1] and {at_one}"
             )
         polys.append(Poly(tuple(mine)))
     return polys

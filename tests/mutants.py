@@ -165,20 +165,21 @@ MUTANTS = {
     ),
     "weighing-read-without-the-xor": Mutant(
         "counting.py",
-        "    raw = ((acc + bias) ^ bias).to_bytes(len(halves), \"little\")\n",
-        "    raw = (acc + bias).to_bytes(len(halves), \"little\")\n",
+        "    coeffs = _unpack((acc + bias) ^ bias, width, signed=True)\n",
+        "    coeffs = _unpack(acc + bias, width, signed=True)\n",
         WEIGH_TESTS + FOLD_TESTS,
     ),
+    # the one reader (counting._unpack), signed for the weighing
     "signed-table-reads-2-byte-slots-unsigned": Mutant(
         "counting.py",
-        '2: "h"',
-        '2: "H"',
+        "cast(fmt.lower() if signed else fmt)",
+        "cast(fmt.lower() if signed and width != 2 else fmt)",
         WEIGH_TESTS + FOLD_TESTS,
     ),
     "signed-slices-read-unsigned": Mutant(
         "counting.py",
-        '            int.from_bytes(raw[i : i + width], "little", signed=True)\n',
-        '            int.from_bytes(raw[i : i + width], "little")\n',
+        '        int.from_bytes(raw[i : i + width], "little", signed=signed)\n',
+        '        int.from_bytes(raw[i : i + width], "little")\n',
         WEIGH_TESTS + FOLD_TESTS,
     ),
     # the census's carried slots (counting._carried_width)
@@ -188,7 +189,8 @@ MUTANTS = {
         "    return _slot_width((1 << max(n - 2, 0)) + 1)\n",
         FOLD_TESTS,
         equivalent=(
-            "it drops the spare bit of the carried slots, which only a signed read "
+            "it drops the spare bit of the carried slots, which belongs to the one "
+            "width rule, _slot_width, and which only the weighing's signed read "
             "needs: the widths differ only at n = 8 and 16, where the mutant's 1 and "
             "2 bytes still hold every count, at most i(T) <= 2**(n-1) + 1 < 2**n, "
             "and the carried vectors are read unsigned"

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -490,10 +491,9 @@ def test_byte_slice_path_decodes_as_the_cast(monkeypatch):
         for m in (8 * w - 2, 8 * w - 1)
     ]
     weighed = [_weigh_by_size(v, e) for v, e in weighings]
-    for table in ("_SLOT_FORMATS", "_SIGNED_FORMATS"):
-        formats = getattr(treecount.counting, table)
-        assert any(formats.get(w) for w in (1, 2, 4, 8)) == (sys.byteorder == "little")
-        monkeypatch.setattr(treecount.counting, table, {})
+    formats = treecount.counting._SLOT_FORMATS
+    assert any(formats.get(w) for w in (1, 2, 4, 8)) == (sys.byteorder == "little")
+    monkeypatch.setattr(treecount.counting, "_SLOT_FORMATS", {})
     assert [(_unpack(p, w), _pack(v, w)) for v, w, p in cases] == cast
     assert all(packed == got for (_, _, packed), (_, got) in zip(cases, cast))
     # the census and the weighing give the same reports on that path, the
@@ -514,6 +514,31 @@ def test_byte_slice_path_decodes_as_the_cast(monkeypatch):
     monkeypatch.setattr(treecount.counting, "_slot_width", unrounded)
     assert [_weigh_by_size(v, e) for v, e in weighings] == weighed
     assert sorted(set(widths)) == list(range(1, 11))
+
+
+def test_kernel_at_each_cast_edge(monkeypatch):
+    """The kernel's slots of the stars on k = 6, 7, 14, 15, 30, 31, 62 and 63
+    leaves, i(T) = 2**k + 1, are 1, 2, 2, 4, 4, 8, 8 and 9 bytes wide, the
+    edges of the cast widths, and read back the same size vectors there,
+    by the cast and, with no cast format as on a big-endian host, by byte
+    slices: every set of leaves when versal, and no two leaves together
+    when generic, where every pair of leaves is admissible."""
+    edges = (6, 7, 14, 15, 30, 31, 62, 63)
+    assert [_slot_width(2**k + 1) for k in edges] == [1, 2, 2, 4, 4, 8, 8, 9]
+    for formats in (treecount.counting._SLOT_FORMATS, {}):
+        monkeypatch.setattr(treecount.counting, "_SLOT_FORMATS", formats)
+        for k in edges:
+            star = star_tree(k)
+            for phi, expected in (
+                ("versal", [1, k + 1] + [comb(k, j) for j in range(2, k + 1)]),
+                ("generic", [1, k + 1]),
+            ):
+                resolved = resolve_tree_phi(star, phi)
+                assert resolved.total == 2**k + 1
+                counts = _count_sets_by_size(
+                    star.order, star.parent, resolved.role, resolved.total
+                )
+                assert counts == expected, (k, phi, formats)
 
 
 def test_choice_independence():
