@@ -223,12 +223,16 @@ def _fold_sets(order: Sequence[int], parent: Sequence[int], role: Sequence[int],
     While its children arrive, v accumulates products over them: ``inn`` of
     o0 + o1 (v in S), ``out`` of o0 + o1 + i0 + i1 (v not in S) and, at a
     generic red, ``down`` of o1.  At a generic green ``out`` and ``down``
-    hold o0 and o1 instead.  Once folded into its parent, a vertex's entries
-    are set to 0, so the big integers of finished subtrees are freed.
+    hold o0 and o1 instead.  ``inn`` and ``out`` take a factor by assignment
+    while still 1, the empty product, and ``i1`` is added only at a green:
+    CPython copies a big integer on ``1 * x`` and on ``x + 0``.  Once folded
+    into its parent, a vertex's entries are set to 0, so the big integers of
+    finished subtrees are freed.
 
-    Reds have only green neighbours, all of their own component, so a red is
-    never the top of its component unless it is the root, where ``i1`` is
-    dropped: pruning from above cannot remove it either.
+    Reds have only green neighbours, all of their own component, so a red's
+    parent is a generic green and a red is never the top of its component
+    unless it is the root, where ``i1`` is dropped: pruning from above
+    cannot remove it either.
 
     A size-polynomial is one integer, the count of sets of size k in slot k
     of B = ``shift`` bits (Kronecker substitution): a product of two is one
@@ -254,17 +258,15 @@ def _fold_sets(order: Sequence[int], parent: Sequence[int], role: Sequence[int],
         p = parent[v]
         if p < 0:
             break
-        inn[p] *= o
+        a = inn[p]
+        inn[p] = o if a == 1 else a * o
         keep = o + i0
-        rp = role[p]
+        rp, a0 = role[p], out[p]
         if rp == 2:
-            a0 = out[p]
-            out[p] = a0 * keep
             down[p] = down[p] * keep + a0 * i1
-        else:
-            out[p] *= keep + i1
-            if rp:
-                down[p] *= o1
+        elif rp:
+            down[p] *= o1
+        out[p] = keep if a0 == 1 else a0 * keep
         inn[v] = out[v] = down[v] = 0
     return o + i0
 

@@ -144,6 +144,18 @@ MUTANTS = {
         "            down[p] = down[p] * (keep + i1) + a0 * i1\n",
         KERNEL_TESTS,
     ),
+    "inn-takes-every-child-by-assignment": Mutant(
+        "counting.py",
+        "        inn[p] = o if a == 1 else a * o\n",
+        "        inn[p] = o\n",
+        KERNEL_TESTS,
+    ),
+    "out-takes-every-child-by-assignment": Mutant(
+        "counting.py",
+        "        out[p] = keep if a0 == 1 else a0 * keep\n",
+        "        out[p] = keep\n",
+        KERNEL_TESTS,
+    ),
     "slot-sum-check-loses-not-generic": Mutant(
         "counting.py",
         "    if found > total or (found != total and not generic):\n",

@@ -585,7 +585,10 @@ def test_count_matches_recursion_random(pair):
 
 
 def test_count_long_path():
+    """Generic, every red folds into a green and every green into a red: both
+    parent branches of the kernel, on integers past those of n = 302."""
     assert count_polynomial(linear_tree(1201), "versal") == closed_form_a(1201, Mode.VERSAL)
+    assert count_polynomial(linear_tree(1201), "generic") == closed_form_a(1201, Mode.GENERIC)
 
 
 @pytest.mark.parametrize("n", [301, 302])
