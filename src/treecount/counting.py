@@ -13,10 +13,14 @@ fixed-width slot per size (Kronecker substitution), so that a product of
 polynomials is a single big-integer product.  Every slot counts independent
 sets of the tree, so a slot sized from i(T) by :func:`_slot_width`, with a
 spare bit, can never carry into the next.  The weighing of size vectors
-into N(q) is packed the same way: N is evaluated at q = 2**s as one
-integer, by Horner steps of shifts and additions, and its signed
-coefficients are read back from s-bit slots, the spare bit a sign bit;
-many vectors with one exponent are weighed in one such pass, side by side
+into N(q) is packed the same way, and computes half of N: with
+W = q + 1/q - 2, N is (q-1)**eps q**M times a polynomial in W, eps the
+parity of its degree, so N/(q-1)**eps is a palindrome.  Horner steps in W
+carry its coefficients on q**j + q**-j, j = 0..M, at q = 2**s as one
+integer about half as long as N's, each step shifts and additions and two
+reads of one slot; the M + 1 signed coefficients are read back from s-bit
+slots, the spare bit a sign bit, and mirrored into N's.  Many vectors with
+one exponent are weighed in one such pass, side by side
 (:func:`_weigh_by_size`).  Every slot width comes from :func:`_slot_width`
 and every packed integer is read by :func:`_unpack`, signed or not, in
 one memoryview cast at 1, 2, 4 or 8 bytes.
@@ -44,6 +48,7 @@ import enum
 import struct
 import sys
 from itertools import islice, product, zip_longest
+from operator import neg
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Sized, TypeAlias
 
 from .coloring import _label_components, _parent_roles, dimension
@@ -223,11 +228,12 @@ def _fold_sets(order: Sequence[int], parent: Sequence[int], role: Sequence[int],
     While its children arrive, v accumulates products over them: ``inn`` of
     o0 + o1 (v in S), ``out`` of o0 + o1 + i0 + i1 (v not in S) and, at a
     generic red, ``down`` of o1.  At a generic green ``out`` and ``down``
-    hold o0 and o1 instead.  ``inn`` and ``out`` take a factor by assignment
-    while still 1, the empty product, and ``i1`` is added only at a green:
-    CPython copies a big integer on ``1 * x`` and on ``x + 0``.  Once folded
-    into its parent, a vertex's entries are set to 0, so the big integers of
-    finished subtrees are freed.
+    hold o0 and o1 instead.  ``inn``, ``out`` and a red's ``down`` take a
+    factor by assignment while still 1, the empty product, a green's
+    ``down`` takes its first term by assignment while still 0 and adds no
+    zero term: CPython copies a big integer on ``1 * x`` and on ``x + 0``.
+    Once folded into its parent, a vertex's entries are set to 0, so the big
+    integers of finished subtrees are freed.
 
     Reds have only green neighbours, all of their own component, so a red's
     parent is a generic green and a red is never the top of its component
@@ -262,19 +268,26 @@ def _fold_sets(order: Sequence[int], parent: Sequence[int], role: Sequence[int],
         inn[p] = o if a == 1 else a * o
         keep = o + i0
         rp, a0 = role[p], out[p]
-        if rp == 2:
-            down[p] = down[p] * keep + a0 * i1
+        if rp == 2:  # o1: the earlier o1 times keep, plus the earlier out times i1
+            if i1:
+                if a0 != 1:
+                    i1 *= a0
+                d = down[p]
+                down[p] = d * keep + i1 if d else i1
+            elif down[p]:
+                down[p] *= keep
         elif rp:
-            down[p] *= o1
+            d = down[p]
+            down[p] = o1 if d == 1 else d * o1
         out[p] = keep if a0 == 1 else a0 * keep
         inn[v] = out[v] = down[v] = 0
     return o + i0
 
 
-#: The memoryview format of each slot width in bytes that one cast reads,
-#: unsigned; its lower case reads two's complement.  A cast reads the
-#: host's byte order, so only on little-endian hosts.
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+#: The memoryview formats of each slot width in bytes that one cast reads:
+#: unsigned, then two's complement, indexed by ``signed``.  A cast reads
+#: the host's byte order, so only on little-endian hosts.
+_SLOT_FORMATS = {1: "Bb", 2: "Hh", 4: "Ii", 8: "Qq"} if sys.byteorder == "little" else {}
 
 
 def _unpack(packed: int, width: int, signed: bool = False) -> list[int]:
@@ -284,7 +297,7 @@ def _unpack(packed: int, width: int, signed: bool = False) -> list[int]:
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
     fmt = _SLOT_FORMATS.get(width)
     if fmt:
-        return memoryview(raw).cast(fmt.lower() if signed else fmt).tolist()
+        return memoryview(raw).cast(fmt[signed]).tolist()
     return [
         int.from_bytes(raw[i : i + width], "little", signed=signed)
         for i in range(0, len(raw), width)
@@ -309,7 +322,7 @@ def _pack(values: Sequence[int], width: int) -> int:
     inverse of :func:`_unpack`, in one call at the widths it casts."""
     fmt = _SLOT_FORMATS.get(width)
     if fmt:
-        return int.from_bytes(struct.pack(f"{len(values)}{fmt}", *values), "little")
+        return int.from_bytes(struct.pack(f"{len(values)}{fmt[0]}", *values), "little")
     return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
 
 
@@ -452,27 +465,53 @@ def _read_generic(root: tuple, shift: int) -> tuple[int, int]:
 
 def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly]:
     """Each size vector c of ``vectors`` weighed into
-    sum_k c[k] * (q-1)**(exponent - 2k) * q**k by Horner in (q-1)**2, all in
-    one pass.  A result is monic of degree ``exponent`` (n + vr for a count)
-    exactly when c[0] = 1, the empty set counted once.
+    N = sum_k c[k] * (q-1)**(exponent - 2k) * q**k, all in one pass.  A
+    result is monic of degree ``exponent`` (n + vr for a count) exactly when
+    c[0] = 1, the empty set counted once.
 
-    The m results N_b are evaluated at q = X = 2**(m*s) as one integer,
-    sum_b 2**(s*b) N_b(X): coefficient j of N_b sits in slot j*m + b of s
-    bits.  A Horner step acc * (X-1)**2 + C_k X**k is two shifts and three
-    additions, C_k holding the k-th count of every vector in its own slot
-    (:func:`_pack`; with one vector, the count itself).  A shorter vector
-    counts no sets of the missing sizes, so the trailing factor
-    (q-1)**(exponent - 2*top) of the longest finishes every N_b.  Each a_j is
-    signed, and |a_j| is at most sum_k c_k 2**(exponent-2k), the coefficient
-    sum of sum_k c_k q**k (q+1)**(exponent-2k), which bounds every
-    coefficient of (q-1)**e by that of (q+1)**e; taken over the largest
-    count of each size, the sum bounds every vector's.  So s is its bit
-    length plus a sign bit (:func:`_slot_width`), every a_j + 2**(s-1) lies
-    in (0, 2**s), so biasing every slot by 2**(s-1) and XORing the bias back
-    out leaves each a_j in its own slot in two's complement, read back
-    signed by :func:`_unpack`.  Each result is checked as the kernel checks
+    The identity: with W = q + 1/q - 2, so that (q-1)**2 = q W,
+    t = len(c) - 1 and exponent - 2t = 2 rho + eps (eps 0 or 1),
+    N = (q-1)**eps q**M W**rho G(W), where M = t + rho and
+    G(w) = sum_k c[k] w**(t-k).  So N / (q-1)**eps is a palindrome, and only
+    its half is computed.  A shorter vector of a batch counts no sets of the
+    missing sizes, so t, M and rho are the longest vector's, shared by all.
+
+    The basis: Horner in W, ``acc <- acc W + c[k]`` for each k and then rho
+    times with 0, keeps acc symmetric under q <-> 1/q, so acc is
+    sum_j h_j T_j over T_0 = 1 and T_j = q**j + q**-j, j <= M.  As
+    W T_j = T_(j-1) - 2 T_j + T_(j+1), where T_(-1) = T_1 (and W T_1 holds
+    2 T_0), a step is h'_j = h_(j-1) - 2 h_j + h_(j+1) plus c[k] at j = 0,
+    reflected at the centre: h_(-1) = h_1.  For eps = 1 the factor q - 1
+    turns acc into s_j = h_j - h_(j+1) on q**(j+1/2) - q**-(j+1/2).  N's
+    coefficients are the half mirrored: a_(M+j) = a_(M-j) = h_j for eps = 0,
+    and a_(M+1+j) = s_j, a_(M-j) = -s_j for eps = 1.
+
+    The packing: the m results are evaluated side by side at X = 2**S,
+    S = m s bits, h_j of vector b in slot j m + b of s bits, so acc is
+    sum_j H_j X**j over super-slots H_j.  With r = (acc - H_0) / X, a step is
+    ``(acc << S) - (acc << 1) + r + (H_1 + C_k)``, C_k the k-th count of every
+    vector in its own slot (:func:`_pack`; with one vector, the count
+    itself): no term is longer than acc's M + 1 super-slots, about half of
+    N's.  ``acc >> S`` is r, or r - 1 when H_0 is negative, and its
+    super-slot 0 read signed is H_1, or H_1 - 1 then, so the step adds 2
+    then.  For eps = 1, ``acc - r`` holds the s_j.
+
+    The slots: after the step of c[k], q**k acc is
+    sum_(i<=k) c_i q**i (q-1)**(2(k-i)), so each h_j is at most
+    sum_(i<=k) c_i 4**(k-i) <= sum_i c_i 2**(exponent-2i) in absolute value
+    (the coefficient sum with q+1 in place of q-1, the rho steps going on
+    with c_i = 0), and so is each a_j of N.  Over the largest count of each
+    size the sum bounds every vector's, and s is its bit length plus a sign
+    bit (:func:`_slot_width`), so every slot, every super-slot of m of them
+    and H_1 - 1 read exactly as signed values.
+
+    The read: the M + 1 super-slots are read once.  Biasing every slot by
+    2**(s-1) and XORing the bias back out leaves each value in its own slot
+    in two's complement, read back signed by :func:`_unpack`, and each
+    vector's half is mirrored.  Each result is checked as the kernel checks
     its slot sums: monic of degree ``exponent``, and N(1) = c[top] when
-    exponent = 2*top, else 0, every other term keeping a factor q-1.
+    exponent = 2*top, else 0 (for eps = 1 the mirror gives 0 by
+    construction).
     """
     for counts in vectors:
         if counts[0] != 1:
@@ -485,34 +524,48 @@ def _weigh_by_size(vectors: Sequence[Sequence[int]], exponent: int) -> list[Poly
     m = len(vectors)
     if m == 1:
         largest = columns = vectors[0]
-    else:
+    elif m:
         columns = list(zip_longest(*vectors, fillvalue=0))
         largest = [max(col) for col in columns]
+    else:
+        return []
     top = len(largest) - 1
-    width = _slot_width(sum([c << (exponent - 2 * k) for k, c in enumerate(largest)]))
+    bound = 0  # sum_k largest[k] * 2**(exponent - 2k), by Horner in 4
+    for c in largest:
+        bound = (bound << 2) + c
+    width = _slot_width(bound << (exponent - 2 * top))
     if m != 1:
         columns = [_pack(col, width) for col in columns]
     shift = 8 * width * m
-    acc = 0
-    for k, c in enumerate(columns):
-        # acc <- acc * (X-1)**2 + c X**k
-        acc = (acc << 2 * shift) - (acc << (shift + 1)) + acc + (c << k * shift)
-    for _ in range(exponent - 2 * top):
-        acc = (acc << shift) - acc
-    halves = (1 << (8 * width - 1)).to_bytes(width, "little") * ((exponent + 1) * m)
+    sign = 1 << (shift - 1)
+    mask = 2 * sign - 1
+    acc = columns[0]  # 0 * W + c[0]
+    for k in range(1, (exponent >> 1) + 1):  # c[1:], then rho zeros
+        # acc <- acc * W + c
+        c = columns[k] if k <= top else 0
+        r = acc >> shift
+        low = ((r & mask) ^ sign) - sign + c
+        if acc & sign:  # H_0 < 0: r and its slot 0 are each 1 short
+            low += 2
+        acc = (acc << shift) - (acc << 1) + r + low
+    odd = exponent & 1
+    if odd:
+        r = acc >> shift
+        acc -= r + 1 if acc & sign else r
+    halves = (b"\0" * (width - 1) + b"\x80") * (((exponent >> 1) + 1) * m)
     bias = int.from_bytes(halves, "little")
     coeffs = _unpack((acc + bias) ^ bias, width, signed=True)
     polys = []
     for b, counts in enumerate(vectors):
-        mine = coeffs[b::m]
-        top = len(counts) - 1
-        at_one = counts[top] if exponent == 2 * top else 0
+        half = coeffs if m == 1 else coeffs[b::m]
+        mine = [*map(neg, reversed(half)), *half] if odd else half[:0:-1] + half
+        at_one = counts[-1] if exponent == 2 * len(counts) - 2 else 0
         if len(mine) != exponent + 1 or mine[-1] != 1 or sum(mine) != at_one:
             raise AssertionError(
                 f"weighed polynomial has {len(mine)} coefficients, the last "
                 f"{mine[-1:]}, and N(1) = {sum(mine)}, not {exponent + 1}, [1] and {at_one}"
             )
-        polys.append(Poly(tuple(mine)))
+        polys.append(Poly(mine))
     return polys
 
 

@@ -18,25 +18,21 @@ class ExactDivisionError(ArithmeticError):
     """Polynomial division left a remainder where none was allowed."""
 
 
-def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
-    """The coefficients as a tuple without trailing zeros: a trimmed tuple
-    comes back as it is, uncopied."""
-    out = tuple(coeffs)
-    if out and not out[-1]:
-        top = len(out) - 1
-        while top >= 0 and not out[top]:
-            top -= 1
-        out = out[: top + 1]
-    return out
-
-
 class Poly:
     """Integer polynomial as ascending coefficients with no trailing zeros."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
-        self.coeffs = _trim(coeffs)
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        # the coefficients as a tuple without trailing zeros: a trimmed tuple
+        # is kept as it is, uncopied
+        out = tuple(coeffs)
+        if out and not out[-1]:
+            top = len(out) - 1
+            while top >= 0 and not out[top]:
+                top -= 1
+            out = out[: top + 1]
+        self.coeffs = out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs

@@ -1,7 +1,7 @@
 """Mutation checks of the fast paths: the free-tree walk, the census's
 carried fold and its slot width, the kernel and its slot-sum check, the
-weighing and its signed slots, and the φ assignments that
-``verify --max-n`` sweeps.
+weighing's half, its signed slots and its mirror, and the φ assignments
+that ``verify --max-n`` sweeps.
 
 Each mutant is one text rewrite of one file under ``src/``.  It is applied
 to a temporary copy of the checkout (``src/``, ``tests/`` and
@@ -140,8 +140,33 @@ MUTANTS = {
     # the kernel (counting._fold_sets) and the slot-sum check of its sizes
     "green-keeps-two-children-in-i1": Mutant(
         "counting.py",
-        "            down[p] = down[p] * keep + a0 * i1\n",
-        "            down[p] = down[p] * (keep + i1) + a0 * i1\n",
+        "                down[p] = d * keep + i1 if d else i1\n",
+        "                down[p] = d * (keep + (down[v] << shift)) + i1 if d else i1\n",
+        KERNEL_TESTS,
+    ),
+    # the generic chain's down products, each built by assignment
+    "green-down-takes-each-red-child-by-assignment": Mutant(
+        "counting.py",
+        "                down[p] = d * keep + i1 if d else i1\n",
+        "                down[p] = i1\n",
+        KERNEL_TESTS,
+    ),
+    "green-down-skips-keep-of-a-later-child": Mutant(
+        "counting.py",
+        "            elif down[p]:\n                down[p] *= keep\n",
+        "",
+        KERNEL_TESTS,
+    ),
+    "green-i1-not-times-the-earlier-out": Mutant(
+        "counting.py",
+        "                if a0 != 1:\n                    i1 *= a0\n",
+        "",
+        KERNEL_TESTS,
+    ),
+    "red-down-takes-every-child-by-assignment": Mutant(
+        "counting.py",
+        "            down[p] = o1 if d == 1 else d * o1\n",
+        "            down[p] = o1\n",
         KERNEL_TESTS,
     ),
     "inn-takes-every-child-by-assignment": Mutant(
@@ -175,6 +200,38 @@ MUTANTS = {
         "    width = (bound.bit_length() + 7) // 8\n",
         WEIGH_TESTS + FOLD_TESTS,
     ),
+    # the half the weighing carries: the reflection at the centre, the
+    # exact top-down shift, and the mirror of each half into N
+    "reflection-drops-slot-1": Mutant(
+        "counting.py",
+        "        low = ((r & mask) ^ sign) - sign + c\n",
+        "        low = c\n",
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
+    "exact-shift-without-round-up": Mutant(
+        "counting.py",
+        "        if acc & sign:  # H_0 < 0: r and its slot 0 are each 1 short\n            low += 2\n",
+        "",
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
+    "odd-finish-without-round-up": Mutant(
+        "counting.py",
+        "        acc -= r + 1 if acc & sign else r\n",
+        "        acc -= r\n",
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
+    "odd-half-mirrored-without-negation": Mutant(
+        "counting.py",
+        "[*map(neg, reversed(half)), *half] if odd",
+        "[*reversed(half), *half] if odd",
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
+    "centre-slot-mirrored-twice": Mutant(
+        "counting.py",
+        "else half[:0:-1] + half\n",
+        "else half[::-1] + half\n",
+        WEIGH_TESTS + FOLD_TESTS,
+    ),
     "weighing-read-without-the-xor": Mutant(
         "counting.py",
         "    coeffs = _unpack((acc + bias) ^ bias, width, signed=True)\n",
@@ -184,8 +241,8 @@ MUTANTS = {
     # the one reader (counting._unpack), signed for the weighing
     "signed-table-reads-2-byte-slots-unsigned": Mutant(
         "counting.py",
-        "cast(fmt.lower() if signed else fmt)",
-        "cast(fmt.lower() if signed and width != 2 else fmt)",
+        "cast(fmt[signed])",
+        "cast(fmt[signed and width != 2])",
         WEIGH_TESTS + FOLD_TESTS,
     ),
     "signed-slices-read-unsigned": Mutant(

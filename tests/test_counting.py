@@ -392,18 +392,20 @@ def test_batched_weighing_matches_poly_arithmetic(case):
 
 
 def test_batched_weighing_fixed_cases():
-    """A batch with one vector that forces a much wider slot than the rest,
-    vectors shorter than the longest, the trailing (q-1) power, one vector
-    and none."""
+    """Every shape of the half the weighing carries: exponent - 2t =
+    2 rho + eps with eps 0 (N a palindrome) or 1 (N (q-1) times one) and
+    rho 0 or not (W steps past the last count), for no vector, one (t = 0,
+    whose half is one slot at rho = 0, and t >= 1) or several with mixed
+    tops, one of them forcing a much wider slot than the rest; each as Poly
+    arithmetic weighs it alone."""
     small = [[1], [1, 3], [1, 5, 2], [1, 7, 10, 1]]
     wide = [1, 2**200, 0, 2**64 - 1]
-    for exponent in (6, 7, 11):
-        vectors = [*small, wide, *small]
-        assert _weigh_by_size(vectors, exponent) == [
-            _weigh_by_poly(c, exponent) for c in vectors
-        ]
-    assert _weigh_by_size([[1]], 0) == [Poly.const(1)]
-    assert _weigh_by_size([], 5) == []
+    for vectors in ([], [[1]], [small[-1]], [[1, 0, 0, 2**40]], small, [*small, wide, *small]):
+        top = max((len(c) - 1 for c in vectors), default=0)
+        for exponent in (2 * top + extra for extra in (0, 1, 2, 3, 5, 6)):
+            assert _weigh_by_size(vectors, exponent) == [
+                _weigh_by_poly(c, exponent) for c in vectors
+            ], (vectors, exponent)
 
 
 def test_weigh_by_size_fixed_cases():
@@ -415,7 +417,10 @@ def test_weigh_by_size_fixed_cases():
     no spare sign bit overflows.  Slots are rounded up to 1, 2, 4 or 8 bytes
     up to 8, so m = 7, 15, 31 and 63 are the edges there, and m = 6, 14, 30
     and 62 the largest entries that still fit slots of 1, 2, 4 and 8 bytes;
-    alone and in one batch.
+    alone and in one batch.  At e = 2t + 1, N is (q-1) times the N of
+    e = 2t and the bound 2 c_t + 2**e doubles: c_t = 2**(m-1) - 1 meets the
+    same edges, and 2**m - 1 the edges one bit up; both are weighed there
+    too, alone and in one batch.
     """
     assert _weigh_by_size([[1]], 0) == [Poly.const(1)]
     assert _weigh_by_size([[1]], 5) == [(Q - 1) ** 5]
@@ -426,7 +431,7 @@ def test_weigh_by_size_fixed_cases():
     assert [_slot_width(2**b - 1) for b in (7, 8, 15, 16, 31, 32, 63, 64, 71, 72)] == [
         1, 2, 2, 4, 4, 8, 8, 9, 9, 10,
     ]
-    cases = []
+    cases, odd_cases = [], []
     for m, t in (
         (8, 1), (16, 2), (16, 7), (7, 2), (15, 4), (23, 6), (63, 30),
         (6, 2), (14, 2), (15, 2),
@@ -436,8 +441,16 @@ def test_weigh_by_size_fixed_cases():
         counts[t] = 2**m - 1
         assert _weigh_by_size([counts], 2 * t) == [_weigh_by_poly(counts, 2 * t)], (m, t)
         cases.append(counts)
+        for entry in (2**m - 1, 2 ** (m - 1) - 1):
+            counts = counts[:t] + [entry]
+            weighed = _weigh_by_size([counts], 2 * t + 1)
+            assert weighed == [_weigh_by_poly(counts, 2 * t + 1)], (m, t, entry)
+            odd_cases.append(counts)
     exponent = 2 * max(len(c) - 1 for c in cases)
     assert _weigh_by_size(cases, exponent) == [_weigh_by_poly(c, exponent) for c in cases]
+    assert _weigh_by_size(odd_cases, exponent + 1) == [
+        _weigh_by_poly(c, exponent + 1) for c in odd_cases
+    ]
 
 
 def _unpack_by_slices(packed, width):
